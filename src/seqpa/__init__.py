@@ -22,7 +22,6 @@ from .experts import (
     LinkFunction,
     ParamBall,
     ParametricFamily,
-    SequentialFamily,
     best_in_hindsight,
     build_hard_lipschitz_class,
     ds_project,

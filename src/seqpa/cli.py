@@ -114,7 +114,6 @@ def _add_cover(sub):
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--depth-cap", type=int, default=None)
     p.add_argument("--size-cap", type=int, default=10 ** 7)
 
 

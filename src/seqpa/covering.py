@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experts import FiniteParamFamily
+from .experts import FiniteParamFamily, ball_lattice
 
 DEFAULT_SIZE_CAP = 10 ** 7
 
@@ -21,18 +21,18 @@ DEFAULT_SIZE_CAP = 10 ** 7
 class CoverSet:
     """Finite set of sequential functions covering a family at a given scale.
 
-    Members are callables on a feature prefix.  When the cover came from a
-    parameter lattice, `family` gives vectorized access for the mixture
-    predictors.
+    A cover from a parameter lattice carries only `family`, the finite
+    family of lattice points the mixture predictors iterate over.  An
+    M-SOA cover carries `members`, callables on a feature prefix.
     """
 
     scale: float
     provenance: str
-    members: list
+    members: list = None
     family: object = None
 
     def __len__(self):
-        return len(self.members)
+        return self.family.n_experts if self.family is not None else len(self.members)
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +42,9 @@ class CoverSet:
 def grid_cover(pfam, alpha, size_cap=DEFAULT_SIZE_CAP):
     """Lattice cover of the parameter ball at l_s radius alpha/L.
 
-    Members are the static functions w -> f(w, .) at the lattice points,
-    lifted to sequential functions.  The member count is checked against
-    the standard (2RL/alpha + 1)^d covering bound.
+    The cover's family holds the static functions w -> f(w, .) at the
+    lattice points.  The member count is checked against the standard
+    (2RL/alpha + 1)^d covering bound.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -61,25 +61,13 @@ def grid_cover(pfam, alpha, size_cap=DEFAULT_SIZE_CAP):
     if len(axis) ** d > size_cap:
         raise ValueError(f"lattice cover would have up to {len(axis) ** d} members, "
                          f"over the cap {size_cap}")
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    W = np.stack([m.ravel() for m in mesh], axis=1)
-    if math.isinf(s):
-        norms = np.abs(W).max(axis=1)
-    else:
-        norms = (np.abs(W) ** s).sum(axis=1) ** (1.0 / s)
-    W = W[norms <= reach + 1e-12]
+    W = ball_lattice(axis, d, s, reach + 1e-12)
     bound = (2.0 * R * L / alpha + 1.0) ** d
     if len(W) > bound:
         raise ValueError(f"lattice cover has {len(W)} members, over the "
                          f"(2RL/alpha+1)^d bound {bound:.6g}; this construction "
                          f"needs d^(1/s) below 2")
-    fam = FiniteParamFamily(W, pfam)
-
-    def make_member(w):
-        return lambda prefix: pfam.value(w, np.asarray(prefix)[-1])
-
-    members = [make_member(w) for w in W]
-    return CoverSet(scale=alpha, provenance="grid", members=members, family=fam)
+    return CoverSet(scale=alpha, provenance="grid", family=FiniteParamFamily(W, pfam))
 
 
 # ---------------------------------------------------------------------------
@@ -128,97 +116,75 @@ def discretize(values, alpha, feature_keys=None):
 # Shattering numbers (exhaustive, memoized)
 
 
-def fat_shattering_number(values, alpha, depth_cap=None):
-    """Largest depth of a feature-labeled tree the family shatters with
-    margin alpha around witness levels.
+def _shattering_number(table, cuts):
+    """Largest depth of a feature-labeled tree the rows of `table` shatter.
+
+    `cuts(col)` lists the (low, high) threshold pairs allowed at a node
+    whose members take the values `col` on its feature: members with
+    value <= low go to one child, those with value >= high to the other.
+    The depth search stops at log2(n_experts), which no shattered tree
+    can exceed.  Returns (depth, exact); empty family gives (-1, True).
+    """
+    n = table.shape[0]
+    if n == 0:
+        return -1, True
+    depth_cap = max(1, int(math.log2(n))) if n > 1 else 0
+    columns = table.T.tolist()
+    memo = {}
+
+    def can(sub, k):
+        if k == 0:
+            return True
+        if len(sub) < 2 ** k:
+            return False
+        key = (sub, k)
+        if key not in memo:
+            memo[key] = splits(sub, k)
+        return memo[key]
+
+    def splits(sub, k):
+        idx = sorted(sub)
+        for column in columns:
+            col = [column[i] for i in idx]
+            for low_cut, high_cut in cuts(col):
+                low = frozenset(i for i, v in zip(idx, col) if v <= low_cut)
+                high = frozenset(i for i, v in zip(idx, col) if v >= high_cut)
+                if low and high and can(low, k - 1) and can(high, k - 1):
+                    return True
+        return False
+
+    full = frozenset(range(n))
+    depth = 0
+    while depth < depth_cap and can(full, depth + 1):
+        depth += 1
+    return depth, depth < depth_cap or not can(full, depth + 1)
+
+
+def fat_shattering_number(values, alpha):
+    """Sequential fat-shattering number at margin alpha around witness levels.
 
     `values` is an (n_experts, n_features) table over a finite feature
     set.  Witness candidates are midpoints of member-value pairs.  Returns
     (depth, exact); empty family gives (-1, True).
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    n, F = values.shape
-    if n == 0:
-        return -1, True
-    if depth_cap is None:
-        depth_cap = max(1, int(math.log2(n))) if n > 1 else 0
-    cache = {}
+    def cuts(col):
+        vals = sorted(set(col))
+        witnesses = {(a + b) / 2.0 for a, b in itertools.combinations(vals, 2)
+                     if b - a >= 2 * alpha - 1e-12}
+        return [(s - alpha + 1e-12, s + alpha - 1e-12) for s in witnesses]
 
-    def can(sub, k):
-        if k == 0:
-            return True
-        if len(sub) < 2 ** k:
-            return False
-        key = (sub, k)
-        if key in cache:
-            return cache[key]
-        idx = sorted(sub)
-        out = False
-        for j in range(F):
-            vals = sorted(set(values[idx, j]))
-            witnesses = {(a + b) / 2.0 for a, b in itertools.combinations(vals, 2)
-                         if b - a >= 2 * alpha - 1e-12}
-            for s in witnesses:
-                low = frozenset(i for i in idx if values[i, j] <= s - alpha + 1e-12)
-                high = frozenset(i for i in idx if values[i, j] >= s + alpha - 1e-12)
-                if low and high and can(low, k - 1) and can(high, k - 1):
-                    out = True
-                    break
-            if out:
-                break
-        cache[key] = out
-        return out
-
-    full = frozenset(range(n))
-    depth = 0
-    while depth < depth_cap and can(full, depth + 1):
-        depth += 1
-    return depth, depth < depth_cap or not can(full, depth + 1)
+    return _shattering_number(np.atleast_2d(np.asarray(values, dtype=float)), cuts)
 
 
-def fat1_number(table, K, depth_cap=None, cache=None):
+def fat1_number(table, K):
     """Discretized 1-shattering number of a level-valued family.
 
     `table` is (n_experts, n_features) with 0-based level indices.
     Returns (depth, exact); empty family gives (-1, True).
     """
-    table = np.atleast_2d(np.asarray(table, dtype=int))
-    n, F = table.shape
-    if n == 0:
-        return -1, True
-    if depth_cap is None:
-        depth_cap = max(1, int(math.log2(n))) if n > 1 else 0
-    if cache is None:
-        cache = {}
-
-    def can(sub, k):
-        if k == 0:
-            return True
-        if len(sub) < 2 ** k:
-            return False
-        key = (sub, k)
-        if key in cache:
-            return cache[key]
-        idx = sorted(sub)
-        out = False
-        for j in range(F):
-            col = table[idx, j]
-            for s in range(K):
-                low = frozenset(i for i, v in zip(idx, col) if v <= s - 1)
-                high = frozenset(i for i, v in zip(idx, col) if v >= s + 1)
-                if low and high and can(low, k - 1) and can(high, k - 1):
-                    out = True
-                    break
-            if out:
-                break
-        cache[key] = out
-        return out
-
-    full = frozenset(range(n))
-    depth = 0
-    while depth < depth_cap and can(full, depth + 1):
-        depth += 1
-    return depth, depth < depth_cap or not can(full, depth + 1)
+    level_cuts = [(s - 1, s + 1) for s in range(K)]
+    return _shattering_number(np.atleast_2d(np.asarray(table, dtype=int)),
+                              lambda col: level_cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +198,6 @@ class _Fat1Cache:
         self.table = dfamily.table
         self.K = dfamily.K
         self._memo = {}
-        self._can_cache = {}
 
     def value(self, members):
         members = frozenset(members)
@@ -242,7 +207,7 @@ class _Fat1Cache:
             self._memo[members] = -1
             return -1
         sub = self.table[sorted(members)]
-        val, _ = fat1_number(sub, self.K, cache=None)
+        val, _ = fat1_number(sub, self.K)
         self._memo[members] = val
         return val
 

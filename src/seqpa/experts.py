@@ -1,25 +1,33 @@
 """Hypothesis families.
 
-Families come in two flavors.  Finite families expose fast vectorized
-per-step predictions through ``all_predictions`` (this is what the mixture
+Families come in two flavors.  Finite families expose ``n_experts`` and
+``all_predictions(t, x)``: the vector of every expert's prediction at
+0-based step t with current feature x (this is what the mixture
 predictors iterate over).  Parametric families carry an evaluation oracle
 ``value(w, x)`` plus a parameter ball, and are turned into finite families
 by the covering module or by grid discretization.
-
-Static experts look only at the latest feature of a prefix; sequential
-experts may use the whole prefix (cover members built from M-SOA runs do).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .losses import as_prob
-
 MEMBERSHIP_SLACK = 1e-12
+
+
+def _lp_norms(W, s):
+    """Row-wise l_s norms of an (n, d) array (s = inf allowed)."""
+    A = np.abs(W)
+    return A.max(axis=1) if math.isinf(s) else (A ** s).sum(axis=1) ** (1.0 / s)
+
+
+def ball_lattice(axis, d, s, bound):
+    """Points of axis^d, in meshgrid 'ij' order, whose l_s norm is at most bound."""
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    W = np.stack([m.ravel() for m in mesh], axis=1)
+    return W[_lp_norms(W, s) <= bound]
 
 
 @dataclass(frozen=True)
@@ -35,10 +43,7 @@ class ParamBall:
             raise ValueError(f"invalid ball {self!r}")
 
     def norm(self, w):
-        w = np.asarray(w, dtype=float)
-        if math.isinf(self.norm_order):
-            return float(np.abs(w).max())
-        return float((np.abs(w) ** self.norm_order).sum() ** (1.0 / self.norm_order))
+        return float(_lp_norms(np.atleast_2d(np.asarray(w, dtype=float)), self.norm_order)[0])
 
     def contains(self, w):
         return self.norm(w) <= self.radius + MEMBERSHIP_SLACK
@@ -122,32 +127,8 @@ class FiniteStaticFamily:
         except KeyError:
             raise KeyError(f"feature {x!r} is not in this family's finite feature set") from None
 
-    def all_predictions(self, prefix):
-        return self.table[:, self._column(prefix[-1])]
-
-    def expert_prediction(self, i, prefix):
-        return float(self.table[i, self._column(prefix[-1])])
-
-
-class SequentialFamily:
-    """Finite set of sequential experts, each a callable on a feature prefix."""
-
-    kind = "FiniteSequential"
-
-    def __init__(self, members):
-        self.members = list(members)
-        if not self.members:
-            raise ValueError("empty sequential family")
-
-    @property
-    def n_experts(self):
-        return len(self.members)
-
-    def all_predictions(self, prefix):
-        return np.array([as_prob(g(prefix)) for g in self.members])
-
-    def expert_prediction(self, i, prefix):
-        return as_prob(self.members[i](prefix))
+    def all_predictions(self, t, x):
+        return self.table[:, self._column(x)]
 
 
 @dataclass
@@ -159,12 +140,6 @@ class ParametricFamily:
     lipschitz: float
     value: object  # (w, x) -> prob
     value_batch: object  # (W: (n,d), x: (d,)) -> (n,)
-
-    def eval(self, w, prefix):
-        w = np.asarray(w, dtype=float)
-        if not self.ball.contains(w):
-            raise ValueError(f"parameter outside {self.ball}")
-        return as_prob(self.value(w, np.asarray(prefix)[-1]))
 
 
 def glm_family(link=LOGISTIC, ball=None, d=1, R=1.0, s=2.0, lipschitz=None):
@@ -200,18 +175,14 @@ class FiniteParamFamily:
     def n_experts(self):
         return self.params.shape[0]
 
-    def all_predictions(self, prefix):
-        return np.clip(self.parent.value_batch(self.params, np.asarray(prefix)[-1]), 0.0, 1.0)
-
-    def expert_prediction(self, i, prefix):
-        return as_prob(self.parent.value(self.params[i], np.asarray(prefix)[-1]))
+    def all_predictions(self, t, x):
+        return np.clip(self.parent.value_batch(self.params, x), 0.0, 1.0)
 
 
 class DsFamily:
     """Label-probability vectors p with sum_t p_t^s <= 1, evaluated by time index.
 
-    The t-th prediction of member p is p[t-1]; features are ignored beyond
-    the prefix length.
+    The prediction of member p at 0-based step t is p[t]; features are ignored.
     """
 
     kind = "DsFamily"
@@ -229,12 +200,8 @@ class DsFamily:
     def n_experts(self):
         return self.vectors.shape[0]
 
-    def all_predictions(self, prefix):
-        t = len(prefix)
-        return self.vectors[:, t - 1]
-
-    def expert_prediction(self, i, prefix):
-        return float(self.vectors[i, len(prefix) - 1])
+    def all_predictions(self, t, x):
+        return self.vectors[:, t]
 
 
 def _power_mass(p, s):
@@ -268,14 +235,14 @@ def _finite_losses(family, features, labels):
     n = family.n_experts
     total = np.zeros(n)
     for t in range(T):
-        p = np.asarray(family.all_predictions(features[: t + 1]), dtype=float)
+        p = np.asarray(family.all_predictions(t, features[t]), dtype=float)
         q = p if labels[t] == 1 else 1.0 - p
         with np.errstate(divide="ignore"):
             total += -np.log(q)
     return total
 
 
-def best_in_hindsight(family, features, labels, points_per_axis=None, refine_iters=3):
+def best_in_hindsight(family, features, labels, points_per_axis=None):
     """Exact minimizer for finite families; grid + coordinate refinement otherwise.
 
     Returns (params, loss) where params is the expert index for finite
@@ -290,7 +257,7 @@ def best_in_hindsight(family, features, labels, points_per_axis=None, refine_ite
         losses = _finite_losses(family, features, labels)
         i = int(np.argmin(losses))
         return i, float(losses[i])
-    return _best_parametric(family, features, labels, points_per_axis, refine_iters)
+    return _best_parametric(family, features, labels, points_per_axis)
 
 
 def _param_losses(family, W, features, labels):
@@ -303,29 +270,23 @@ def _param_losses(family, W, features, labels):
     return total
 
 
-def _ball_grid(ball, points_per_axis):
-    axes = [np.linspace(-ball.radius, ball.radius, points_per_axis)] * ball.dimension
-    W = np.array(list(itertools.product(*axes)))
-    keep = np.array([ball.contains(w) for w in W])
-    return W[keep]
-
-
-def _best_parametric(family, features, labels, points_per_axis, refine_iters):
+def _best_parametric(family, features, labels, points_per_axis):
     ball = family.ball
+    s, bound = ball.norm_order, ball.radius + MEMBERSHIP_SLACK
     if points_per_axis is None:
         points_per_axis = 1000 if ball.dimension <= 2 else 100
-    W = _ball_grid(ball, points_per_axis)
+    axis = np.linspace(-ball.radius, ball.radius, points_per_axis)
+    W = ball_lattice(axis, ball.dimension, s, bound)
     losses = _param_losses(family, W, features, labels)
     w = W[int(np.argmin(losses))].copy()
     best = float(losses.min())
     # local coordinate refinement around the grid winner
     step = 2 * ball.radius / (points_per_axis - 1)
-    for _ in range(refine_iters):
+    for _ in range(3):
         for j in range(ball.dimension):
             cand = np.tile(w, (41, 1))
             cand[:, j] += np.linspace(-step, step, 41)
-            keep = np.array([ball.contains(c) for c in cand])
-            cand = cand[keep]
+            cand = cand[_lp_norms(cand, s) <= bound]
             closs = _param_losses(family, cand, features, labels)
             k = int(np.argmin(closs))
             if closs[k] < best:
@@ -389,15 +350,11 @@ class HardLipschitzFamily:
     def _time_of(self, x):
         return self._feature_index.get(tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist()))
 
-    def all_predictions(self, prefix):
-        t = self._time_of(np.asarray(prefix)[-1])
-        if t is None:
+    def all_predictions(self, t, x):
+        col = self._time_of(x)
+        if col is None:
             return np.zeros(self.n_experts)
-        return self.table[:, t]
-
-    def expert_prediction(self, i, prefix):
-        t = self._time_of(np.asarray(prefix)[-1])
-        return 0.0 if t is None else float(self.table[i, t])
+        return self.table[:, col]
 
     def eval_extended(self, w, x):
         """Value at an arbitrary parameter via the sup-minus-distance extension."""
@@ -412,9 +369,8 @@ class HardLipschitzFamily:
 def _lattice_packing(d, R, separation, count):
     """First `count` points of an integer lattice (spacing = separation) in B_2^d(R)."""
     per_axis = np.arange(-math.floor(R / separation), math.floor(R / separation) + 1) * separation
-    pts = [np.array(p) for p in itertools.product(per_axis, repeat=d)
-           if np.linalg.norm(p) <= R + MEMBERSHIP_SLACK]
-    pts.sort(key=lambda p: (np.linalg.norm(p), tuple(p)))
+    pts = sorted(ball_lattice(per_axis, d, 2.0, R + MEMBERSHIP_SLACK),
+                 key=lambda p: (np.linalg.norm(p), tuple(p)))
     if len(pts) < count:
         raise ValueError(f"lattice packing of B_2^{d}({R}) at separation {separation} "
                          f"has only {len(pts)} points, need {count}")

@@ -216,9 +216,8 @@ def run_experiment(cell, out_dir=None):
         raise ValueError(f"unknown algorithm {algo!r}")
 
     transcript = run_protocol(predictor, features, _build_label_fn(cell, rng))
-    ppa = 1000 if d <= 2 else 100
     params, best = best_in_hindsight(family, features, transcript.labels,
-                                     points_per_axis=min(ppa, 400 if d == 2 else ppa))
+                                     points_per_axis={1: 1000, 2: 400}.get(d, 100))
     transcript.best_params = params
     transcript.best_loss = best
     regret = pointwise_regret(transcript, best)
@@ -231,7 +230,7 @@ def run_experiment(cell, out_dir=None):
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        transcript.to_csv(str(out_dir / f"transcript_{digest}.csv"))
+        transcript.to_csv(out_dir / f"transcript_{digest}.csv")
     return row, transcript
 
 

@@ -7,15 +7,17 @@ parameter ball.  `nml_predictor` is the fixed-design normalized maximum
 likelihood strategy obtained from the exact game-value table.
 """
 
+import contextlib
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import shtarkov
-from .experts import FiniteParamFamily, ParamBall, ParametricFamily
+from .experts import FiniteParamFamily, ParametricFamily, ball_lattice
 from .losses import as_label, log_loss, log_sum_exp
 
 
@@ -50,8 +52,12 @@ class Transcript:
         self.cumulative_loss += loss
 
     def to_csv(self, path_or_buf):
-        fh = open(path_or_buf, "w", newline="") if isinstance(path_or_buf, str) else path_or_buf
-        try:
+        """Write the transcript to a path (str or os.PathLike) or an open text file."""
+        if isinstance(path_or_buf, (str, os.PathLike)):
+            target = open(path_or_buf, "w", newline="")
+        else:
+            target = contextlib.nullcontext(path_or_buf)
+        with target as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["t", "x", "y", "yhat", "step_loss", "cum_loss"])
             cum = 0.0
@@ -60,9 +66,6 @@ class Transcript:
                 cum += loss
                 x = ";".join(f"{v:.12g}" for v in np.atleast_1d(self.features[t - 1]))
                 writer.writerow([t, x, y, f"{yhat:.12g}", f"{loss:.12g}", f"{cum:.12g}"])
-        finally:
-            if isinstance(path_or_buf, str):
-                fh.close()
 
     def to_csv_string(self):
         buf = io.StringIO()
@@ -84,29 +87,21 @@ class MixturePredictor:
     Step/update alternation is enforced.
     """
 
-    def __init__(self, family, truncation=None, prior_log_weights=None):
+    def __init__(self, family, truncation=None):
         self.family = family
         self.truncation = truncation
         if truncation is not None and not 0.0 < truncation < 1.0:
             raise ValueError("truncation parameter must lie in (0, 1)")
-        n = family.n_experts
-        if prior_log_weights is None:
-            self.log_weights = np.zeros(n)
-        else:
-            self.log_weights = np.asarray(prior_log_weights, dtype=float).copy()
-            if self.log_weights.shape != (n,):
-                raise ValueError("prior shape mismatch")
+        self.log_weights = np.zeros(family.n_experts)
         self.t = 0
-        self._features = []
         self._pending = None
 
     def step(self, x):
         """Receive feature x_t and return the mixture prediction."""
         if self._pending is not None:
             raise RuntimeError("step called twice without an update")
-        self._features.append(np.atleast_1d(np.asarray(x, dtype=float)))
-        prefix = np.vstack(self._features)
-        p = np.asarray(self.family.all_predictions(prefix), dtype=float)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        p = np.asarray(self.family.all_predictions(self.t, x), dtype=float)
         if self.truncation is not None:
             p = (p + self.truncation) / (1.0 + 2.0 * self.truncation)
         m = self.log_weights.max()
@@ -130,25 +125,21 @@ class MixturePredictor:
         self.t += 1
 
     def log_mixture_mass(self):
-        """ln of the prior-weighted mixture probability of the observed past."""
+        """ln of the uniform-prior mixture probability of the observed past."""
         n = self.family.n_experts
         return log_sum_exp(self.log_weights) - math.log(n)
 
 
-def continuous_bayes(family, T, hessian_bound, d=None, R=None, verify_hessian=True,
-                     seed=0):
+def continuous_bayes(family, T, hessian_bound, verify_hessian=True, seed=0):
     """Bayesian mixture over a uniform grid on the enlarged parameter ball.
 
     The grid spacing is a tenth of the half-ball radius sqrt(d/CT), which
     keeps the discretization error of the continuous-prior mixture well
     under 0.1 nats.  Desk-scale guard: d <= 4.
     """
-    if isinstance(family, ParametricFamily):
-        ball = family.ball
-        d = ball.dimension
-        R = ball.radius
-    else:
+    if not isinstance(family, ParametricFamily):
         raise TypeError("continuous_bayes needs a parametric family")
+    d, R = family.ball.dimension, family.ball.radius
     if d > 4:
         raise ValueError("continuous-prior grids are limited to d <= 4")
     C = float(hessian_bound)
@@ -161,14 +152,8 @@ def continuous_bayes(family, T, hessian_bound, d=None, R=None, verify_hessian=Tr
     rho = math.sqrt(d / (C * T))
     R_star = R + rho
     per_axis = math.ceil(10.0 * math.sqrt(C * T / d) * R_star)
-    axes = np.linspace(-R_star, R_star, per_axis)
-    mesh = np.meshgrid(*([axes] * d), indexing="ij")
-    W = np.stack([m.ravel() for m in mesh], axis=1)
-    W = W[np.linalg.norm(W, axis=1) <= R_star]
-    enlarged = ParametricFamily(family.kind, ParamBall(d, R_star, 2.0),
-                                family.lipschitz, family.value, family.value_batch)
-    grid = FiniteParamFamily(W, enlarged)
-    return MixturePredictor(grid)
+    W = ball_lattice(np.linspace(-R_star, R_star, per_axis), d, 2.0, R_star)
+    return MixturePredictor(FiniteParamFamily(W, family))
 
 
 def empirical_hessian_bound(family, n_samples=200, seed=0, eps=1e-4):

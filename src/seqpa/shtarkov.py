@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .bounds import lipschitz_lower, power_family_lower
 from .experts import ds_project
 from .losses import log_sum_exp
 
@@ -51,7 +52,7 @@ class FiniteMaxOracle:
 
     def per_step_probs(self, T):
         """(n_experts, T) matrix of per-step probabilities of label 1."""
-        cols = [np.asarray(self.family.all_predictions(self.features[: t + 1]), dtype=float)
+        cols = [np.asarray(self.family.all_predictions(t, self.features[t]), dtype=float)
                 for t in range(T)]
         return np.stack(cols, axis=1)
 
@@ -250,9 +251,7 @@ def restricted_binomial_shtarkov(n, lo, hi):
         raise ValueError("n must be >= 1")
     if not 0.0 < lo <= hi < 1.0:
         raise ValueError("interval must sit strictly inside (0, 1)")
-    oracle = IntervalBernoulli(lo, hi)
-    k = np.arange(n + 1)
-    return log_sum_exp(_log_binom(n, k) + oracle.log_sup_by_count(k, n))
+    return shtarkov_sum(IntervalBernoulli(lo, hi), n)
 
 
 def block_shtarkov_lower(d, T, link, s):
@@ -284,9 +283,7 @@ def ds_lower_bound(T, s):
     the exact value only below a small-T threshold (around T < 10 for s=1).
     """
     s = float(s)
-    exact = shtarkov_sum(DsClosedForm(s), T)
-    formula = (s + 1.0) / (s * math.e) * T ** (s / (s + 1.0))
-    return exact, formula
+    return shtarkov_sum(DsClosedForm(s), T), power_family_lower(T, s)
 
 
 def ds_sup_verify(labels, s, grid_cap=200_000):
@@ -397,10 +394,7 @@ def hard_class_certificate(family, codebook, trials=10_000, seed=0,
 
     analytic = M ** 2 * math.exp(-alpha * T / 8.0)
     implied = math.log(M / 2.0)
-    dd = d if d is not None else family.packing.shape[1]
-    rlt = R * L * T
-    formula = (dd * math.log(rlt / dd) - dd * math.log(64.0)
-               - dd * math.log(math.log(rlt)))
+    formula = lipschitz_lower(T, d if d is not None else family.packing.shape[1], R, L)
     return HardClassReport(
         n_sources=M,
         min_hamming=min_h,

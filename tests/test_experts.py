@@ -45,7 +45,7 @@ def test_logistic_interval_containment():
 
 def test_finite_static_family_constants():
     fam = FiniteStaticFamily(np.array([[0.2], [0.8]]))
-    preds = fam.all_predictions(np.zeros((3, 1)))
+    preds = fam.all_predictions(2, np.zeros(1))
     assert preds.shape == (2,)
     assert preds[0] == pytest.approx(0.2)
 
@@ -54,10 +54,10 @@ def test_finite_static_family_feature_lookup():
     keys = [(0.0,), (1.0,)]
     table = np.array([[0.1, 0.9], [0.7, 0.3]])
     fam = FiniteStaticFamily(table, feature_keys=keys)
-    prefix = np.array([[1.0], [0.0]])  # current feature is the last row
-    np.testing.assert_allclose(fam.all_predictions(prefix), [0.1, 0.7])
-    np.testing.assert_allclose(fam.all_predictions(prefix[1:]), [0.1, 0.7])
-    np.testing.assert_allclose(fam.all_predictions(prefix[:1]), [0.9, 0.3])
+    # static experts read the current feature only, whatever the step
+    np.testing.assert_allclose(fam.all_predictions(1, np.array([0.0])), [0.1, 0.7])
+    np.testing.assert_allclose(fam.all_predictions(0, np.array([0.0])), [0.1, 0.7])
+    np.testing.assert_allclose(fam.all_predictions(0, np.array([1.0])), [0.9, 0.3])
 
 
 def test_finite_static_family_rejects_bad_table():
@@ -78,12 +78,6 @@ def test_glm_family_lipschitz_property():
         assert lhs <= L * np.linalg.norm(w1 - w2) + 1e-12
 
 
-def test_parametric_family_rejects_out_of_ball():
-    fam = glm_family(d=1, R=1.0)
-    with pytest.raises(ValueError):
-        fam.eval(np.array([2.0]), np.zeros((1, 1)))
-
-
 def test_ds_project_enforces_power_mass():
     p = np.array([0.9, 0.9, 0.9])
     q = ds_project(p, s=2.0)
@@ -95,8 +89,7 @@ def test_ds_project_enforces_power_mass():
 
 def test_ds_family_time_indexed():
     fam = DsFamily(np.array([[0.3, 0.6, 0.1]]), s=1.0)
-    prefix = np.zeros((2, 1))
-    assert fam.all_predictions(prefix)[0] == pytest.approx(0.6)
+    assert fam.all_predictions(1, np.zeros(1))[0] == pytest.approx(0.6)
 
 
 def test_best_in_hindsight_finite_exact():
@@ -136,7 +129,7 @@ def test_build_hard_lipschitz_class_small():
     assert cb.vectors.shape[1] == T
     assert cb.min_hamming >= T // 4
     assert fam.n_experts == cb.vectors.shape[0]
-    preds = fam.all_predictions(fam.features[:3])
+    preds = fam.all_predictions(2, fam.features[2])
     assert preds.shape == (fam.n_experts, )
     assert np.all((preds >= 0) & (preds <= 1))
 

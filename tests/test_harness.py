@@ -119,3 +119,42 @@ def test_run_bench_summary_deterministic(tmp_path):
     s2 = (out2 / "summary.csv").read_bytes()
     assert s1 == s2
     assert s1.startswith(b"# schema=1\n")
+
+
+# digest -> (regret, bound, ok) for the scripts/bench_small.cfg axes at T=32.
+# Golden values: a change that moves them changes reported numbers and must
+# say why.
+GOLDEN_T32 = {
+    "05909dc0a9f7fd92": (1.1963509486802977, 3.9957322735539913, True),
+    "28fc2ed3ba6c68fb": (0.5552690304071568, 2.6383330595080277, True),
+    "348ca68ae4d77cc1": (0.7511307989524454, 2.6383330595080277, True),
+    "46ffd7c094615bb4": (0.43032605451048767, 10.99301512293296, True),
+    "49cfbb1056718f5a": (0.9227835476359161, 10.99301512293296, True),
+    "a693ad4e89b91781": (1.0493272471578514, 3.9957322735539913, True),
+    "ac33fe0a7d374ab2": (0.29385251884881924, 6.174387269895637, True),
+    "f7a49293ca640135": (0.38090486893528563, 6.174387269895637, True),
+}
+
+
+def test_run_bench_matches_golden_values(tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(
+        "[grid]\n"
+        "family = logistic\n"
+        "algorithm = smooth_bayes, continuous_bayes\n"
+        "T = 32\n"
+        "d = 1, 2\n"
+        "R = 1.0\n"
+        "L = 1.0\n"
+        "alpha = auto\n"
+        "adversary = greedy, iid:0.5\n"
+        "features = ball\n"
+        "seed = 0\n")
+    rows, failed = run_bench(str(cfg), str(tmp_path / "out"))
+    assert not failed
+    assert sorted(r.digest for r in rows) == sorted(GOLDEN_T32)
+    for row in rows:
+        regret, bound, ok = GOLDEN_T32[row.digest]
+        assert row.ok == ok
+        assert row.regret == pytest.approx(regret, abs=1e-9)
+        assert row.bound == pytest.approx(bound, abs=1e-9)
