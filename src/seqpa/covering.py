@@ -229,28 +229,27 @@ def msoa_run(dfamily, x_cols, y_levels, forced=None, cache=None):
     """
     if cache is None:
         cache = _Fat1Cache(dfamily)
-    table = dfamily.table
+    columns = dfamily.table.T.tolist()
     members = frozenset(range(dfamily.n_experts))
     preds = []
     errors = 0
     for t, j in enumerate(x_cols):
-        scores = []
-        for k in range(dfamily.K):
-            consistent = frozenset(i for i in members if table[i, j] == k)
-            scores.append(cache.value(consistent))
-        khat = int(np.argmax(scores))  # argmax takes the lowest index on ties
+        col = columns[j]
+        scores = [cache.value(frozenset(i for i in members if col[i] == k))
+                  for k in range(dfamily.K)]
+        khat = scores.index(max(scores))  # the lowest level wins ties
         preds.append(khat)
         if forced is not None:
             if t in forced:
                 # a forced step plays the given level outright: the cover
                 # member must match the target exactly where it restricts
                 preds[-1] = int(forced[t])
-                members = frozenset(i for i in members if table[i, j] == forced[t])
+                members = frozenset(i for i in members if col[i] == forced[t])
             continue
         y = int(y_levels[t])
         if abs(khat - y) >= 2:
             errors += 1
-            members = frozenset(i for i in members if table[i, j] == y)
+            members = frozenset(i for i in members if col[i] == y)
             if not members:
                 raise RuntimeError("consistent class became empty after an error; "
                                    "the input was not realizable")

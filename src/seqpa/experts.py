@@ -192,9 +192,8 @@ class DsFamily:
         self.s = float(s)
         if self.s < 1:
             raise ValueError("s must be >= 1")
-        for row in self.vectors:
-            if _power_mass(row, self.s) > 1.0 + 1e-9:
-                raise ValueError("member violates the power-mass constraint")
+        if np.any(_power_mass(self.vectors, self.s) > 1.0 + 1e-9):
+            raise ValueError("member violates the power-mass constraint")
 
     @property
     def n_experts(self):
@@ -205,28 +204,27 @@ class DsFamily:
 
 
 def _power_mass(p, s):
-    p = np.asarray(p, dtype=float)
-    if math.isinf(s):
-        return float(np.abs(p).max())
-    with np.errstate(divide="ignore"):
-        return float((p**s).sum())
+    """sum_t p_t^s along the last axis (max_t p_t for s = inf) of entries in [0, 1]."""
+    return p.max(axis=-1, keepdims=True) if math.isinf(s) else (p ** s).sum(axis=-1, keepdims=True)
 
 
 def ds_project(p, s):
-    """Rescale p into the feasible set {sum p_t^s <= 1}; no-op if already inside."""
+    """Rescale p (or each row of a 2-D p) into the feasible set {sum p_t^s <= 1};
+    no-op where already inside."""
     p = np.asarray(p, dtype=float)
     if p.size and (p.min() < 0 or p.max() > 1):
         raise ValueError("entries must lie in [0, 1]")
-    mass = _power_mass(p, float(s))
-    if mass <= 1.0:
-        return p.copy()
-    if math.isinf(s):
-        return np.clip(p, 0.0, 1.0)
-    return p * mass ** (-1.0 / s)
+    return p * np.maximum(_power_mass(p, float(s)), 1.0) ** (-1.0 / float(s))
 
 
 # ---------------------------------------------------------------------------
 # Best in hindsight
+
+
+def prediction_matrix(family, features):
+    """(n_experts, T) predictions of a finite family along a feature sequence."""
+    return np.stack([np.asarray(family.all_predictions(t, x), dtype=float)
+                     for t, x in enumerate(features)], axis=1)
 
 
 def _finite_losses(family, features, labels):
@@ -260,16 +258,6 @@ def best_in_hindsight(family, features, labels, points_per_axis=None):
     return _best_parametric(family, features, labels, points_per_axis)
 
 
-def _param_losses(family, W, features, labels):
-    total = np.zeros(W.shape[0])
-    for t in range(len(labels)):
-        p = np.clip(family.value_batch(W, features[t]), 0.0, 1.0)
-        q = p if labels[t] == 1 else 1.0 - p
-        with np.errstate(divide="ignore"):
-            total += -np.log(q)
-    return total
-
-
 def _best_parametric(family, features, labels, points_per_axis):
     ball = family.ball
     s, bound = ball.norm_order, ball.radius + MEMBERSHIP_SLACK
@@ -277,7 +265,7 @@ def _best_parametric(family, features, labels, points_per_axis):
         points_per_axis = 1000 if ball.dimension <= 2 else 100
     axis = np.linspace(-ball.radius, ball.radius, points_per_axis)
     W = ball_lattice(axis, ball.dimension, s, bound)
-    losses = _param_losses(family, W, features, labels)
+    losses = _finite_losses(FiniteParamFamily(W, family), features, labels)
     w = W[int(np.argmin(losses))].copy()
     best = float(losses.min())
     # local coordinate refinement around the grid winner
@@ -287,7 +275,7 @@ def _best_parametric(family, features, labels, points_per_axis):
             cand = np.tile(w, (41, 1))
             cand[:, j] += np.linspace(-step, step, 41)
             cand = cand[_lp_norms(cand, s) <= bound]
-            closs = _param_losses(family, cand, features, labels)
+            closs = _finite_losses(FiniteParamFamily(cand, family), features, labels)
             k = int(np.argmin(closs))
             if closs[k] < best:
                 best = float(closs[k])

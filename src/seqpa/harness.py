@@ -20,9 +20,10 @@ import numpy as np
 
 from . import bounds
 from .covering import grid_cover
-from .experts import best_in_hindsight, glm_family
+from .experts import best_in_hindsight, glm_family, prediction_matrix
 from .losses import pointwise_regret
-from .predictors import MixturePredictor, Transcript, continuous_bayes
+from .predictors import MixturePredictor, Transcript, continuous_bayes, mixture_losses
+from .shtarkov import block_design_features, label_tree_fold
 
 SCHEMA_VERSION = 1
 WORST_CASE_CAP = 18
@@ -72,37 +73,38 @@ def fixed_label_fn(labels):
     return lambda t, yhat: int(labels[t])
 
 
-def greedy_labels(predictor, features):
-    """Run the greedy adversary against a live predictor; returns the labels."""
-    return run_protocol(predictor, features, greedy_label_fn()).labels
+def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
+    """Exact regret-maximizing label sequence for a mixture predictor.
 
-
-def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP,
-                      hindsight_kwargs=None):
-    """Exhaustive label-tree search for the regret-maximizing sequence.
-
-    Runs a fresh predictor (from `predictor_factory`) on every label
-    sequence and scores it against the family's best in hindsight.  Above
-    the cap, falls back to the greedy adversary with a warning.
-    Returns (labels, regret).
+    `predictor_factory()` must return a `MixturePredictor`, scored on every
+    sequence by `mixture_losses`.  The comparator is a max-fold for finite
+    families and `best_in_hindsight` per sequence for parametric ones.  Ties
+    go to the first sequence in binary order.  Above the cap, falls back to
+    the greedy adversary with a warning.  Returns (labels, regret).
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     T = features.shape[0]
-    hindsight_kwargs = hindsight_kwargs or {}
+    predictor = predictor_factory()
+    if not isinstance(predictor, MixturePredictor):
+        raise TypeError(f"worst_case_labels needs MixturePredictor factories, got {predictor!r}")
     if T > cap:
         warnings.warn(f"T={T} over the exhaustive cap {cap}; using the greedy adversary")
-        labels = greedy_labels(predictor_factory(), features)
-        _, best = best_in_hindsight(family, features, labels, **hindsight_kwargs)
+        labels = run_protocol(predictor, features, greedy_label_fn()).labels
+        _, best = best_in_hindsight(family, features, labels)
         tr = run_protocol(predictor_factory(), features, fixed_label_fn(labels))
         return labels, pointwise_regret(tr, best)
-    best_labels, best_regret = None, -math.inf
-    for labels in itertools.product((0, 1), repeat=T):
-        tr = run_protocol(predictor_factory(), features, fixed_label_fn(labels))
-        _, best = best_in_hindsight(family, features, list(labels), **hindsight_kwargs)
-        regret = pointwise_regret(tr, best)
-        if regret > best_regret:
-            best_labels, best_regret = list(labels), regret
-    return best_labels, best_regret
+    loss = mixture_losses(predictor.family, features, predictor.truncation)
+    if hasattr(family, "n_experts"):
+        P = prediction_matrix(family, features)
+        with np.errstate(divide="ignore"):
+            best = -label_tree_fold(np.log(1.0 - P), np.log(P), np.max)
+    else:
+        best = np.array([best_in_hindsight(family, features, labels)[1]
+                         for labels in itertools.product((0, 1), repeat=T)])
+    with np.errstate(invalid="ignore"):
+        regret = np.where((loss == math.inf) & (best == math.inf), 0.0, loss - best)
+    j = int(np.argmax(regret))
+    return [(j >> (T - 1 - t)) & 1 for t in range(T)], float(regret[j])
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,6 @@ def _build_features(cell, rng, T, d):
     if kind == "ball":
         return _ball_features(rng, T, d)
     if kind == "block":
-        from .shtarkov import block_design_features
         Tt, feats = block_design_features(d, T)
         if Tt != T:
             raise ValueError(f"block design needs d | T (got T={T}, d={d})")

@@ -1,10 +1,11 @@
 """Online prediction strategies.
 
 `MixturePredictor` is the posterior-weighted mixture over a finite expert
-family, optionally with smooth truncation of every expert prediction.  The
+family, optionally with smooth truncation of every expert prediction;
+`mixture_losses` scores it on every label sequence at once.  The
 continuous-prior variant is realized as a uniform grid over an enlarged
-parameter ball.  `nml_predictor` is the fixed-design normalized maximum
-likelihood strategy obtained from the exact game-value table.
+parameter ball.  `nml_predict` builds the fixed-design normalized maximum
+likelihood strategy from the exact game-value table.
 """
 
 import contextlib
@@ -15,9 +16,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from . import shtarkov
-from .experts import FiniteParamFamily, ParametricFamily, ball_lattice
+from .experts import FiniteParamFamily, ParametricFamily, ball_lattice, prediction_matrix
 from .losses import as_label, log_loss, log_sum_exp
 
 
@@ -130,6 +132,19 @@ class MixturePredictor:
         return log_sum_exp(self.log_weights) - math.log(n)
 
 
+def mixture_losses(family, features, truncation=None):
+    """Loss of a fresh `MixturePredictor(family, truncation)` on every label
+    sequence, indexed like `GameValueTable` leaves.  By the chain rule it is
+    ln n - ln sum_i prod_t q_it, q_it the (truncated) probability expert i
+    gave y_t, so one label-tree fold scores every sequence."""
+    P = prediction_matrix(family, features)
+    if truncation is not None:
+        P = smooth_truncate(P, truncation)
+    with np.errstate(divide="ignore"):
+        log_mass = shtarkov.label_tree_fold(np.log(1.0 - P), np.log(P), logsumexp)
+    return math.log(P.shape[0]) - log_mass
+
+
 def continuous_bayes(family, T, hessian_bound, verify_hessian=True, seed=0):
     """Bayesian mixture over a uniform grid on the enlarged parameter ball.
 
@@ -196,16 +211,13 @@ class NmlPredictor:
         return self.table.horizon
 
     def predict(self, label_prefix):
-        t = len(label_prefix)
-        if t >= self.horizon:
+        prefix = [as_label(y) for y in label_prefix]
+        if len(prefix) >= self.horizon:
             raise ValueError("prediction past the horizon")
-        idx = 0
-        for y in label_prefix:
-            idx = idx * 2 + as_label(y)
-        v = self.table.levels[t][idx]
+        v = self.table.value(prefix)
         if v == -math.inf:
             return 0.5
-        v1 = self.table.levels[t + 1][idx * 2 + 1]
+        v1 = self.table.value(prefix + [1])
         return float(math.exp(v1 - v)) if v1 > -math.inf else 0.0
 
     def run(self, labels):
@@ -213,7 +225,7 @@ class NmlPredictor:
         return [self.predict(labels[:t]) for t in range(len(labels))]
 
 
-def nml_predict(oracle, T, features=None):
+def nml_predict(oracle, T):
     """NML predictor for a family given through its sup-probability oracle."""
-    table = shtarkov.minimax_value(oracle, T, features)
+    table = shtarkov.minimax_value(oracle, T)
     return NmlPredictor(table)

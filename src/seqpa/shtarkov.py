@@ -3,7 +3,8 @@
 Shtarkov sums by full enumeration (small horizons) or binomial grouping
 (exchangeable families, large horizons), game values by backward
 induction, the source-identification bound, and the block-design and
-power-constrained lower-bound constructions.
+power-constrained lower-bound constructions.  `label_tree_fold` walks all
+2^T label sequences.
 """
 
 import itertools
@@ -14,10 +15,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
-from .experts import ds_project
+from .experts import ball_lattice, ds_project, prediction_matrix
 from .losses import log_sum_exp
 
 ENUMERATION_CAP = 22
+LEAF_BLOCK_BITS = 14  # label_tree_fold builds 2^14 leaves per row at a time
 
 
 def _log_binom(n, k):
@@ -52,9 +54,7 @@ class FiniteMaxOracle:
 
     def per_step_probs(self, T):
         """(n_experts, T) matrix of per-step probabilities of label 1."""
-        cols = [np.asarray(self.family.all_predictions(t, self.features[t]), dtype=float)
-                for t in range(T)]
-        return np.stack(cols, axis=1)
+        return prediction_matrix(self.family, self.features[:T])
 
     def log_sup(self, labels):
         P = self.per_step_probs(len(labels))
@@ -116,7 +116,7 @@ class DsClosedForm(ExchangeableOracle):
         return out
 
 
-def shtarkov_sum(oracle, T, features=None):
+def shtarkov_sum(oracle, T):
     """ln S_T = ln sum over label sequences of the family's sup probability.
 
     Exchangeable oracles are grouped by the number of ones and run to very
@@ -128,7 +128,7 @@ def shtarkov_sum(oracle, T, features=None):
     if T > ENUMERATION_CAP:
         raise ValueError(f"T={T} exceeds the enumeration cap {ENUMERATION_CAP} "
                          "for a non-exchangeable oracle")
-    return minimax_value(oracle, T, features).root
+    return minimax_value(oracle, T).root
 
 
 # ---------------------------------------------------------------------------
@@ -159,31 +159,51 @@ class GameValueTable:
         return float(self.levels[len(label_prefix)][idx])
 
 
-def _leaf_log_sups(oracle, T, features):
+def label_tree_fold(a0, a1, reduce):
+    """Fold per-step contributions over all 2^T label sequences.
+
+    `a0`, `a1` are (n, T): row i's term at step t for y_t = 0 or 1.  Entry j
+    of the result is reduce(row sums, axis=0) along the sequence whose
+    binary expansion is j (y_1 most significant), summed left to right in
+    t.  Blocks of 2^LEAF_BLOCK_BITS leaves per row share a label prefix, so
+    memory does not grow with n * 2^T.
+    """
+    pairs = np.stack([a0, a1], axis=2)
+    n, T, _ = pairs.shape
+
+    def extend(acc, steps):
+        for t in steps:
+            acc = (acc[:, :, None] + pairs[:, None, t, :]).reshape(n, -1)
+        return acc
+
+    head = max(T - LEAF_BLOCK_BITS, 0)
+    prefixes = extend(np.zeros((n, 1)), range(head))
+    out = np.empty((prefixes.shape[1], 2 ** (T - head)))
+    for p, prefix in enumerate(prefixes.T):
+        out[p] = reduce(extend(prefix[:, None], range(head, T)), axis=0)
+    return out.ravel()
+
+
+def _leaf_log_sups(oracle, T):
+    """ln sup probability of every label sequence, indexed like `GameValueTable`
+    leaves: a max-fold of a `FiniteMaxOracle`'s log probabilities, or an
+    exchangeable oracle's `log_sup_by_count` at each leaf's count of ones."""
     if isinstance(oracle, FiniteMaxOracle):
         P = oracle.per_step_probs(T)
         with np.errstate(divide="ignore"):
-            l1 = np.log(P)
-            l0 = np.log1p(-P)
-        # leaves indexed by the binary expansion of y^T, y_1 most significant
-        n = P.shape[0]
-        ll = np.zeros((n, 1))
-        for t in range(T):
-            ll = (ll[:, :, None] + np.stack([l0[:, t], l1[:, t]], axis=1)[:, None, :]
-                  ).reshape(n, -1)
-        ll = np.where(np.isnan(ll), -math.inf, ll)
-        return ll.max(axis=0)
-    leaves = np.empty(2 ** T)
-    for idx, labels in enumerate(itertools.product((0, 1), repeat=T)):
-        leaves[idx] = oracle.log_sup(list(labels))
-    return leaves
+            return label_tree_fold(np.log1p(-P), np.log(P), np.max)
+    if not getattr(oracle, "exchangeable", False):
+        raise TypeError(f"no label-tree leaves for oracle {oracle!r}")
+    counts = label_tree_fold(np.zeros((1, T)), np.ones((1, T)), np.max).astype(int)
+    return np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)[counts]
 
 
-def minimax_value(oracle, T, features=None):
-    """Exact fixed-design game values; the root realizes ln S_T."""
+def minimax_value(oracle, T):
+    """Exact fixed-design game values over the `_leaf_log_sups` leaves of a
+    `FiniteMaxOracle` or an exchangeable oracle; the root realizes ln S_T."""
     if T > ENUMERATION_CAP:
         raise ValueError(f"T={T} exceeds the enumeration cap {ENUMERATION_CAP}")
-    leaves = _leaf_log_sups(oracle, T, features)
+    leaves = _leaf_log_sups(oracle, T)
     levels = [leaves]
     cur = leaves
     for _ in range(T):
@@ -291,8 +311,8 @@ def ds_sup_verify(labels, s, grid_cap=200_000):
     versus a projected-grid brute-force maximization.
 
     Returns (closed_form_log, brute_log).  Brute force: grid the active
-    coordinates over [0, 1], rescale each candidate into the feasible set,
-    take the best product.
+    coordinates over [0, 1], rescale every candidate row into the feasible
+    set at once, take the best product.
     """
     labels = [int(y) for y in labels]
     T = len(labels)
@@ -303,13 +323,9 @@ def ds_sup_verify(labels, s, grid_cap=200_000):
     if k == 0:
         return closed, 0.0
     m = max(2, int(grid_cap ** (1.0 / k)))
-    axis = np.linspace(1.0 / m, 1.0, m)
-    best = -math.inf
-    for combo in itertools.product(axis, repeat=k):
-        p = ds_project(np.asarray(combo), s)
-        with np.errstate(divide="ignore"):
-            val = float(np.log(p).sum())
-        best = max(best, val)
+    grid = ball_lattice(np.linspace(1.0 / m, 1.0, m), k, math.inf, 1.0)
+    with np.errstate(divide="ignore"):
+        best = float(np.log(ds_project(grid, s)).sum(axis=1).max())
     return closed, best
 
 
@@ -333,15 +349,9 @@ class HardClassReport:
 def _pairwise_discriminator_sets(table):
     """For each ordered pair (a, b), the largest index set where a's value is 0
     and b's is positive; the all-zeros test on that set separates the pair."""
-    M, T = table.shape
-    sets = {}
-    for a in range(M):
-        for b in range(M):
-            if a == b:
-                continue
-            J = np.where((table[a] == 0) & (table[b] > 0))[0]
-            sets[(a, b)] = J
-    return sets
+    M = table.shape[0]
+    return {(a, b): np.where((table[a] == 0) & (table[b] > 0))[0]
+            for a in range(M) for b in range(M) if a != b}
 
 
 def hard_class_certificate(family, codebook, trials=10_000, seed=0,
@@ -367,29 +377,18 @@ def hard_class_certificate(family, codebook, trials=10_000, seed=0,
     worst_err = 0.0
     per_source = max(1, trials // M)
     for src in range(M):
-        p = table[src]
-        samples = rng.uniform(size=(per_source, T)) < p  # Bernoulli per coordinate
-        errors = 0
-        for y in samples:
-            # src must win every pairwise all-zeros test it takes part in
-            ok = True
-            for other in range(M):
-                if other == src:
-                    continue
-                J = sets[(src, other)]
-                K = sets[(other, src)]
+        samples = rng.uniform(size=(per_source, T)) < table[src]  # Bernoulli per coordinate
+        # src must win every pairwise all-zeros test it takes part in
+        lost = np.zeros(per_source, dtype=bool)
+        for other in range(M):
+            if other != src:
+                J, K = sets[(src, other)], sets[(other, src)]
                 # use the larger side, oriented so all-zeros picks the 0-valued row
                 if len(J) >= len(K):
-                    if y[J].any():
-                        ok = False
-                        break
+                    lost |= samples[:, J].any(axis=1)
                 else:
-                    if not y[K].any():
-                        ok = False
-                        break
-            if not ok:
-                errors += 1
-        worst_err = max(worst_err, errors / per_source)
+                    lost |= ~samples[:, K].any(axis=1)
+        worst_err = max(worst_err, int(lost.sum()) / per_source)
     std_err = math.sqrt(max(worst_err * (1 - worst_err), 1.0 / per_source) / per_source)
 
     analytic = M ** 2 * math.exp(-alpha * T / 8.0)

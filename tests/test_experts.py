@@ -87,6 +87,16 @@ def test_ds_project_enforces_power_mass():
     np.testing.assert_allclose(ds_project(r, 2.0), r)
 
 
+@pytest.mark.parametrize("s", [1.0, 2.0, math.inf])
+def test_ds_project_rowwise_equals_per_row(s):
+    rng = np.random.default_rng(4)
+    P = rng.uniform(0.0, 1.0, (50, 4)) * rng.uniform(0.0, 1.0, (50, 1))
+    out = ds_project(P, s)
+    assert out.shape == P.shape
+    for row, q in zip(P, out):
+        np.testing.assert_array_equal(q, ds_project(row, s))
+
+
 def test_ds_family_time_indexed():
     fam = DsFamily(np.array([[0.3, 0.6, 0.1]]), s=1.0)
     assert fam.all_predictions(1, np.zeros(1))[0] == pytest.approx(0.6)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from seqpa.experts import FiniteStaticFamily
+from seqpa.experts import FiniteStaticFamily, best_in_hindsight
 from seqpa.harness import (
     ConstantPredictor,
     ReportRow,
+    fixed_label_fn,
     greedy_label_fn,
     iid_label_fn,
     parse_bench_config,
@@ -15,7 +16,9 @@ from seqpa.harness import (
     run_protocol,
     worst_case_labels,
 )
+from seqpa.losses import pointwise_regret
 from seqpa.predictors import MixturePredictor
+from seqpa.shtarkov import FiniteMaxOracle, shtarkov_sum
 
 
 def test_constant_predictor_loss():
@@ -53,6 +56,31 @@ def test_worst_case_over_cap_warns_and_falls_back():
         labels, regret = worst_case_labels(lambda: MixturePredictor(fam), fam,
                                            features, cap=4)
     assert len(labels) == 6
+
+
+@pytest.mark.parametrize("alpha", [None, 0.05])
+def test_worst_case_regret_ladder(alpha):
+    # a finite family mixed over itself: ln S_T(F) <= worst regret <= 2 alpha T + ln|F|
+    rng = np.random.default_rng(21)
+    keys = [(float(j),) for j in range(3)]
+    fam = FiniteStaticFamily(rng.uniform(0.05, 0.95, (4, 3)), feature_keys=keys)
+    T = 10
+    features = rng.integers(0, 3, (T, 1)).astype(float)
+    labels, regret = worst_case_labels(lambda: MixturePredictor(fam, truncation=alpha),
+                                       fam, features)
+    upper = math.log(4) + (0.0 if alpha is None else 2 * alpha * T)
+    assert shtarkov_sum(FiniteMaxOracle(fam, features), T) <= regret + 1e-12
+    assert regret <= upper + 1e-12
+    # the reported regret is the stepped mixture's regret on the returned labels
+    tr = run_protocol(MixturePredictor(fam, truncation=alpha), features, fixed_label_fn(labels))
+    _, best = best_in_hindsight(fam, features, labels)
+    assert regret == pytest.approx(pointwise_regret(tr, best), abs=1e-12)
+
+
+def test_worst_case_needs_mixture_factory():
+    fam = FiniteStaticFamily(np.array([[0.25], [0.75]]))
+    with pytest.raises(TypeError):
+        worst_case_labels(ConstantPredictor, fam, np.zeros((3, 1)))
 
 
 def test_report_row_excludes_wall_time():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from seqpa.covering import grid_cover
 from seqpa.experts import FiniteStaticFamily, glm_family
 from seqpa.losses import cumulative_loss, log_loss
 from seqpa.predictors import (
@@ -11,6 +12,7 @@ from seqpa.predictors import (
     MixturePredictor,
     Transcript,
     continuous_bayes,
+    mixture_losses,
     nml_predict,
     smooth_truncate,
 )
@@ -85,6 +87,38 @@ def test_mixture_step_update_alternation():
     pred.step(np.zeros(1))
     with pytest.raises(RuntimeError):
         pred.step(np.zeros(1))
+
+
+def _stepped_loss(family, features, labels, truncation):
+    pred = MixturePredictor(family, truncation=truncation)
+    total = 0.0
+    for x, y in zip(features, labels):
+        total += log_loss(pred.step(x), y)
+        pred.update(y)
+    return total
+
+
+@pytest.mark.parametrize("truncation", [None, 0.1])
+def test_mixture_losses_match_stepped_mixture(truncation):
+    T = 8
+    features = np.random.default_rng(9).uniform(-1, 1, (T, 1))
+    family = grid_cover(glm_family(d=1, R=1.0), 0.1).family
+    losses = mixture_losses(family, features, truncation)
+    assert losses.shape == (2 ** T,)
+    for j, total in enumerate(losses):
+        labels = [(j >> (T - 1 - t)) & 1 for t in range(T)]
+        assert total == pytest.approx(_stepped_loss(family, features, labels, truncation),
+                                      abs=1e-12)
+
+
+def test_mixture_losses_truncation_keeps_degenerate_experts_finite():
+    fam = FiniteStaticFamily(np.array([[0.0], [1.0], [0.5]]))
+    features = np.zeros((5, 1))
+    losses = mixture_losses(fam, features, 0.2)
+    assert np.all(np.isfinite(losses))
+    labels = [1, 0, 0, 1, 1]
+    j = int("".join(map(str, labels)), 2)
+    assert losses[j] == pytest.approx(_stepped_loss(fam, features, labels, 0.2), abs=1e-12)
 
 
 def test_transcript_append_and_csv():

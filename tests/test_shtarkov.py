@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqpa import shtarkov
 from seqpa.experts import FiniteStaticFamily, build_hard_lipschitz_class
 from seqpa.shtarkov import (
+    LEAF_BLOCK_BITS,
     ConstantBernoulliMLE,
     DsClosedForm,
     FiniteMaxOracle,
@@ -72,6 +74,42 @@ def test_game_table_recursion_invariant():
             parent = table.levels[t][idx]
             kids = table.levels[t + 1][2 * idx: 2 * idx + 2]
             assert parent == pytest.approx(log_sum_exp(kids), abs=1e-10)
+
+
+def _leaf_oracles(T):
+    rng = np.random.default_rng(13)
+    keys = [(float(j),) for j in range(3)]
+    table = rng.uniform(0.05, 0.95, (5, 3))
+    table[0, :] = 0.0  # 0/1 experts put zero mass on some sequences
+    table[1, 1] = 1.0
+    fam = FiniteStaticFamily(table, feature_keys=keys)
+    finite = FiniteMaxOracle(fam, rng.integers(0, 3, (T, 1)).astype(float))
+    return [finite, ConstantBernoulliMLE(), DsClosedForm(2.0)]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_leaves_match_per_sequence_log_sup(which):
+    # T above the block exponent, so four prefix blocks of leaves run
+    T = LEAF_BLOCK_BITS + 2
+    oracle = _leaf_oracles(T)[which]
+    leaves = minimax_value(oracle, T).levels[-1]
+    rng = np.random.default_rng(which)
+    for j in [0, 2 ** T - 1, *rng.integers(0, 2 ** T, 200)]:
+        labels = [(int(j) >> (T - 1 - t)) & 1 for t in range(T)]
+        expected = oracle.log_sup(labels)
+        if expected == -math.inf:
+            assert leaves[j] == -math.inf
+        else:
+            assert leaves[j] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_blocked_leaves_equal_single_block(which, monkeypatch):
+    T = 7
+    oracle = _leaf_oracles(T)[which]
+    whole = minimax_value(oracle, T).levels[-1]
+    monkeypatch.setattr(shtarkov, "LEAF_BLOCK_BITS", 2)
+    np.testing.assert_array_equal(minimax_value(oracle, T).levels[-1], whole)
 
 
 def test_interval_bernoulli_clamps_mle():
