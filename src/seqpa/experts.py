@@ -140,6 +140,7 @@ class ParametricFamily:
     lipschitz: float
     value: object  # (w, x) -> prob
     value_batch: object  # (W: (n,d), x: (d,)) -> (n,)
+    link: object = None  # the LinkFunction of a generalized linear family
 
 
 def glm_family(link=LOGISTIC, ball=None, d=1, R=1.0, s=2.0, lipschitz=None):
@@ -159,7 +160,7 @@ def glm_family(link=LOGISTIC, ball=None, d=1, R=1.0, s=2.0, lipschitz=None):
     def value_batch(W, x):
         return np.asarray(link(W @ np.asarray(x, dtype=float)))
 
-    return ParametricFamily("GeneralizedLinear", ball, lipschitz, value, value_batch, )
+    return ParametricFamily("GeneralizedLinear", ball, lipschitz, value, value_batch, link)
 
 
 class FiniteParamFamily:
@@ -228,60 +229,142 @@ def prediction_matrix(family, features):
 
 
 def _finite_losses(family, features, labels):
-    """(n_experts,) cumulative losses of a finite family on (x^T, y^T)."""
-    T = len(labels)
-    n = family.n_experts
-    total = np.zeros(n)
-    for t in range(T):
+    """(S, n_experts) cumulative losses of a finite family on (x^T, y^T),
+    one row per label sequence in the (S, T) array `labels`."""
+    total = np.zeros((labels.shape[0], family.n_experts))
+    for t in range(labels.shape[1]):
         p = np.asarray(family.all_predictions(t, features[t]), dtype=float)
-        q = p if labels[t] == 1 else 1.0 - p
+        q = np.where(labels[:, t:t + 1] == 1, p, 1.0 - p)
         with np.errstate(divide="ignore"):
-            total += -np.log(q)
+            total -= np.log(q)
     return total
 
 
-def best_in_hindsight(family, features, labels, points_per_axis=None):
-    """Exact minimizer for finite families; grid + coordinate refinement otherwise.
+def best_in_hindsight(family, features, labels):
+    """Best loss in hindsight: exact for finite families, certified for the
+    logistic family on an l2 ball.
 
-    Returns (params, loss) where params is the expert index for finite
-    families and the parameter vector for parametric ones.  The parametric
-    loss is an upper bound on the true infimum within the grid resolution.
+    `labels` is one label sequence, or an (S, T) array of S sequences that
+    are solved together.  Returns (params, loss): the expert index and its
+    loss for a finite family; for a parametric family a feasible parameter
+    w and a certified lower bound f(w) - gap on the infimum of the
+    cumulative log loss f over the ball (see `_best_logistic`), so regret
+    computed against it never understates the true regret.  For an (S, T)
+    array both come back with a leading axis of length S.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = [int(y) for y in labels]
-    if not labels:
+    labels = np.asarray(labels)
+    if labels.size == 0 and labels.ndim == 1:
         return None, 0.0
+    Y = np.atleast_2d(labels)
     if hasattr(family, "n_experts"):
-        losses = _finite_losses(family, features, labels)
-        i = int(np.argmin(losses))
-        return i, float(losses[i])
-    return _best_parametric(family, features, labels, points_per_axis)
+        losses = _finite_losses(family, features, Y)
+        params = np.argmin(losses, axis=1)
+        best = losses[np.arange(len(params)), params]
+        return (int(params[0]), float(best[0])) if labels.ndim == 1 else (params, best)
+    link = getattr(family, "link", None)
+    if link is not LOGISTIC:
+        raise TypeError("the hindsight solver needs the logistic link (glm_family with "
+                        f"link=LOGISTIC), got {getattr(link, 'name', link)!r}")
+    if family.ball.norm_order != 2:
+        raise ValueError("the hindsight solver needs an l2 parameter ball, got "
+                         f"norm order {family.ball.norm_order}")
+    X = features[:Y.shape[1]]
+    blocks = [_best_logistic(X, Y[i:i + ROW_BLOCK].astype(float), family.ball.radius)
+              for i in range(0, len(Y), ROW_BLOCK)]
+    W, best = (np.concatenate(part) for part in zip(*blocks))
+    return (W[0], float(best[0])) if labels.ndim == 1 else (W, best)
 
 
-def _best_parametric(family, features, labels, points_per_axis):
-    ball = family.ball
-    s, bound = ball.norm_order, ball.radius + MEMBERSHIP_SLACK
-    if points_per_axis is None:
-        points_per_axis = 1000 if ball.dimension <= 2 else 100
-    axis = np.linspace(-ball.radius, ball.radius, points_per_axis)
-    W = ball_lattice(axis, ball.dimension, s, bound)
-    losses = _finite_losses(FiniteParamFamily(W, family), features, labels)
-    w = W[int(np.argmin(losses))].copy()
-    best = float(losses.min())
-    # local coordinate refinement around the grid winner
-    step = 2 * ball.radius / (points_per_axis - 1)
-    for _ in range(3):
-        for j in range(ball.dimension):
-            cand = np.tile(w, (41, 1))
-            cand[:, j] += np.linspace(-step, step, 41)
-            cand = cand[_lp_norms(cand, s) <= bound]
-            closs = _finite_losses(FiniteParamFamily(cand, family), features, labels)
-            k = int(np.argmin(closs))
-            if closs[k] < best:
-                best = float(closs[k])
-                w = cand[k].copy()
-        step /= 8.0
-    return w, best
+# Label sequences solved together (bounds the solver's memory), Newton
+# iterations before the certificate is checked, the gap below which a solve
+# stops early, and the gap above which it fails.
+ROW_BLOCK = 2 ** 14
+NEWTON_ITERS = 50
+NEWTON_STOP_GAP = 1e-12
+CERTIFIED_GAP = 1e-9
+
+
+def _logistic_loss(X, Y, W):
+    """Row-wise sum_t -ln P_w(y_t | x_t) = sum_t softplus(-(2 y_t - 1) <w, x_t>)."""
+    return np.logaddexp(0.0, (1.0 - 2.0 * Y) * (W @ X.T)).sum(axis=1)
+
+
+def _ball_newton_point(w, g, H, R):
+    """Row-wise minimizer over ||v|| <= R of the model g.(v - w) + (v - w)'H(v - w)/2.
+
+    In H's eigenbasis v(lam) = -(Lam + lam)^-1 Q'(g - H w).  lam = 0 when
+    that point is inside the ball; otherwise lam solves ||v(lam)|| = R,
+    found by Newton's method on 1/||v(lam)|| - 1/R, which is concave and
+    increasing, so the iterates climb to the root from lam = 0 without
+    overshooting (More and Sorensen 1983).  Eigenvalues at rounding level
+    are lifted to a floor: f is flat along those directions.
+    """
+    lam_h, Q = np.linalg.eigh(H)
+    lam_h = np.maximum(lam_h, 1e-14 * lam_h[:, -1:] + 1e-300)
+    a = np.einsum("sji,sj->si", Q, g - np.einsum("sij,sj->si", H, w))
+    lam = np.zeros(len(w))
+    for _ in range(NEWTON_ITERS):
+        inv = 1.0 / (lam_h + lam[:, None])
+        norm = np.sqrt(((a * inv) ** 2).sum(axis=1))
+        todo = norm > R * (1.0 + 1e-12)
+        if not todo.any():
+            break
+        slope = ((a ** 2) * inv ** 3).sum(axis=1) / norm ** 3
+        lam = np.where(todo, lam + (1.0 / R - 1.0 / norm) / slope, lam)
+    v = np.einsum("sij,sj->si", Q, -a / (lam_h + lam[:, None]))
+    return v * np.minimum(1.0, R / np.linalg.norm(v, axis=1))[:, None]
+
+
+def _best_logistic(X, Y, R):
+    """Projected Newton for the logistic log loss f over {||w||_2 <= R}, row-wise.
+
+    Each step moves toward the minimizer of f's quadratic model over the
+    ball (`_ball_newton_point`), halving the step until the Armijo rule
+    holds; once the predicted decrease is below rounding the full step is
+    taken and the row stops.  f is convex, so for every w
+    f(w*) >= f(w) + <grad f(w), w* - w> >= f(w) - gap(w), with the
+    Frank-Wolfe gap gap(w) = <grad f(w), w> + R ||grad f(w)||; the bound
+    f(w) - gap(w) is returned.  Raises RuntimeError if a gap stays above
+    CERTIFIED_GAP.
+    """
+    S = Y.shape[0]
+    W = np.zeros((S, X.shape[1]))
+    f = _logistic_loss(X, Y, W)
+    gap = np.empty(S)
+    done = np.zeros(S, dtype=bool)
+    active = np.arange(S)
+    for it in range(NEWTON_ITERS + 1):
+        w, y = W[active], Y[active]
+        P = expit(w @ X.T)
+        g = (P - y) @ X
+        gap[active] = np.maximum((g * w).sum(axis=1) + R * np.linalg.norm(g, axis=1), 0.0)
+        keep = (gap[active] > NEWTON_STOP_GAP) & ~done[active]
+        active, w, y, g, P = active[keep], w[keep], y[keep], g[keep], P[keep]
+        if not len(active) or it == NEWTON_ITERS:
+            break
+        H = np.einsum("st,ti,tj->sij", P * (1.0 - P), X, X)
+        step = _ball_newton_point(w, g, H, R) - w
+        slope = (g * step).sum(axis=1)
+        f0 = f[active]
+        final = -slope <= 1e-13 * (1.0 + np.abs(f0))
+        t = np.ones(len(active))
+        moved = np.zeros(len(active), dtype=bool)
+        for _ in range(40):
+            trial = w + t[:, None] * step
+            ft = _logistic_loss(X, y, trial)
+            ok = ~moved & (final | ((ft < f0) & (ft <= f0 + 1e-4 * t * slope)))
+            W[active[ok]], f[active[ok]] = trial[ok], ft[ok]
+            moved |= ok
+            if moved.all():
+                break
+            t = np.where(moved, t, 0.5 * t)
+        # a row that took its final step, or whose step cannot lower f, is done
+        done[active[final | ~moved]] = True
+    if np.any(gap > CERTIFIED_GAP):
+        raise RuntimeError(f"hindsight solver stopped with certificate gap {gap.max():.3g} "
+                           f"> {CERTIFIED_GAP:g} after {NEWTON_ITERS} Newton steps")
+    return W, f - gap
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,10 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
 
     `predictor_factory()` must return a `MixturePredictor`, scored on every
     sequence by `mixture_losses`.  The comparator is a max-fold for finite
-    families and `best_in_hindsight` per sequence for parametric ones.  Ties
-    go to the first sequence in binary order.  Above the cap, falls back to
+    families and, for a parametric family, one batched `best_in_hindsight`
+    call over all 2^T sequences, whose certified lower bounds make the
+    returned regret an upper bound on the true one.  Ties go to the first
+    sequence in binary order.  Above the cap, falls back to
     the greedy adversary with a warning.  Returns (labels, regret).
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
@@ -99,8 +101,9 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
         with np.errstate(divide="ignore"):
             best = -label_tree_fold(np.log(1.0 - P), np.log(P), np.max)
     else:
-        best = np.array([best_in_hindsight(family, features, labels)[1]
-                         for labels in itertools.product((0, 1), repeat=T)])
+        # row j holds the binary expansion of j, the label_tree_fold leaf order
+        labels = (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
+        _, best = best_in_hindsight(family, features, labels.astype(np.uint8))
     with np.errstate(invalid="ignore"):
         regret = np.where((loss == math.inf) & (best == math.inf), 0.0, loss - best)
     j = int(np.argmax(regret))
@@ -217,8 +220,7 @@ def run_experiment(cell, out_dir=None):
         raise ValueError(f"unknown algorithm {algo!r}")
 
     transcript = run_protocol(predictor, features, _build_label_fn(cell, rng))
-    params, best = best_in_hindsight(family, features, transcript.labels,
-                                     points_per_axis={1: 1000, 2: 400}.get(d, 100))
+    params, best = best_in_hindsight(family, features, transcript.labels)
     transcript.best_params = params
     transcript.best_loss = best
     regret = pointwise_regret(transcript, best)

@@ -211,18 +211,24 @@ class NmlPredictor:
         return self.table.horizon
 
     def predict(self, label_prefix):
-        prefix = [as_label(y) for y in label_prefix]
-        if len(prefix) >= self.horizon:
-            raise ValueError("prediction past the horizon")
-        v = self.table.value(prefix)
-        if v == -math.inf:
-            return 0.5
-        v1 = self.table.value(prefix + [1])
-        return float(math.exp(v1 - v)) if v1 > -math.inf else 0.0
+        """Q(y_t = 1 | label_prefix), t = len(label_prefix)."""
+        return self.run(list(label_prefix) + [0])[-1]
 
     def run(self, labels):
-        """Predictions along one label sequence."""
-        return [self.predict(labels[:t]) for t in range(len(labels))]
+        """Predictions along one label sequence, walking the table once."""
+        labels = [as_label(y) for y in labels]
+        if len(labels) > self.horizon:
+            raise ValueError("prediction past the horizon")
+        preds, idx = [], 0
+        for t, y in enumerate(labels):
+            v = float(self.table.levels[t][idx])
+            v1 = float(self.table.levels[t + 1][2 * idx + 1])
+            if v == -math.inf:
+                preds.append(0.5)
+            else:
+                preds.append(float(math.exp(v1 - v)) if v1 > -math.inf else 0.0)
+            idx = 2 * idx + y
+        return preds
 
 
 def nml_predict(oracle, T):

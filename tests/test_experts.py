@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.special import ndtr
+
+from seqpa import experts
 from seqpa.experts import (
     LOGISTIC,
     CodeBook,
     DsFamily,
+    FiniteParamFamily,
     FiniteStaticFamily,
+    LinkFunction,
     ParamBall,
+    ball_lattice,
     best_in_hindsight,
     build_hard_lipschitz_class,
     ds_project,
@@ -120,9 +126,70 @@ def test_best_in_hindsight_parametric_near_truth():
     probs = LOGISTIC(features @ w_star)
     labels = (rng.random(40) < probs).astype(int)
     _, loss = best_in_hindsight(fam, features, labels)
-    # grid+refine optimum should beat the generating parameter
+    # the certified lower bound is below the generating parameter's loss
     truth_loss = cumulative_loss(probs, labels)
     assert loss <= truth_loss + 1e-9
+
+
+def _ball_features(rng, T, d):
+    g = rng.normal(size=(T, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True) * rng.uniform(size=(T, 1)) ** (1 / d)
+
+
+def test_best_in_hindsight_certified_on_boundary():
+    # labels separable through the origin: the optimum lies on the sphere
+    rng = np.random.default_rng(8)
+    fam = glm_family(d=2, R=1.0)
+    features = _ball_features(rng, 20, 2)
+    labels = (features @ np.array([0.6, -0.8]) > 0).astype(int)
+    w, loss = best_in_hindsight(fam, features, labels)
+    assert fam.ball.contains(w) and fam.ball.norm(w) > 1.0 - 1e-6
+    f_w = cumulative_loss(LOGISTIC(features @ w), labels)
+    assert loss <= f_w and f_w - loss <= 1e-9
+    # every feasible point of a dense lattice, and of a fine circle just inside
+    theta = np.linspace(0.0, 2 * np.pi, 100_000)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1) * (1.0 - 1e-12)
+    points = np.vstack([ball_lattice(np.linspace(-1.0, 1.0, 601), 2, 2.0, 1.0), circle])
+    _, feasible_best = best_in_hindsight(FiniteParamFamily(points, fam), features, labels)
+    assert loss <= feasible_best + 1e-12
+
+
+def test_best_in_hindsight_batched_equals_per_row():
+    rng = np.random.default_rng(9)
+    fam = glm_family(d=2, R=1.0)
+    T = 10
+    features = _ball_features(rng, T, 2)
+    Y = (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
+    W, best = best_in_hindsight(fam, features, Y)
+    assert W.shape == (2 ** T, 2) and best.shape == (2 ** T,)
+    for y, w, b in zip(Y, W, best):
+        w1, b1 = best_in_hindsight(fam, features, y)
+        assert abs(b1 - b) <= 1e-12
+        np.testing.assert_allclose(w1, w, atol=1e-9)
+
+
+def test_best_in_hindsight_rejects_unsupported_families():
+    features, labels = np.zeros((3, 2)), [0, 1, 1]
+    with pytest.raises(ValueError, match="l2"):
+        best_in_hindsight(glm_family(d=2, R=1.0, s=1.0), features, labels)
+    probit = LinkFunction("probit", ndtr)
+    with pytest.raises(TypeError, match="logistic"):
+        best_in_hindsight(glm_family(link=probit, d=2, R=1.0), features, labels)
+
+
+def test_best_in_hindsight_stopped_early(monkeypatch):
+    rng = np.random.default_rng(10)
+    fam = glm_family(d=2, R=1.0)
+    features = _ball_features(rng, 20, 2)
+    labels = (features[:, 0] > 0).astype(int)
+    _, converged = best_in_hindsight(fam, features, labels)
+    monkeypatch.setattr(experts, "NEWTON_ITERS", 1)
+    with pytest.raises(RuntimeError, match="certificate gap"):
+        best_in_hindsight(fam, features, labels)
+    # the bound f(w) - gap holds at any iterate, not only at convergence
+    monkeypatch.setattr(experts, "CERTIFIED_GAP", math.inf)
+    w, loss = best_in_hindsight(fam, features, labels)
+    assert loss <= converged < cumulative_loss(LOGISTIC(features @ w), labels)
 
 
 def test_codebook_min_hamming_enforced():

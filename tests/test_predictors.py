@@ -195,3 +195,47 @@ def test_nml_predictions_sum_to_one():
     p01 = nml.predict([0])
     p11 = nml.predict([1])
     assert 0.0 <= p01 <= 1.0 and 0.0 <= p11 <= 1.0
+
+
+def _nml_inputs():
+    """(oracle, T, label sequences): the label_tree benchmark's NML inputs at
+    seed 1 (same draws), then every criterion-1 family on all sequences."""
+    rng = np.random.default_rng(1)
+    keys = [(float(j),) for j in range(4)]
+    oracles = []
+    for T in (20, 16):
+        fam = FiniteStaticFamily(rng.uniform(0.02, 0.98, (8, 4)), feature_keys=keys)
+        oracles.append(FiniteMaxOracle(fam, rng.integers(0, 4, (T, 1)).astype(float)))
+    yield oracles[1], 16, rng.integers(0, 2, (1024, 16)).tolist()
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        T = int(rng.integers(1, 11))
+        vals = rng.uniform(0.02, 0.98, n)
+        for i in range(n):
+            if rng.random() < 0.15:
+                vals[i] = float(rng.integers(0, 2))
+        oracle = FiniteMaxOracle(FiniteStaticFamily(vals[:, None]), np.zeros((T, 1)))
+        yield oracle, T, [[(j >> (T - 1 - t)) & 1 for t in range(T)] for j in range(2 ** T)]
+
+
+def _nml_prediction_per_prefix(table, prefix):
+    # reference: two GameValueTable.value walks per prefix
+    v = table.value(prefix)
+    if v == -math.inf:
+        return 0.5
+    v1 = table.value(prefix + [1])
+    return float(math.exp(v1 - v)) if v1 > -math.inf else 0.0
+
+
+def test_nml_run_and_predict_bit_identical_to_per_prefix_values():
+    for oracle, T, sequences in _nml_inputs():
+        nml = nml_predict(oracle, T)
+        for labels in sequences:
+            expected = [_nml_prediction_per_prefix(nml.table, labels[:t]) for t in range(T)]
+            assert nml.run(labels) == expected
+            assert nml.predict(labels[:-1]) == expected[-1]
+    with pytest.raises(ValueError):
+        nml.run([0] * (T + 1))
+    with pytest.raises(ValueError):
+        nml.predict([0] * T)
