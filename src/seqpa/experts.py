@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 MEMBERSHIP_SLACK = 1e-12
 
@@ -78,7 +77,23 @@ class LinkFunction:
         return float(self.fn(-h)) <= lo and float(self.fn(h)) >= hi
 
 
-LOGISTIC = LinkFunction("logistic", expit, c1=0.5, c2=0.2)
+def _logistic(z):
+    """1 / (1 + exp(-z)) on numpy's vectorized exp, overflow silenced.
+
+    Agrees with scipy.special.expit to a few ulp, and like it is exactly 0
+    below z = -709.78, where exp(-z) overflows.  A scalar z gives a numpy
+    float; an array z gives a new array, computed in one buffer.
+    """
+    with np.errstate(over="ignore"):
+        if np.ndim(z) == 0:
+            return 1.0 / (1.0 + np.exp(-float(z)))
+        e = np.negative(z, dtype=float)
+        np.exp(e, out=e)
+        e += 1.0
+        return np.reciprocal(e, out=e)
+
+
+LOGISTIC = LinkFunction("logistic", _logistic, c1=0.5, c2=0.2)
 
 
 def _validate_table(table):
@@ -139,7 +154,7 @@ class ParametricFamily:
     ball: ParamBall
     lipschitz: float
     value: object  # (w, x) -> prob
-    value_batch: object  # (W: (n,d), x: (d,)) -> (n,)
+    value_batch: object  # (W: (n,d), x: (d,)) -> new (n,) float array
     link: object = None  # the LinkFunction of a generalized linear family
 
 
@@ -158,7 +173,7 @@ def glm_family(link=LOGISTIC, ball=None, d=1, R=1.0, s=2.0, lipschitz=None):
         return float(link(float(np.dot(w, x))))
 
     def value_batch(W, x):
-        return np.asarray(link(W @ np.asarray(x, dtype=float)))
+        return np.asarray(link(W @ np.asarray(x, dtype=float)), dtype=float)
 
     return ParametricFamily("GeneralizedLinear", ball, lipschitz, value, value_batch, link)
 
@@ -177,7 +192,8 @@ class FiniteParamFamily:
         return self.params.shape[0]
 
     def all_predictions(self, t, x):
-        return np.clip(self.parent.value_batch(self.params, x), 0.0, 1.0)
+        p = self.parent.value_batch(self.params, x)
+        return np.clip(p, 0.0, 1.0, out=p)
 
 
 class DsFamily:
@@ -336,7 +352,7 @@ def _best_logistic(X, Y, R):
     active = np.arange(S)
     for it in range(NEWTON_ITERS + 1):
         w, y = W[active], Y[active]
-        P = expit(w @ X.T)
+        P = LOGISTIC(w @ X.T)
         g = (P - y) @ X
         gap[active] = np.maximum((g * w).sum(axis=1) + R * np.linalg.norm(g, axis=1), 0.0)
         keep = (gap[active] > NEWTON_STOP_GAP) & ~done[active]

@@ -84,9 +84,11 @@ class MixturePredictor:
 
     With `truncation=None` this is the plain Bayesian mixture; with
     `truncation=alpha` every expert prediction is smooth-truncated before
-    both the mixture average and the weight update, so each log-weight
-    stays equal to minus the truncated cumulative loss of that expert.
-    Step/update alternation is enforced.
+    the weight update, so each log-weight stays equal to minus the
+    truncated cumulative loss of that expert.  The prediction truncates the
+    posterior average instead: truncation is affine and the posterior
+    weights sum to one, so truncating the average equals averaging the
+    truncated experts.  Step/update alternation is enforced.
     """
 
     def __init__(self, family, truncation=None):
@@ -94,7 +96,10 @@ class MixturePredictor:
         self.truncation = truncation
         if truncation is not None and not 0.0 < truncation < 1.0:
             raise ValueError("truncation parameter must lie in (0, 1)")
-        self.log_weights = np.zeros(family.n_experts)
+        n = family.n_experts
+        self.log_weights = np.zeros(n)
+        self._w = np.empty(n)  # exp(log_weights - max), rewritten every step
+        self._q = np.empty(n)  # ln of each expert's probability of y_t, every update
         self.t = 0
         self._pending = None
 
@@ -103,27 +108,37 @@ class MixturePredictor:
         if self._pending is not None:
             raise RuntimeError("step called twice without an update")
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        # may be a view of the family's own table: read, never written
         p = np.asarray(self.family.all_predictions(self.t, x), dtype=float)
-        if self.truncation is not None:
-            p = (p + self.truncation) / (1.0 + 2.0 * self.truncation)
         m = self.log_weights.max()
         if m == -math.inf:
             raise AllExpertsRuledOut("all mixture weights are zero")
-        w = np.exp(self.log_weights - m)
-        w /= w.sum()
+        w = np.subtract(self.log_weights, m, out=self._w)
+        np.exp(w, out=w)
+        mean = (w @ p) / w.sum()
+        if self.truncation is not None:
+            mean = (mean + self.truncation) / (1.0 + 2.0 * self.truncation)
         self._pending = p
-        return float(np.clip(w @ p, 0.0, 1.0))
+        return float(min(max(mean, 0.0), 1.0))
 
     def update(self, y):
-        """Reveal label y_t; decrement each log-weight by that expert's loss."""
+        """Reveal label y_t; decrement each log-weight by that expert's
+        (truncated) loss -ln((q + alpha) / (1 + 2 alpha)), q = p or 1 - p."""
         if self._pending is None:
             raise RuntimeError("update called before step")
         y = as_label(y)
-        p = self._pending
+        p, q = self._pending, self._q
         self._pending = None
-        q = p if y == 1 else 1.0 - p
+        alpha = 0.0 if self.truncation is None else self.truncation
+        if y == 1:
+            np.add(p, alpha, out=q)
+        else:
+            np.subtract(1.0 + alpha, p, out=q)
         with np.errstate(divide="ignore"):
-            self.log_weights += np.log(q)
+            np.log(q, out=q)
+        self.log_weights += q
+        if self.truncation is not None:
+            self.log_weights -= math.log1p(2.0 * alpha)
         self.t += 1
 
     def log_mixture_mass(self):

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 from seqpa import experts
 from seqpa.experts import (
@@ -40,6 +41,21 @@ def test_logistic_link_values():
     assert LOGISTIC(np.array([-50.0, 50.0]))[0] < 1e-10
     assert LOGISTIC.c1 == 0.5
     assert LOGISTIC.c2 == pytest.approx(0.2)
+    z = np.linspace(-800.0, 800.0, 160_001)
+    z_before = z.copy()
+    scalar_in = (-1000.0, -710.0, -30.0, 0.0, 2.5, 800.0, np.float64(-3.0), np.array(7.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = LOGISTIC(z)
+        scalars = [LOGISTIC(v) for v in scalar_in]
+    # same as scipy's expit to 1e-15 relative, exact 0 where expit gives 0
+    np.testing.assert_allclose(got, expit(z), rtol=1e-15, atol=0.0)
+    assert np.array_equal(z, z_before)
+    assert got.shape == z.shape and np.all(got[z < -710.0] == 0.0)
+    assert all(np.ndim(v) == 0 and not isinstance(v, np.ndarray) for v in scalars)
+    np.testing.assert_allclose(scalars, [expit(v) for v in scalar_in], rtol=1e-15, atol=0.0)
+    assert scalars[1] == 0.0 and scalars[5] == 1.0
+    np.testing.assert_allclose(LOGISTIC([-1, 0, 1]), expit([-1.0, 0.0, 1.0]), rtol=1e-15)
 
 
 def test_logistic_interval_containment():

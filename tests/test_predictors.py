@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqpa.covering import grid_cover
-from seqpa.experts import FiniteStaticFamily, glm_family
+from seqpa.experts import DsFamily, FiniteStaticFamily, ds_project, glm_family
 from seqpa.losses import cumulative_loss, log_loss
 from seqpa.predictors import (
     AllExpertsRuledOut,
@@ -89,8 +89,8 @@ def test_mixture_step_update_alternation():
         pred.step(np.zeros(1))
 
 
-def _stepped_loss(family, features, labels, truncation):
-    pred = MixturePredictor(family, truncation=truncation)
+def _stepped_loss(family, features, labels, truncation, predictor=MixturePredictor):
+    pred = predictor(family, truncation=truncation)
     total = 0.0
     for x, y in zip(features, labels):
         total += log_loss(pred.step(x), y)
@@ -119,6 +119,102 @@ def test_mixture_losses_truncation_keeps_degenerate_experts_finite():
     labels = [1, 0, 0, 1, 1]
     j = int("".join(map(str, labels)), 2)
     assert losses[j] == pytest.approx(_stepped_loss(fam, features, labels, 0.2), abs=1e-12)
+
+
+class _ReferenceMixture:
+    """The mixture step before fusion: truncate every expert, average with
+    normalized weights, add ln q of the truncated prediction."""
+
+    def __init__(self, family, truncation):
+        self.family, self.truncation = family, truncation
+        self.log_weights = np.zeros(family.n_experts)
+        self.t = 0
+
+    def step(self, x):
+        p = np.asarray(self.family.all_predictions(self.t, np.atleast_1d(x)), dtype=float)
+        if self.truncation is not None:
+            p = (p + self.truncation) / (1.0 + 2.0 * self.truncation)
+        w = np.exp(self.log_weights - self.log_weights.max())
+        w /= w.sum()
+        self._p = p
+        return float(np.clip(w @ p, 0.0, 1.0))
+
+    def update(self, y):
+        q = self._p if y == 1 else 1.0 - self._p
+        with np.errstate(divide="ignore"):
+            self.log_weights += np.log(q)
+        self.t += 1
+
+
+def _reference_families():
+    rng = np.random.default_rng(5)
+    T = 24
+    keys = [(float(j),) for j in range(3)]
+    table = rng.uniform(0.0, 1.0, (6, 3))
+    table[0, 0], table[1, 2] = 0.0, 1.0  # ruled out under truncation=None
+    static = FiniteStaticFamily(table, feature_keys=keys)
+    yield static, static.table, rng.integers(0, 3, (T, 1)).astype(float)
+    ds = DsFamily(ds_project(rng.uniform(0.0, 1.0, (40, T)) ** 3, 2.0), s=2.0)
+    yield ds, ds.vectors, np.zeros((T, 1))
+    cover = grid_cover(glm_family(d=2, R=1.0), 0.1).family
+    features = rng.normal(size=(T, 2))
+    yield cover, cover.params, features / np.linalg.norm(features, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("truncation", [None, 0.1])
+def test_mixture_step_matches_reference(truncation):
+    rng = np.random.default_rng(11)
+    for family, table, features in _reference_families():
+        table_bytes = table.tobytes()
+        fused, ref = MixturePredictor(family, truncation), _ReferenceMixture(family, truncation)
+        for x in features:
+            yhat = fused.step(x)
+            assert yhat == pytest.approx(ref.step(x), abs=1e-12)
+            y = int(rng.integers(0, 2))
+            fused.update(y)
+            ref.update(y)
+            np.testing.assert_allclose(fused.log_weights, ref.log_weights, rtol=0, atol=1e-10)
+        assert table.tobytes() == table_bytes, f"{type(family).__name__} table was written"
+
+
+class _TruncationOffInUpdate(MixturePredictor):
+    def update(self, y):
+        alpha, self.truncation = self.truncation, None
+        super().update(y)
+        self.truncation = alpha
+
+
+class _SkipsOneUpdate(MixturePredictor):
+    def update(self, y):
+        if self.t != 3:
+            return super().update(y)
+        self._pending = None
+        self.t += 1
+
+
+class _OtherAlphaInUpdate(MixturePredictor):
+    def update(self, y):
+        alpha, self.truncation = self.truncation, 2.0 * self.truncation
+        super().update(y)
+        self.truncation = alpha
+
+
+def test_mixture_losses_gate_catches_broken_mixtures():
+    # every sequence at T = 8 against the chain-rule losses: the real
+    # predictor matches, each deliberately broken one misses somewhere
+    T, alpha = 8, 0.1
+    features = np.random.default_rng(9).uniform(-1, 1, (T, 1))
+    family = grid_cover(glm_family(d=1, R=1.0), alpha).family
+    exact = mixture_losses(family, features, alpha)
+    sequences = [[(j >> (T - 1 - t)) & 1 for t in range(T)] for j in range(2 ** T)]
+
+    def max_gap(cls):
+        return max(abs(_stepped_loss(family, features, y, alpha, cls) - exact[j])
+                   for j, y in enumerate(sequences))
+
+    assert max_gap(MixturePredictor) <= 1e-12
+    for broken in (_TruncationOffInUpdate, _SkipsOneUpdate, _OtherAlphaInUpdate):
+        assert max_gap(broken) > 1e-6, broken.__name__
 
 
 def test_transcript_append_and_csv():
