@@ -38,6 +38,7 @@ from .predictors import (
 from .covering import (
     CoverSet,
     DiscretizedFamily,
+    MsoaCoverFamily,
     cover_size_bound,
     discretize,
     fat1_number,
@@ -61,6 +62,6 @@ from .shtarkov import (
     restricted_binomial_shtarkov,
     shtarkov_sum,
 )
-from .bounds import evaluate_bound, tune_alpha
+from .bounds import evaluate_bound
 
 __version__ = "0.1.0"

@@ -6,9 +6,7 @@ experiments fit them empirically instead of hard-coding guesses.
 """
 
 import math
-import warnings
 
-import numpy as np
 from scipy.special import gammaln
 
 from .covering import cover_size_bound
@@ -109,20 +107,3 @@ def evaluate_bound(kind, **params):
         params["dfat"] = int(params["dfat"])
         return fn(**params)
     return fn(**params)
-
-
-def tune_alpha(T, cover_size_fn, grid=None):
-    """Grid minimizer of 2*alpha*T + ln(cover size at alpha).
-
-    Warns (and still returns the minimizer) if the supplied cover-size
-    function is not nonincreasing on the grid.
-    """
-    if grid is None:
-        grid = np.geomspace(1e-6, 1.0 - 1e-9, 200)
-    grid = np.asarray(grid, dtype=float)
-    sizes = np.array([float(cover_size_fn(a)) for a in grid])
-    if np.any(np.diff(sizes) > 1e-9 * np.maximum(sizes[:-1], 1.0)):
-        warnings.warn("cover size function is not nonincreasing on the grid")
-    obj = 2.0 * grid * T + np.log(sizes)
-    i = int(np.argmin(obj))
-    return float(grid[i]), float(obj[i])

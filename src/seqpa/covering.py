@@ -12,27 +12,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experts import FiniteParamFamily, ball_lattice
+from .experts import DsFamily, FiniteParamFamily, ball_lattice
 
 DEFAULT_SIZE_CAP = 10 ** 7
 
 
 @dataclass
 class CoverSet:
-    """Finite set of sequential functions covering a family at a given scale.
+    """Finite cover of a family at a given scale, held as one finite family.
 
-    A cover from a parameter lattice carries only `family`, the finite
-    family of lattice points the mixture predictors iterate over.  An
-    M-SOA cover carries `members`, callables on a feature prefix.
+    A lattice cover's `family` is static: each member predicts from the
+    current feature alone, so mixtures iterate over it directly.  An M-SOA
+    cover's `family` (`MsoaCoverFamily`) is sequential: a member's
+    prediction depends on the whole feature prefix, so it is read along
+    one feature sequence with `family.on(features)`.
     """
 
     scale: float
     provenance: str
-    members: list = None
-    family: object = None
+    family: object
 
     def __len__(self):
-        return self.family.n_experts if self.family is not None else len(self.members)
+        return self.family.n_experts
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +80,7 @@ class DiscretizedFamily:
     """A finite family snapped to K levels (2*alpha spacing starting at alpha).
 
     `table` holds 0-based level indices per (expert, feature column);
-    `feature_keys` name the columns.  Levels are z_k = (2k+1)*alpha.
+    `feature_keys` name the columns.  Levels are z_k = min((2k+1)*alpha, 1).
     """
 
     alpha: float
@@ -97,8 +98,10 @@ class DiscretizedFamily:
 
 
 def discretization_levels(alpha):
+    """Levels (2k+1)*alpha, the top one capped at 1, so each point of [0,1]
+    lies within alpha of a level."""
     K = math.ceil(1.0 / (2.0 * alpha))
-    return np.array([(2 * k + 1) * alpha for k in range(K)])
+    return np.array([min((2 * k + 1) * alpha, 1.0) for k in range(K)])
 
 
 def discretize(values, alpha, feature_keys=None):
@@ -256,29 +259,34 @@ def msoa_run(dfamily, x_cols, y_levels, forced=None, cache=None):
     return preds, errors
 
 
-class _MsoaCoverMember:
-    """Sequential function defined by one forced-update run of the learner."""
+class MsoaCoverFamily:
+    """The members of an M-SOA cover as one sequential finite family.
 
-    def __init__(self, dfamily, feature_index, forced, cache):
+    Member i is the forced-update learner run that restricts at the steps
+    `forced[i, 0]` to the levels `forced[i, 1]` (both padded with -1).
+    Such a run ignores labels, but its prediction at step t depends on the
+    features up to t, so the family is read along one feature sequence:
+    `on(features)` gives every member's level trajectory there as a
+    time-indexed `DsFamily` (s = inf, so any [0,1] table is feasible).
+    """
+
+    def __init__(self, dfamily, cache, forced):
         self.dfamily = dfamily
-        self._feature_index = feature_index
+        self.cache = cache
         self.forced = forced
-        self._cache = cache
-        self._runs = {}
+        self._index = {key: j for j, key in enumerate(dfamily.feature_keys)}
 
-    def level_trajectory(self, x_cols):
-        key = tuple(x_cols)
-        if key not in self._runs:
-            preds, _ = msoa_run(self.dfamily, x_cols, None, forced=self.forced,
-                                cache=self._cache)
-            self._runs[key] = preds
-        return self._runs[key]
+    @property
+    def n_experts(self):
+        return self.forced.shape[0]
 
-    def __call__(self, prefix):
-        prefix = np.atleast_2d(np.asarray(prefix, dtype=float))
-        cols = [self._feature_index[tuple(x.tolist())] for x in prefix]
-        levels = self.level_trajectory(cols)
-        return float(self.dfamily.levels[levels[-1]])
+    def on(self, features):
+        features = np.atleast_2d(np.asarray(features, dtype=float))
+        cols = [self._index[tuple(x.tolist())] for x in features]
+        runs = [msoa_run(self.dfamily, cols, None, cache=self.cache,
+                         forced={t: k for t, k in zip(steps, ks) if t >= 0})[0]
+                for steps, ks in self.forced.tolist()]
+        return DsFamily(self.dfamily.levels[np.array(runs, dtype=int)], s=math.inf)
 
 
 def cover_size_bound(T, alpha, dfat):
@@ -301,22 +309,24 @@ def msoa_cover(values, alpha, T, feature_keys, size_cap=DEFAULT_SIZE_CAP):
     assignment) with |I| up to the 1-shattering number defines one cover
     member.  Member count is sum_{t<=d} C(T,t) * K^t.
     """
-    dfam = discretize(values, alpha, feature_keys=feature_keys)
+    keys = [tuple(np.atleast_1d(np.asarray(k, dtype=float)).tolist()) for k in feature_keys]
+    dfam = discretize(values, alpha, feature_keys=keys)
     cache = _Fat1Cache(dfam)
-    d = cache.value(frozenset(range(dfam.n_experts)))
-    d = max(d, 0)
+    depth = min(max(cache.value(frozenset(range(dfam.n_experts))), 0), T)
     K = dfam.K
-    size = sum(math.comb(T, t) * K ** t for t in range(min(d, T) + 1))
+    size = sum(math.comb(T, t) * K ** t for t in range(depth + 1))
     if size > size_cap:
         raise ValueError(f"cover enumeration would produce {size} members, "
                          f"over the cap {size_cap}")
-    keys = [tuple(np.atleast_1d(np.asarray(k, dtype=float)).tolist()) for k in feature_keys]
-    index = {k: j for j, k in enumerate(keys)}
-    members = []
-    for t in range(min(d, T) + 1):
-        for I in itertools.combinations(range(T), t):
-            for ks in itertools.product(range(K), repeat=t):
-                forced = dict(zip(I, ks))
-                members.append(_MsoaCoverMember(dfam, index, forced, cache))
-    return CoverSet(scale=3.0 * alpha, provenance="msoa", members=members,
-                    family=None)
+    # rows in itertools order: step sets by size, then each set's level tuples
+    forced = np.full((size, 2, depth), -1, dtype=np.int32)
+    row = 0
+    for t in range(depth + 1):
+        steps = np.array(list(itertools.combinations(range(T), t)), dtype=np.int32)
+        levels = np.array(list(itertools.product(range(K), repeat=t)), dtype=np.int32)
+        n = len(steps) * len(levels)
+        forced[row:row + n, 0, :t] = np.repeat(steps, len(levels), axis=0)
+        forced[row:row + n, 1, :t] = np.tile(levels, (len(steps), 1))
+        row += n
+    return CoverSet(scale=3.0 * alpha, provenance="msoa",
+                    family=MsoaCoverFamily(dfam, cache, forced))

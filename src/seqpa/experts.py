@@ -113,8 +113,6 @@ class FiniteStaticFamily:
     and ignores features entirely.
     """
 
-    kind = "FiniteStatic"
-
     def __init__(self, table, feature_keys=None):
         self.table = _validate_table(table)
         if feature_keys is None:
@@ -150,7 +148,6 @@ class FiniteStaticFamily:
 class ParametricFamily:
     """L-Lipschitz (in the parameter) family f(w, .) over a parameter ball."""
 
-    kind: str
     ball: ParamBall
     lipschitz: float
     value: object  # (w, x) -> prob
@@ -175,13 +172,11 @@ def glm_family(link=LOGISTIC, ball=None, d=1, R=1.0, s=2.0, lipschitz=None):
     def value_batch(W, x):
         return np.asarray(link(W @ np.asarray(x, dtype=float)), dtype=float)
 
-    return ParametricFamily("GeneralizedLinear", ball, lipschitz, value, value_batch, link)
+    return ParametricFamily(ball, lipschitz, value, value_batch, link)
 
 
 class FiniteParamFamily:
     """A parametric family restricted to a finite parameter set (a cover grid)."""
-
-    kind = "FiniteParametric"
 
     def __init__(self, params, parent):
         self.params = np.atleast_2d(np.asarray(params, dtype=float))
@@ -201,8 +196,6 @@ class DsFamily:
 
     The prediction of member p at 0-based step t is p[t]; features are ignored.
     """
-
-    kind = "DsFamily"
 
     def __init__(self, vectors, s):
         self.vectors = _validate_table(vectors)
@@ -420,8 +413,6 @@ class HardLipschitzFamily:
     the designated list evaluate to 0.
     """
 
-    kind = "HardLipschitz"
-
     def __init__(self, packing, table, features, lipschitz, ball):
         self.packing = np.atleast_2d(np.asarray(packing, dtype=float))
         self.table = _validate_table(table)
@@ -499,39 +490,3 @@ def build_hard_lipschitz_class(d, T, R, L, alpha, seed, retry_cap=10_000):
     features[:, 0] = (np.arange(T) + 1.0) / (T + 1.0)
     family = HardLipschitzFamily(packing, table, features, L, ParamBall(d, R, 2.0))
     return family, codebook
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization (one expert per row)
-
-
-def save_finite_family(path, family):
-    with open(path, "w") as fh:
-        if family.feature_keys is None:
-            fh.write("# constants\n")
-        else:
-            fh.write("# features: " + " | ".join(
-                ";".join(repr(float(c)) for c in key) for key in family.feature_keys) + "\n")
-        for row in family.table:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_finite_family(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
-    if header.startswith("# features:"):
-        keys = [tuple(float(c) for c in part.split(";"))
-                for part in header[len("# features:"):].split("|")]
-    else:
-        keys = None
-    return FiniteStaticFamily(np.array(rows), feature_keys=keys)
-
-
-def save_codebook(path, codebook):
-    np.savetxt(path, codebook.vectors, fmt="%d")
-
-
-def load_codebook(path):
-    vectors = np.atleast_2d(np.loadtxt(path, dtype=np.uint8))
-    return CodeBook(vectors, _min_pairwise_hamming(vectors))

@@ -45,7 +45,6 @@ def _bernoulli_log_lik(k, n, w):
 class FiniteMaxOracle:
     """ln sup over a finite family; requires the feature sequence."""
 
-    kind = "FiniteMax"
     exchangeable = False
 
     def __init__(self, family, features):
@@ -78,16 +77,12 @@ class ExchangeableOracle:
 class ConstantBernoulliMLE(ExchangeableOracle):
     """Constant-probability experts p in [0, 1]: sup at the empirical frequency."""
 
-    kind = "ConstantBernoulliMLE"
-
     def log_sup_by_count(self, k, n):
         return _bernoulli_log_lik(k, n, np.clip(np.asarray(k, dtype=float) / n, 0.0, 1.0))
 
 
 class IntervalBernoulli(ExchangeableOracle):
     """Constant-probability experts restricted to [lo, hi]: clamped MLE."""
-
-    kind = "IntervalBernoulli"
 
     def __init__(self, lo, hi):
         if not 0.0 <= lo <= hi <= 1.0:
@@ -101,8 +96,6 @@ class IntervalBernoulli(ExchangeableOracle):
 
 class DsClosedForm(ExchangeableOracle):
     """Power-mass-constrained vectors: sup = k^(-k/s) for k ones (1 for k <= 1)."""
-
-    kind = "DsClosedForm"
 
     def __init__(self, s):
         self.s = float(s)

@@ -350,15 +350,11 @@ def test_criterion_8_msoa_errors_and_cover():
         dfam = discretize(values, alpha, feature_keys=keys)
         dfat = max(0, fat1_number(dfam.table, dfam.K)[0])
         cover_ok &= len(cover) <= cover_size_bound(T, alpha, dfat)
-        for h in range(values.shape[0]):
-            for seq in itertools.product(range(2), repeat=T):
-                xs = feats[list(seq)]
-                target = [values[h, j] for j in seq]
-                hit = any(
-                    all(abs(target[t] - g(xs[: t + 1])) <= 3 * alpha + 1e-12
-                        for t in range(T))
-                    for g in cover.members)
-                cover_ok &= hit
+        for seq in itertools.product(range(2), repeat=T):
+            P = cover.family.on(feats[list(seq)]).vectors
+            target = values[:, list(seq)]
+            cover_ok &= bool((np.abs(P[None] - target[:, None]).max(axis=2)
+                              <= 3 * alpha + 1e-12).any(axis=1).all())
     elapsed = time.monotonic() - start
     ok = all_ok and cover_ok and elapsed < 120
     report(8, ok, f"error bound ok {all_ok}, cover ok {cover_ok}, {elapsed:.1f}s")

@@ -14,7 +14,6 @@ from seqpa.bounds import (
     lipschitz_lower,
     lipschitz_upper,
     power_family_lower,
-    tune_alpha,
 )
 
 
@@ -81,19 +80,6 @@ def test_evaluate_bound_domain_checks():
        st.integers(min_value=1, max_value=8))
 def test_lipschitz_upper_at_most_T(T, d):
     assert lipschitz_upper(T, d, 1.0, 1.0) <= T + 1e-12
-
-
-def test_tune_alpha_recovers_balance():
-    # size(alpha) = (1/alpha)^d gives optimum near alpha = d/(2T)
-    T, d = 1000, 2
-    alpha, val = tune_alpha(T, lambda a: (1.0 / a) ** d)
-    assert abs(alpha - d / (2 * T)) / (d / (2 * T)) < 0.2
-    assert val == pytest.approx(2 * alpha * T + d * math.log(1 / alpha), rel=1e-9)
-
-
-def test_tune_alpha_warns_on_nonmonotone():
-    with pytest.warns(UserWarning):
-        tune_alpha(10, lambda a: 1.0 + a)
 
 
 def test_bound_registry_covers_all_kinds():

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from seqpa.bounds import cover_upper
 from seqpa.covering import (
+    MsoaCoverFamily,
     cover_size_bound,
     discretization_levels,
     discretize,
@@ -14,13 +16,16 @@ from seqpa.covering import (
     msoa_cover,
     msoa_run,
 )
-from seqpa.experts import glm_family
+from seqpa.experts import FiniteStaticFamily, glm_family
+from seqpa.harness import worst_case_labels
+from seqpa.predictors import MixturePredictor
 
 
 def test_discretization_levels_cover_unit_interval():
-    for alpha in (0.05, 0.1, 0.25, 0.3):
+    for alpha in (0.05, 0.1, 0.15, 0.25, 0.3, 0.4):
         levels = discretization_levels(alpha)
         assert len(levels) <= math.ceil(1 / (2 * alpha)) + 1
+        assert levels.max() <= 1
         grid = np.linspace(0, 1, 2001)
         dist = np.abs(grid[:, None] - levels[None, :]).min(axis=1)
         assert dist.max() <= alpha + 1e-12
@@ -125,6 +130,17 @@ def test_cover_size_bound_values():
     assert cover_size_bound(3, 0.25, 0) == 1.0
 
 
+def _covers_exhaustively(family, values, feats, T, radius):
+    """Whether, along every feature sequence, each row of `values` has a
+    member of the sequential `family` within `radius` at every step."""
+    for seq in itertools.product(range(len(feats)), repeat=T):
+        P = family.on(feats[list(seq)]).vectors
+        target = values[:, list(seq)]
+        if not (np.abs(P[None] - target[:, None]).max(axis=2) <= radius + 1e-12).any(axis=1).all():
+            return False
+    return True
+
+
 def test_msoa_cover_is_3alpha_cover_exhaustive():
     alpha = 0.25
     values = np.array([[0.1, 0.9], [0.9, 0.1], [0.6, 0.6]])
@@ -132,18 +148,58 @@ def test_msoa_cover_is_3alpha_cover_exhaustive():
     T = 4
     cover = msoa_cover(values, alpha, T, keys)
     assert cover.scale == pytest.approx(3 * alpha)
+    assert len(cover) == cover.family.n_experts
     dfam = discretize(values, alpha, feature_keys=keys)
     assert len(cover) <= cover_size_bound(T, alpha, max(0, fat1_number(
         dfam.table, dfam.K)[0]))
+    assert _covers_exhaustively(cover.family, values, np.array([[0.0], [1.0]]), T, 3 * alpha)
+
+
+def test_msoa_cover_coverage_gate_has_power():
+    # the same check fails once the members with the most forced steps are gone
+    alpha, T = 1 / 6, 4
+    values = np.random.default_rng(0).uniform(0, 1, (5, 2))
     feats = np.array([[0.0], [1.0]])
-    for h in range(values.shape[0]):
-        for seq in itertools.product(range(2), repeat=T):
-            xs = feats[list(seq)]
-            target = [values[h, j] for j in seq]
-            ok = False
-            for g in cover.members:
-                if all(abs(target[t] - g(xs[: t + 1])) <= 3 * alpha + 1e-12
-                       for t in range(T)):
-                    ok = True
-                    break
-            assert ok, (h, seq)
+    cover = msoa_cover(values, alpha, T, [(0.0,), (1.0,)])
+    fam = cover.family
+    n_forced = (fam.forced[:, 0] >= 0).sum(axis=1)
+    assert n_forced.max() >= 1
+    assert _covers_exhaustively(fam, values, feats, T, 3 * alpha)
+    fewer = MsoaCoverFamily(fam.dfamily, fam.cache, fam.forced[n_forced < n_forced.max()])
+    assert not _covers_exhaustively(fewer, values, feats, T, 3 * alpha)
+
+
+def test_msoa_cover_members_are_sequential():
+    # a member's prediction at step t depends only on the features up to t
+    rng = np.random.default_rng(3)
+    keys = [(0.0,), (0.5,), (1.0,)]
+    values = rng.uniform(0.02, 0.98, (6, 3))
+    T = 8
+    cover = msoa_cover(values, 1 / 6, T, keys)
+    xs = np.array(keys)[rng.integers(0, 3, T)]
+    full = cover.family.on(xs).vectors
+    assert full.shape == (len(cover), T)
+    for t in range(T):
+        np.testing.assert_array_equal(cover.family.on(xs[:t + 1]).vectors[:, t], full[:, t])
+
+
+def test_msoa_cover_mixture_within_cover_bound():
+    # truncated Bayes over the sequential cover, exact worst case over all 2^T
+    # label sequences, against the general bound 2*scale*T + ln|cover|
+    keys = [(0.0,), (0.5,), (1.0,)]
+    min_slack = math.inf
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.02, 0.98, (6, 3))
+        target = FiniteStaticFamily(values, keys)
+        for alpha in (1 / 4, 1 / 6, 1 / 10):
+            for T in (8, 12):
+                xs = np.array(keys)[rng.integers(0, 3, T)]
+                cover = msoa_cover(values, alpha, T, keys)
+                table = cover.family.on(xs)
+                _, regret = worst_case_labels(
+                    lambda: MixturePredictor(table, truncation=cover.scale), target, xs)
+                slack = cover_upper(T, cover.scale, len(cover)) - regret
+                assert slack >= 0, (seed, alpha, T, regret)
+                min_slack = min(min_slack, slack)
+    print(f"msoa cover bound: min slack {min_slack:.3f} nats")

@@ -21,10 +21,6 @@ from seqpa.experts import (
     build_hard_lipschitz_class,
     ds_project,
     glm_family,
-    load_codebook,
-    load_finite_family,
-    save_codebook,
-    save_finite_family,
 )
 from seqpa.losses import cumulative_loss
 
@@ -237,25 +233,6 @@ def test_hard_class_extension_is_lipschitz():
         lhs = abs(fam.eval_extended(np.array([w1]), x)
                   - fam.eval_extended(np.array([w2]), x))
         assert lhs <= fam.lipschitz * abs(w1 - w2) + 1e-12
-
-
-def test_finite_family_roundtrip(tmp_path):
-    keys = [(0.0,), (0.5,)]
-    fam = FiniteStaticFamily(np.array([[0.1, 0.9], [0.4, 0.6]]), feature_keys=keys)
-    path = tmp_path / "fam.txt"
-    save_finite_family(path, fam)
-    back = load_finite_family(path)
-    np.testing.assert_allclose(back.table, fam.table)
-    assert back.feature_keys == fam.feature_keys
-
-
-def test_codebook_roundtrip(tmp_path):
-    cb = CodeBook(np.array([[0, 1, 1, 0], [1, 0, 0, 1]]), min_hamming=4)
-    path = tmp_path / "cb.txt"
-    save_codebook(path, cb)
-    back = load_codebook(path)
-    np.testing.assert_array_equal(back.vectors, cb.vectors)
-    assert back.min_hamming == cb.min_hamming
 
 
 @settings(max_examples=50)
