@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experts import DsFamily, FiniteParamFamily, ball_lattice
+from .experts import DsFamily, FiniteParamFamily, ball_lattice, feature_key
 
 DEFAULT_SIZE_CAP = 10 ** 7
 
@@ -29,7 +29,6 @@ class CoverSet:
     """
 
     scale: float
-    provenance: str
     family: object
 
     def __len__(self):
@@ -68,7 +67,7 @@ def grid_cover(pfam, alpha, size_cap=DEFAULT_SIZE_CAP):
         raise ValueError(f"lattice cover has {len(W)} members, over the "
                          f"(2RL/alpha+1)^d bound {bound:.6g}; this construction "
                          f"needs d^(1/s) below 2")
-    return CoverSet(scale=alpha, provenance="grid", family=FiniteParamFamily(W, pfam))
+    return CoverSet(scale=alpha, family=FiniteParamFamily(W, pfam))
 
 
 # ---------------------------------------------------------------------------
@@ -119,48 +118,49 @@ def discretize(values, alpha, feature_keys=None):
 # Shattering numbers (exhaustive, memoized)
 
 
-def _shattering_number(table, cuts):
-    """Largest depth of a feature-labeled tree the rows of `table` shatter.
+class _Shattering:
+    """One memoized shattering recursion over the rows of a value table.
 
-    `cuts(col)` lists the (low, high) threshold pairs allowed at a node
-    whose members take the values `col` on its feature: members with
-    value <= low go to one child, those with value >= high to the other.
-    The depth search stops at log2(n_experts), which no shattered tree
-    can exceed.  Returns (depth, exact); empty family gives (-1, True).
+    `value(members)` is the largest depth of a feature-labeled tree the
+    rows `members` shatter (-1 for no rows), from one (members, depth)
+    memo shared by every subfamily.  `cuts(col)` lists the (low, high)
+    threshold pairs allowed at a node whose members take the values `col`
+    on its feature: members with value <= low go to one child, those with
+    value >= high to the other.  A depth-k tree needs 2^k members, so the
+    search stops by floor(log2 |members|) and its depth is exact.
     """
-    n = table.shape[0]
-    if n == 0:
-        return -1, True
-    depth_cap = max(1, int(math.log2(n))) if n > 1 else 0
-    columns = table.T.tolist()
-    memo = {}
 
-    def can(sub, k):
-        if k == 0:
-            return True
+    def __init__(self, table, cuts):
+        self.columns = np.asarray(table).T.tolist()
+        self.cuts = cuts
+        self._memo = {}
+
+    def value(self, members):
+        members = frozenset(members)
+        depth = -1
+        while self._shatters(members, depth + 1):
+            depth += 1
+        return depth
+
+    def _shatters(self, sub, k):
         if len(sub) < 2 ** k:
             return False
-        key = (sub, k)
-        if key not in memo:
-            memo[key] = splits(sub, k)
-        return memo[key]
+        if k == 0:
+            return True
+        if (sub, k) not in self._memo:
+            self._memo[sub, k] = self._splits(sub, k)
+        return self._memo[sub, k]
 
-    def splits(sub, k):
+    def _splits(self, sub, k):
         idx = sorted(sub)
-        for column in columns:
+        for column in self.columns:
             col = [column[i] for i in idx]
-            for low_cut, high_cut in cuts(col):
+            for low_cut, high_cut in self.cuts(col):
                 low = frozenset(i for i, v in zip(idx, col) if v <= low_cut)
                 high = frozenset(i for i, v in zip(idx, col) if v >= high_cut)
-                if low and high and can(low, k - 1) and can(high, k - 1):
+                if low and high and self._shatters(low, k - 1) and self._shatters(high, k - 1):
                     return True
         return False
-
-    full = frozenset(range(n))
-    depth = 0
-    while depth < depth_cap and can(full, depth + 1):
-        depth += 1
-    return depth, depth < depth_cap or not can(full, depth + 1)
 
 
 def fat_shattering_number(values, alpha):
@@ -168,7 +168,8 @@ def fat_shattering_number(values, alpha):
 
     `values` is an (n_experts, n_features) table over a finite feature
     set.  Witness candidates are midpoints of member-value pairs.  Returns
-    (depth, exact); empty family gives (-1, True).
+    (depth, exact), where the depth is always exact; an empty family
+    gives (-1, True).
     """
     def cuts(col):
         vals = sorted(set(col))
@@ -176,83 +177,65 @@ def fat_shattering_number(values, alpha):
                      if b - a >= 2 * alpha - 1e-12}
         return [(s - alpha + 1e-12, s + alpha - 1e-12) for s in witnesses]
 
-    return _shattering_number(np.atleast_2d(np.asarray(values, dtype=float)), cuts)
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    return _Shattering(values, cuts).value(range(values.shape[0])), True
+
+
+def _fat1_memo(table, K):
+    """The 1-shattering recursion of a level table: cuts at s - 1 and s + 1 for each level s."""
+    level_cuts = [(s - 1, s + 1) for s in range(K)]
+    return _Shattering(table, lambda col: level_cuts)
 
 
 def fat1_number(table, K):
     """Discretized 1-shattering number of a level-valued family.
 
     `table` is (n_experts, n_features) with 0-based level indices.
-    Returns (depth, exact); empty family gives (-1, True).
+    Returns (depth, exact) as `fat_shattering_number` does.
     """
-    level_cuts = [(s - 1, s + 1) for s in range(K)]
-    return _shattering_number(np.atleast_2d(np.asarray(table, dtype=int)),
-                              lambda col: level_cuts)
+    table = np.atleast_2d(np.asarray(table, dtype=int))
+    return _fat1_memo(table, K).value(range(table.shape[0])), True
 
 
 # ---------------------------------------------------------------------------
 # Multi-level mistake-bounded learner (M-SOA)
 
 
-class _Fat1Cache:
-    """Shared memo for 1-shattering numbers of subfamilies of one family."""
-
-    def __init__(self, dfamily):
-        self.table = dfamily.table
-        self.K = dfamily.K
-        self._memo = {}
-
-    def value(self, members):
-        members = frozenset(members)
-        if members in self._memo:
-            return self._memo[members]
-        if not members:
-            self._memo[members] = -1
-            return -1
-        sub = self.table[sorted(members)]
-        val, _ = fat1_number(sub, self.K)
-        self._memo[members] = val
-        return val
+def _msoa_step(cache, column, members, K):
+    """The learner's step rule: play the level k whose subclass (the
+    `members` at level k of `column`, the experts' levels on the current
+    feature) has the largest 1-shattering number, the lowest level on ties.
+    Returns (level, subclasses) with subclasses[k] the members at level k."""
+    subclasses = [frozenset(i for i in members if column[i] == k) for k in range(K)]
+    scores = [cache.value(sub) for sub in subclasses]
+    return scores.index(max(scores)), subclasses
 
 
-def msoa_run(dfamily, x_cols, y_levels, forced=None, cache=None):
-    """Run the multi-level mistake-bounded learner.
+def msoa_run(dfamily, x_cols, y_levels, cache=None):
+    """Run the multi-level mistake-bounded learner; returns (predictions, error_count).
 
     `x_cols` are feature column indices, `y_levels` the revealed 0-based
-    level labels.  Prediction: the level whose consistent subclass has the
-    largest 1-shattering number (lowest level wins ties).  An error is a
-    prediction off by >= 2 levels; errors trigger restriction to the
+    level labels, and `cache` any object whose `value(members)` gives the
+    1-shattering number of the subfamily `members` (by default a fresh
+    memo of `dfamily`'s table).  Prediction follows `_msoa_step`.  An error
+    is a prediction off by >= 2 levels; errors trigger restriction to the
     consistent subclass.
-
-    `forced` overrides the update rule for cover enumeration: a dict
-    {step: level} restricting on exactly those steps regardless of errors
-    (y_levels may be None in that mode).
-
-    Returns (predictions, error_count).
     """
     if cache is None:
-        cache = _Fat1Cache(dfamily)
+        cache = _fat1_memo(dfamily.table, dfamily.K)
     columns = dfamily.table.T.tolist()
     members = frozenset(range(dfamily.n_experts))
     preds = []
     errors = 0
     for t, j in enumerate(x_cols):
-        col = columns[j]
-        scores = [cache.value(frozenset(i for i in members if col[i] == k))
-                  for k in range(dfamily.K)]
-        khat = scores.index(max(scores))  # the lowest level wins ties
+        khat, subclasses = _msoa_step(cache, columns[j], members, dfamily.K)
         preds.append(khat)
-        if forced is not None:
-            if t in forced:
-                # a forced step plays the given level outright: the cover
-                # member must match the target exactly where it restricts
-                preds[-1] = int(forced[t])
-                members = frozenset(i for i in members if col[i] == forced[t])
-            continue
         y = int(y_levels[t])
+        if not 0 <= y < dfamily.K:
+            raise ValueError(f"label level {y} at step {t} is not in range({dfamily.K})")
         if abs(khat - y) >= 2:
             errors += 1
-            members = frozenset(i for i in members if col[i] == y)
+            members = subclasses[y]
             if not members:
                 raise RuntimeError("consistent class became empty after an error; "
                                    "the input was not realizable")
@@ -262,10 +245,11 @@ def msoa_run(dfamily, x_cols, y_levels, forced=None, cache=None):
 class MsoaCoverFamily:
     """The members of an M-SOA cover as one sequential finite family.
 
-    Member i is the forced-update learner run that restricts at the steps
-    `forced[i, 0]` to the levels `forced[i, 1]` (both padded with -1).
-    Such a run ignores labels, but its prediction at step t depends on the
-    features up to t, so the family is read along one feature sequence:
+    Member i is the learner that, instead of restricting on errors,
+    restricts at the steps `forced[i, 0]` to the levels `forced[i, 1]`
+    (both padded with -1) and plays those levels there.  Such a member
+    ignores labels, but its prediction at step t depends on the features
+    up to t, so the family is read along one feature sequence:
     `on(features)` gives every member's level trajectory there as a
     time-indexed `DsFamily` (s = inf, so any [0,1] table is feasible).
     """
@@ -281,12 +265,29 @@ class MsoaCoverFamily:
         return self.forced.shape[0]
 
     def on(self, features):
+        """One pass over time: members in one consistent class share their unforced
+        prediction, so each step scores each class once and moves forced members in one gather."""
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        cols = [self._index[tuple(x.tolist())] for x in features]
-        runs = [msoa_run(self.dfamily, cols, None, cache=self.cache,
-                         forced={t: k for t, k in zip(steps, ks) if t >= 0})[0]
-                for steps, ks in self.forced.tolist()]
-        return DsFamily(self.dfamily.levels[np.array(runs, dtype=int)], s=math.inf)
+        cols = [self._index[feature_key(x)] for x in features]
+        dfam = self.dfamily
+        columns = dfam.table.T.tolist()
+        # the distinct consistent classes, numbered in order of appearance
+        class_id = {frozenset(range(dfam.n_experts)): 0}
+        member_class = np.zeros(self.n_experts, dtype=np.intp)
+        out = np.empty((self.n_experts, len(cols)))
+        for t, j in enumerate(cols):
+            classes = list(class_id)
+            khat = np.empty(len(classes), dtype=np.intp)
+            restricted = np.empty((len(classes), dfam.K), dtype=np.intp)
+            for c, members in enumerate(classes):
+                khat[c], subclasses = _msoa_step(self.cache, columns[j], members, dfam.K)
+                restricted[c] = [class_id.setdefault(sub, len(class_id)) for sub in subclasses]
+            out[:, t] = dfam.levels[khat[member_class]]
+            rows, slots = np.nonzero(self.forced[:, 0] == t)
+            forced_k = self.forced[rows, 1, slots]
+            out[rows, t] = dfam.levels[forced_k]
+            member_class[rows] = restricted[member_class[rows], forced_k]
+        return DsFamily(out, s=math.inf)
 
 
 def cover_size_bound(T, alpha, dfat):
@@ -301,23 +302,23 @@ def cover_size_bound(T, alpha, dfat):
         return math.inf
 
 
-def msoa_cover(values, alpha, T, feature_keys, size_cap=DEFAULT_SIZE_CAP):
+def msoa_cover(values, alpha, T, feature_keys):
     """Enumerate forced-update learner runs into a 3*alpha sequential cover.
 
     `values` is the original [0,1] value table over a finite feature set;
     it is discretized at scale alpha, and every (step set I, level
     assignment) with |I| up to the 1-shattering number defines one cover
-    member.  Member count is sum_{t<=d} C(T,t) * K^t.
+    member.  Member count is sum_{t<=d} C(T,t) * K^t, at most
+    DEFAULT_SIZE_CAP.
     """
-    keys = [tuple(np.atleast_1d(np.asarray(k, dtype=float)).tolist()) for k in feature_keys]
-    dfam = discretize(values, alpha, feature_keys=keys)
-    cache = _Fat1Cache(dfam)
-    depth = min(max(cache.value(frozenset(range(dfam.n_experts))), 0), T)
+    dfam = discretize(values, alpha, feature_keys=[feature_key(k) for k in feature_keys])
+    cache = _fat1_memo(dfam.table, dfam.K)
+    depth = min(max(cache.value(range(dfam.n_experts)), 0), T)
     K = dfam.K
     size = sum(math.comb(T, t) * K ** t for t in range(depth + 1))
-    if size > size_cap:
+    if size > DEFAULT_SIZE_CAP:
         raise ValueError(f"cover enumeration would produce {size} members, "
-                         f"over the cap {size_cap}")
+                         f"over the cap {DEFAULT_SIZE_CAP}")
     # rows in itertools order: step sets by size, then each set's level tuples
     forced = np.full((size, 2, depth), -1, dtype=np.int32)
     row = 0
@@ -328,5 +329,4 @@ def msoa_cover(values, alpha, T, feature_keys, size_cap=DEFAULT_SIZE_CAP):
         forced[row:row + n, 0, :t] = np.repeat(steps, len(levels), axis=0)
         forced[row:row + n, 1, :t] = np.tile(levels, (len(steps), 1))
         row += n
-    return CoverSet(scale=3.0 * alpha, provenance="msoa",
-                    family=MsoaCoverFamily(dfam, cache, forced))
+    return CoverSet(scale=3.0 * alpha, family=MsoaCoverFamily(dfam, cache, forced))

@@ -96,6 +96,12 @@ def _logistic(z):
 LOGISTIC = LinkFunction("logistic", _logistic, c1=0.5, c2=0.2)
 
 
+def feature_key(x):
+    """The hashable key a finite family looks a feature vector up by: its
+    coordinates as a tuple of floats (a scalar counts as one coordinate)."""
+    return tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
+
+
 def _validate_table(table):
     table = np.asarray(table, dtype=float)
     if table.ndim != 2:
@@ -121,7 +127,7 @@ class FiniteStaticFamily:
             self.feature_keys = None
             self._index = None
         else:
-            keys = [tuple(np.atleast_1d(np.asarray(k, dtype=float)).tolist()) for k in feature_keys]
+            keys = [feature_key(k) for k in feature_keys]
             if len(keys) != self.table.shape[1]:
                 raise ValueError("feature_keys length must match table columns")
             self.feature_keys = keys
@@ -134,9 +140,8 @@ class FiniteStaticFamily:
     def _column(self, x):
         if self._index is None:
             return 0
-        key = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
         try:
-            return self._index[key]
+            return self._index[feature_key(x)]
         except KeyError:
             raise KeyError(f"feature {x!r} is not in this family's finite feature set") from None
 
@@ -155,14 +160,12 @@ class ParametricFamily:
     link: object = None  # the LinkFunction of a generalized linear family
 
 
-def glm_family(link=LOGISTIC, ball=None, d=1, R=1.0, s=2.0, lipschitz=None):
-    """Generalized linear family x -> link(<w, x>) over a parameter ball.
+def glm_family(link=LOGISTIC, d=1, R=1.0, s=2.0, lipschitz=None):
+    """Generalized linear family x -> link(<w, x>) over the l_s ball of radius R in R^d.
 
     The default Lipschitz constant assumes features with norm at most 1 and
     a link with slope at most 1/4 (logistic); pass `lipschitz` otherwise.
     """
-    if ball is None:
-        ball = ParamBall(d, R, s)
     if lipschitz is None:
         lipschitz = 1.0
 
@@ -172,7 +175,7 @@ def glm_family(link=LOGISTIC, ball=None, d=1, R=1.0, s=2.0, lipschitz=None):
     def value_batch(W, x):
         return np.asarray(link(W @ np.asarray(x, dtype=float)), dtype=float)
 
-    return ParametricFamily(ball, lipschitz, value, value_batch, link)
+    return ParametricFamily(ParamBall(d, R, s), lipschitz, value, value_batch, link)
 
 
 class FiniteParamFamily:
@@ -419,14 +422,14 @@ class HardLipschitzFamily:
         self.features = np.atleast_2d(np.asarray(features, dtype=float))
         self.lipschitz = float(lipschitz)
         self.ball = ball
-        self._feature_index = {tuple(x.tolist()): t for t, x in enumerate(self.features)}
+        self._feature_index = {feature_key(x): t for t, x in enumerate(self.features)}
 
     @property
     def n_experts(self):
         return self.packing.shape[0]
 
     def _time_of(self, x):
-        return self._feature_index.get(tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist()))
+        return self._feature_index.get(feature_key(x))
 
     def all_predictions(self, t, x):
         col = self._time_of(x)
@@ -455,7 +458,10 @@ def _lattice_packing(d, R, separation, count):
     return np.array(pts[:count])
 
 
-def build_hard_lipschitz_class(d, T, R, L, alpha, seed, retry_cap=10_000):
+HARD_CLASS_RETRIES = 10_000
+
+
+def build_hard_lipschitz_class(d, T, R, L, alpha, seed):
     """Construct the hard Lipschitz family together with its codebook.
 
     Draws M = floor((L*R/(2*alpha))^d) binary code vectors by rejection
@@ -477,9 +483,9 @@ def build_hard_lipschitz_class(d, T, R, L, alpha, seed, retry_cap=10_000):
             vectors.append(cand)
         else:
             rejections += 1
-            if rejections > retry_cap:
+            if rejections > HARD_CLASS_RETRIES:
                 raise RuntimeError(f"rejection sampling failed for (M={M}, T={T}) "
-                                   f"after {retry_cap} rejections")
+                                   f"after {HARD_CLASS_RETRIES} rejections")
     vectors = np.array(vectors)
     codebook = CodeBook(vectors, _min_pairwise_hamming(vectors))
 

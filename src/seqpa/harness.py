@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,20 +80,16 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
     families and, for a parametric family, one batched `best_in_hindsight`
     call over all 2^T sequences, whose certified lower bounds make the
     returned regret an upper bound on the true one.  Ties go to the first
-    sequence in binary order.  Above the cap, falls back to
-    the greedy adversary with a warning.  Returns (labels, regret).
+    sequence in binary order.  Raises ValueError when T is over `cap`.
+    Returns (labels, regret).
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     T = features.shape[0]
+    if T > cap:
+        raise ValueError(f"T={T} is over the exhaustive worst-case cap {cap}")
     predictor = predictor_factory()
     if not isinstance(predictor, MixturePredictor):
         raise TypeError(f"worst_case_labels needs MixturePredictor factories, got {predictor!r}")
-    if T > cap:
-        warnings.warn(f"T={T} over the exhaustive cap {cap}; using the greedy adversary")
-        labels = run_protocol(predictor, features, greedy_label_fn()).labels
-        _, best = best_in_hindsight(family, features, labels)
-        tr = run_protocol(predictor_factory(), features, fixed_label_fn(labels))
-        return labels, pointwise_regret(tr, best)
     loss = mixture_losses(predictor.family, features, predictor.truncation)
     if hasattr(family, "n_experts"):
         P = prediction_matrix(family, features)
@@ -220,9 +215,7 @@ def run_experiment(cell, out_dir=None):
         raise ValueError(f"unknown algorithm {algo!r}")
 
     transcript = run_protocol(predictor, features, _build_label_fn(cell, rng))
-    params, best = best_in_hindsight(family, features, transcript.labels)
-    transcript.best_params = params
-    transcript.best_loss = best
+    _, best = best_in_hindsight(family, features, transcript.labels)
     regret = pointwise_regret(transcript, best)
     slack = bound - regret
     row = ReportRow(digest=digest, family=fam_kind, predictor=algo,

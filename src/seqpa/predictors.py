@@ -43,8 +43,6 @@ class Transcript:
     labels: list = field(default_factory=list)
     step_losses: list = field(default_factory=list)
     cumulative_loss: float = 0.0
-    best_params: object = None
-    best_loss: float | None = None
 
     def append(self, yhat, y):
         loss = log_loss(yhat, y)

@@ -118,9 +118,6 @@ def shtarkov_sum(oracle, T):
     if getattr(oracle, "exchangeable", False):
         k = np.arange(T + 1)
         return log_sum_exp(_log_binom(T, k) + oracle.log_sup_by_count(k, T))
-    if T > ENUMERATION_CAP:
-        raise ValueError(f"T={T} exceeds the enumeration cap {ENUMERATION_CAP} "
-                         "for a non-exchangeable oracle")
     return minimax_value(oracle, T).root
 
 
@@ -215,12 +212,12 @@ def minimax_value(oracle, T):
 # Identification bound
 
 
-def identification_bound(distributions, exhaustive_cap=10 ** 6):
+def identification_bound(distributions):
     """Lower bound 1 - S/|P| on the minimax identification error.
 
     `distributions` is a (|P|, n_outcomes) row-stochastic matrix.  The
     exhaustive optimum enumerates every estimator map when |P|^n_outcomes
-    is under the cap; otherwise it is None (reported, bound still valid).
+    is at most 10^6; otherwise it is None (reported, bound still valid).
     """
     P = np.atleast_2d(np.asarray(distributions, dtype=float))
     m, n = P.shape
@@ -229,7 +226,7 @@ def identification_bound(distributions, exhaustive_cap=10 ** 6):
     S = float(P.max(axis=0).sum())
     bound = 1.0 - S / m
     optimum = None
-    if m ** n <= exhaustive_cap:
+    if m ** n <= 10 ** 6:
         best = math.inf
         for phi in itertools.product(range(m), repeat=n):
             phi = np.asarray(phi)
@@ -347,14 +344,18 @@ def _pairwise_discriminator_sets(table):
             for a in range(M) for b in range(M) if a != b}
 
 
-def hard_class_certificate(family, codebook, trials=10_000, seed=0,
-                           d=None, R=1.0, L=1.0):
+def hard_class_certificate(family, codebook, trials=10_000, seed=0, d=None):
     """Monte-Carlo certificate for the hard Lipschitz construction.
 
     Verifies the codebook distance, estimates the misidentification error
     of the all-zeros discriminator, and reports the implied ln(M/2) lower
-    bound next to the analytic error bound M^2 * exp(-alpha*T/8).
+    bound next to the analytic error bound M^2 * exp(-alpha*T/8).  The
+    closed-form comparison uses the family's own dimension, radius and
+    Lipschitz constant; `d`, when given, must equal that dimension.
     """
+    ball = family.ball
+    if d is not None and d != ball.dimension:
+        raise ValueError(f"d={d} does not match the family's dimension {ball.dimension}")
     table = family.table
     M, T = table.shape
     if codebook.vectors.shape != (M, T) or not np.array_equal(
@@ -386,7 +387,7 @@ def hard_class_certificate(family, codebook, trials=10_000, seed=0,
 
     analytic = M ** 2 * math.exp(-alpha * T / 8.0)
     implied = math.log(M / 2.0)
-    formula = lipschitz_lower(T, d if d is not None else family.packing.shape[1], R, L)
+    formula = lipschitz_lower(T, ball.dimension, ball.radius, family.lipschitz)
     return HardClassReport(
         n_sources=M,
         min_hamming=min_h,

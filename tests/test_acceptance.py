@@ -19,7 +19,7 @@ from seqpa.covering import (
     grid_cover,
     msoa_cover,
     msoa_run,
-    _Fat1Cache,
+    _fat1_memo,
 )
 from seqpa.experts import (
     LOGISTIC,
@@ -292,7 +292,7 @@ def _check_msoa_errors(table, K, T, seqs):
     alpha = 1.0 / (2.0 * K)
     levels = discretization_levels(alpha)[:K]
     dfam = DiscretizedFamily(alpha=alpha, levels=levels, table=np.asarray(table))
-    cache = _Fat1Cache(dfam)
+    cache = _fat1_memo(dfam.table, dfam.K)
     d = max(0, cache.value(frozenset(range(dfam.n_experts))))
     worst = 0
     for target in range(dfam.n_experts):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +124,13 @@ def test_msoa_unrealizable_raises():
         msoa_run(dfam, [0, 0], [2, 2])
 
 
+def test_msoa_rejects_label_off_the_levels():
+    dfam = discretize([[0.1, 0.9]], 1 / 6)  # K=3
+    for y in (-2, 3):
+        with pytest.raises(ValueError, match="not in range"):
+            msoa_run(dfam, [0], [y])
+
+
 def test_cover_size_bound_values():
     # d=1, base ceil(3/(2*0.25)) = 6: 1 + T*6
     assert cover_size_bound(4, 0.25, 1) == pytest.approx(1 + 4 * 6)
@@ -181,6 +189,89 @@ def test_msoa_cover_members_are_sequential():
     assert full.shape == (len(cover), T)
     for t in range(T):
         np.testing.assert_array_equal(cover.family.on(xs[:t + 1]).vectors[:, t], full[:, t])
+
+
+def _forced_reruns(family, features):
+    """Every member's levels along `features`, one forced learner rerun per
+    member over a plain dict of fat1_number values: the reference for
+    MsoaCoverFamily.on."""
+    dfam = family.dfamily
+    index = {key: j for j, key in enumerate(dfam.feature_keys)}
+    columns = [dfam.table[:, index[tuple(x)]] for x in np.asarray(features, float).tolist()]
+    fat1 = {}
+
+    def score(members):
+        if members not in fat1:
+            fat1[members] = fat1_number(dfam.table[sorted(members)], dfam.K)[0]
+        return fat1[members]
+
+    runs = []
+    for steps, ks in family.forced.tolist():
+        forced = {t: k for t, k in zip(steps, ks) if t >= 0}
+        members = frozenset(range(dfam.n_experts))
+        run = []
+        for t, col in enumerate(columns):
+            by_level = [frozenset(i for i in members if col[i] == k) for k in range(dfam.K)]
+            scores = [score(sub) for sub in by_level]
+            khat = scores.index(max(scores))
+            if t in forced:
+                khat = forced[t]
+                members = by_level[khat]
+            run.append(khat)
+        runs.append(run)
+    return dfam.levels[np.array(runs, dtype=int).reshape(len(runs), len(columns))]
+
+
+def test_msoa_cover_on_matches_forced_reruns():
+    # one shared pass over time gives the per-member reruns bit for bit
+    depths = set()
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        for keys in ([(0.0,), (1.0,)], [(0.0,), (0.5,), (1.0,)]):
+            values = rng.uniform(0.02, 0.98, (6, len(keys)))
+            for alpha in (1 / 4, 1 / 6, 1 / 10):
+                for T in (4, 8, 12):
+                    cover = msoa_cover(values, alpha, T, keys)
+                    depths.add(cover.family.forced.shape[2])
+                    xs = np.array(keys)[rng.integers(0, len(keys), T)]
+                    got = cover.family.on(xs).vectors
+                    np.testing.assert_array_equal(got, _forced_reruns(cover.family, xs))
+    assert depths == {0, 1, 2}
+
+
+def test_msoa_cover_cache_matches_fresh_fat1():
+    # after a cover read, the shared memo still gives each subfamily's own number
+    rng = np.random.default_rng(5)
+    keys = [(0.0,), (0.5,), (1.0,)]
+    values = rng.uniform(0.02, 0.98, (8, 3))
+    cover = msoa_cover(values, 1 / 10, 8, keys)
+    cover.family.on(np.array(keys)[rng.integers(0, 3, 8)])
+    dfam = cover.family.dfamily
+    for _ in range(60):
+        S = frozenset(np.flatnonzero(rng.uniform(size=8) < rng.uniform()).tolist())
+        fresh = fat1_number(dfam.table[sorted(S)], dfam.K)[0] if S else -1
+        assert cover.family.cache.value(S) == fresh
+
+
+def test_msoa_cover_read_at_scale():
+    # the T=64 cover (50,721 members) read along one sequence, well within 10 s
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0.02, 0.98, (6, 3))
+    keys = [(0.0,), (0.5,), (1.0,)]
+    T = 64
+    cover = msoa_cover(values, 0.1, T, keys)
+    assert len(cover) == 50_721
+    xs = np.array(keys)[rng.integers(0, 3, T)]
+    start = time.perf_counter()
+    table = cover.family.on(xs).vectors
+    elapsed = time.perf_counter() - start
+    assert table.shape == (50_721, T)
+    sample = np.sort(rng.choice(len(cover), 100, replace=False))
+    fam = cover.family
+    some = MsoaCoverFamily(fam.dfamily, fam.cache, fam.forced[sample])
+    np.testing.assert_array_equal(table[sample], _forced_reruns(some, xs))
+    print(f"msoa cover T={T}: {len(cover)} members read in {elapsed:.3f}s")
+    assert elapsed < 10
 
 
 def test_msoa_cover_mixture_within_cover_bound():

@@ -7,6 +7,7 @@ import pytest
 from seqpa.covering import grid_cover
 from seqpa.experts import FiniteStaticFamily, best_in_hindsight, glm_family
 from seqpa.harness import (
+    WORST_CASE_CAP,
     ConstantPredictor,
     ReportRow,
     fixed_label_fn,
@@ -51,13 +52,11 @@ def test_worst_case_labels_finds_exhaustive_max():
     assert 0.0 <= regret <= math.log(2) + 1e-10
 
 
-def test_worst_case_over_cap_warns_and_falls_back():
+def test_worst_case_over_cap_raises():
     fam = FiniteStaticFamily(np.array([[0.4], [0.6]]))
-    features = np.zeros((6, 1))
-    with pytest.warns(UserWarning):
-        labels, regret = worst_case_labels(lambda: MixturePredictor(fam), fam,
-                                           features, cap=4)
-    assert len(labels) == 6
+    features = np.zeros((WORST_CASE_CAP + 1, 1))
+    with pytest.raises(ValueError, match=f"T={WORST_CASE_CAP + 1}.*cap {WORST_CASE_CAP}"):
+        worst_case_labels(lambda: MixturePredictor(fam), fam, features)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.05])

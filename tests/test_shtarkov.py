@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqpa import shtarkov
+from seqpa.bounds import lipschitz_lower
 from seqpa.experts import FiniteStaticFamily, build_hard_lipschitz_class
 from seqpa.shtarkov import (
     LEAF_BLOCK_BITS,
@@ -204,3 +205,15 @@ def test_hard_class_certificate_small():
         M * M * math.exp(-alpha * T / 8))
     assert report.mc_error <= report.analytic_error_bound + 3 * report.mc_std_err + 1e-12
     assert report.implied_lower_bound == pytest.approx(math.log(M / 2))
+
+
+def test_hard_class_certificate_uses_family_radius():
+    # the closed-form comparison follows the family's own R and L
+    T = 512
+    alpha = 16 * math.log(T) / T
+    fam, cb = build_hard_lipschitz_class(d=1, T=T, R=2.0, L=1.0, alpha=alpha, seed=0)
+    report = hard_class_certificate(fam, cb, trials=500, seed=0, d=1)
+    assert report.formula_lower_bound == pytest.approx(lipschitz_lower(T, 1, 2.0, 1.0))
+    assert report.formula_lower_bound == pytest.approx(0.837, abs=5e-4)
+    with pytest.raises(ValueError, match="dimension"):
+        hard_class_certificate(fam, cb, trials=500, seed=0, d=2)
