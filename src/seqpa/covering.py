@@ -6,13 +6,21 @@ finite discretized families.  Shattering recursions are exhaustive and
 memoized, intended for desk-scale instances.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .experts import DsFamily, FiniteParamFamily, ball_lattice, feature_key
+from .experts import (
+    DsFamily,
+    FiniteParamFamily,
+    _validate_table,
+    ball_lattice,
+    feature_column,
+    feature_key,
+)
 
 DEFAULT_SIZE_CAP = 10 ** 7
 
@@ -95,6 +103,13 @@ class DiscretizedFamily:
     def n_experts(self):
         return self.table.shape[0]
 
+    @functools.cached_property
+    def level_sets(self):
+        """The table's level index: `level_sets[j][k]` is the frozenset of rows
+        at level k on feature column j, built once per family."""
+        return [[frozenset(np.flatnonzero(column == k).tolist()) for k in range(self.K)]
+                for column in np.asarray(self.table).T]
+
 
 def discretization_levels(alpha):
     """Levels (2k+1)*alpha, the top one capped at 1, so each point of [0,1]
@@ -104,8 +119,11 @@ def discretization_levels(alpha):
 
 
 def discretize(values, alpha, feature_keys=None):
-    """Snap a [0,1] value table to the nearest level, ties toward the lower index."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    """Snap a [0,1] value table to the nearest level, ties toward the lower index.
+
+    Raises ValueError for a NaN or a value outside [0, 1].
+    """
+    values = _validate_table(np.atleast_2d(np.asarray(values, dtype=float)))
     levels = discretization_levels(alpha)
     dist = np.abs(values[..., None] - levels[None, None, :])
     # argmin takes the first (lowest) index on ties
@@ -201,12 +219,13 @@ def fat1_number(table, K):
 # Multi-level mistake-bounded learner (M-SOA)
 
 
-def _msoa_step(cache, column, members, K):
+def _msoa_step(cache, column_sets, members):
     """The learner's step rule: play the level k whose subclass (the
-    `members` at level k of `column`, the experts' levels on the current
-    feature) has the largest 1-shattering number, the lowest level on ties.
+    frozenset `members` intersected with `column_sets[k]`, the rows at
+    level k on the current feature, i.e. `DiscretizedFamily.level_sets[j]`)
+    has the largest 1-shattering number, the lowest level on ties.
     Returns (level, subclasses) with subclasses[k] the members at level k."""
-    subclasses = [frozenset(i for i in members if column[i] == k) for k in range(K)]
+    subclasses = [members & s for s in column_sets]
     scores = [cache.value(sub) for sub in subclasses]
     return scores.index(max(scores)), subclasses
 
@@ -214,25 +233,36 @@ def _msoa_step(cache, column, members, K):
 def msoa_run(dfamily, x_cols, y_levels, cache=None):
     """Run the multi-level mistake-bounded learner; returns (predictions, error_count).
 
-    `x_cols` are feature column indices, `y_levels` the revealed 0-based
-    level labels, and `cache` any object whose `value(members)` gives the
+    `x_cols` are feature column indices into `dfamily.table`,
+    `y_levels` the revealed 0-based level labels in range(dfamily.K), one
+    per column, and `cache` any object whose `value(members)` gives the
     1-shattering number of the subfamily `members` (by default a fresh
-    memo of `dfamily`'s table).  Prediction follows `_msoa_step`.  An error
-    is a prediction off by >= 2 levels; errors trigger restriction to the
-    consistent subclass.
+    memo of `dfamily`'s table).  Each step is `_msoa_step` on the family's
+    `level_sets`.  An error is a prediction off by >= 2 levels; errors
+    trigger restriction to the consistent subclass.  Raises ValueError
+    for a column or label out of range or a label count other than the
+    column count, before any step.
     """
+    K, level_sets = dfamily.K, dfamily.level_sets
+    n_features = len(level_sets)
+    if len(y_levels) != len(x_cols):
+        raise ValueError(f"{len(y_levels)} labels for {len(x_cols)} feature columns")
+    steps = []
+    for t, (j, y) in enumerate(zip(x_cols, y_levels)):
+        y = int(y)
+        if not 0 <= j < n_features:
+            raise ValueError(f"feature column {j} at step {t} is not in range({n_features})")
+        if not 0 <= y < K:
+            raise ValueError(f"label level {y} at step {t} is not in range({K})")
+        steps.append((level_sets[j], y))
     if cache is None:
-        cache = _fat1_memo(dfamily.table, dfamily.K)
-    columns = dfamily.table.T.tolist()
+        cache = _fat1_memo(dfamily.table, K)
     members = frozenset(range(dfamily.n_experts))
     preds = []
     errors = 0
-    for t, j in enumerate(x_cols):
-        khat, subclasses = _msoa_step(cache, columns[j], members, dfamily.K)
+    for column_sets, y in steps:
+        khat, subclasses = _msoa_step(cache, column_sets, members)
         preds.append(khat)
-        y = int(y_levels[t])
-        if not 0 <= y < dfamily.K:
-            raise ValueError(f"label level {y} at step {t} is not in range({dfamily.K})")
         if abs(khat - y) >= 2:
             errors += 1
             members = subclasses[y]
@@ -268,9 +298,8 @@ class MsoaCoverFamily:
         """One pass over time: members in one consistent class share their unforced
         prediction, so each step scores each class once and moves forced members in one gather."""
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        cols = [self._index[feature_key(x)] for x in features]
+        cols = [feature_column(self._index, x) for x in features]
         dfam = self.dfamily
-        columns = dfam.table.T.tolist()
         # the distinct consistent classes, numbered in order of appearance
         class_id = {frozenset(range(dfam.n_experts)): 0}
         member_class = np.zeros(self.n_experts, dtype=np.intp)
@@ -280,7 +309,7 @@ class MsoaCoverFamily:
             khat = np.empty(len(classes), dtype=np.intp)
             restricted = np.empty((len(classes), dfam.K), dtype=np.intp)
             for c, members in enumerate(classes):
-                khat[c], subclasses = _msoa_step(self.cache, columns[j], members, dfam.K)
+                khat[c], subclasses = _msoa_step(self.cache, dfam.level_sets[j], members)
                 restricted[c] = [class_id.setdefault(sub, len(class_id)) for sub in subclasses]
             out[:, t] = dfam.levels[khat[member_class]]
             rows, slots = np.nonzero(self.forced[:, 0] == t)

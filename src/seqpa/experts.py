@@ -102,11 +102,20 @@ def feature_key(x):
     return tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
 
 
+def feature_column(index, x):
+    """The column `index` (a feature_key -> column dict) gives feature `x`;
+    a KeyError naming `x` if the finite feature set lacks it."""
+    try:
+        return index[feature_key(x)]
+    except KeyError:
+        raise KeyError(f"feature {x!r} is not in this family's finite feature set") from None
+
+
 def _validate_table(table):
     table = np.asarray(table, dtype=float)
     if table.ndim != 2:
         raise ValueError("expert table must be 2-D (experts x features)")
-    if np.isnan(table).any() or table.min() < 0 or table.max() > 1:
+    if table.size and (np.isnan(table).any() or table.min() < 0 or table.max() > 1):
         raise ValueError("expert table entries must lie in [0, 1]")
     return table
 
@@ -138,12 +147,7 @@ class FiniteStaticFamily:
         return self.table.shape[0]
 
     def _column(self, x):
-        if self._index is None:
-            return 0
-        try:
-            return self._index[feature_key(x)]
-        except KeyError:
-            raise KeyError(f"feature {x!r} is not in this family's finite feature set") from None
+        return 0 if self._index is None else feature_column(self._index, x)
 
     def all_predictions(self, t, x):
         return self.table[:, self._column(x)]

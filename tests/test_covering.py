@@ -7,7 +7,9 @@ import pytest
 
 from seqpa.bounds import cover_upper
 from seqpa.covering import (
+    DiscretizedFamily,
     MsoaCoverFamily,
+    _fat1_memo,
     cover_size_bound,
     discretization_levels,
     discretize,
@@ -37,6 +39,12 @@ def test_discretize_snaps_to_nearest_lower_on_ties():
     dfam = discretize([[0.5, 0.1, 0.9]], alpha)
     np.testing.assert_array_equal(dfam.table, [[0, 0, 1]])
     assert dfam.K == 2
+
+
+def test_discretize_rejects_values_off_the_unit_interval():
+    for bad in (1.7, -0.3, math.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            discretize([[0.5, bad]], 0.25)
 
 
 def test_grid_cover_covers_family():
@@ -129,6 +137,94 @@ def test_msoa_rejects_label_off_the_levels():
     for y in (-2, 3):
         with pytest.raises(ValueError, match="not in range"):
             msoa_run(dfam, [0], [y])
+
+
+def test_msoa_rejects_column_off_the_features():
+    dfam = discretize([[0.1, 0.9]], 1 / 6)  # two feature columns
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match=f"feature column {j} at step 0"):
+            msoa_run(dfam, [j], [0])
+
+
+def test_msoa_rejects_label_count_off_the_columns():
+    dfam = discretize([[0.1, 0.9]], 1 / 6)
+    for y_levels in ([0], [0, 2, 2]):
+        with pytest.raises(ValueError, match="labels for 2 feature columns"):
+            msoa_run(dfam, [0, 1], y_levels)
+
+
+class _RecordingCache:
+    """Passes `value` through to `inner` and records every subfamily asked for."""
+
+    def __init__(self, inner):
+        self.inner, self.asked = inner, []
+
+    def value(self, members):
+        self.asked.append(frozenset(members))
+        return self.inner.value(members)
+
+
+def _scan_msoa_run(dfam, x_cols, y_levels, cache):
+    """The learner with its subclasses rebuilt by a generator scan over the
+    members at every step: the reference for the level-index step."""
+    columns = dfam.table.T.tolist()
+    members = frozenset(range(dfam.n_experts))
+    preds, errors = [], 0
+    for j, y in zip(x_cols, y_levels):
+        subclasses = [frozenset(i for i in members if columns[j][i] == k) for k in range(dfam.K)]
+        scores = [cache.value(sub) for sub in subclasses]
+        khat = scores.index(max(scores))
+        preds.append(khat)
+        if abs(khat - y) >= 2:
+            errors += 1
+            members = subclasses[y]
+            if not members:
+                raise RuntimeError("consistent class became empty")
+    return preds, errors
+
+
+def _outcome(run, cache):
+    try:
+        return run(cache), cache.asked
+    except RuntimeError:
+        return RuntimeError, cache.asked
+
+
+def test_msoa_level_index_matches_scan_reference():
+    # same predictions, errors and cache queries, in the same order, as the scan
+    rng = np.random.default_rng(11)
+    empty_levels = ties = runs = 0
+    for _ in range(120):
+        K = int(rng.choice([2, 3, 4]))
+        n, m = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+        # some tables use only the low levels, so whole levels stay empty
+        table = rng.integers(0, int(rng.integers(1, K + 1)), (n, m))
+        levels = discretization_levels(1.0 / (2.0 * K))[:K]
+        dfam = DiscretizedFamily(alpha=1.0 / (2.0 * K), levels=levels, table=table)
+        for j, column_sets in enumerate(dfam.level_sets):
+            assert len(column_sets) == K
+            assert sum(len(s) for s in column_sets) == n
+            assert frozenset().union(*column_sets) == frozenset(range(n))
+            for k, s in enumerate(column_sets):
+                assert s == frozenset(np.flatnonzero(table[:, j] == k).tolist())
+        memo = _fat1_memo(table, K)
+        for _ in range(6):
+            x_cols = rng.integers(0, m, int(rng.integers(0, 7))).tolist()
+            target = int(rng.integers(0, n))
+            for y in ([int(table[target, j]) for j in x_cols],
+                      rng.integers(0, K, len(x_cols)).tolist()):
+                got = _outcome(lambda c: msoa_run(dfam, x_cols, y, cache=c),
+                               _RecordingCache(memo))
+                want = _outcome(lambda c: _scan_msoa_run(dfam, x_cols, y, c),
+                                _RecordingCache(memo))
+                assert got == want, (table.tolist(), x_cols, y)
+                asked = want[1]
+                runs += 1
+                empty_levels += any(not s for s in asked)
+                scores = [memo.value(s) for s in asked]
+                ties += any(scores[i:i + K].count(max(scores[i:i + K])) > 1
+                            for i in range(0, len(scores), K))
+    assert runs == 1440 and empty_levels > 500 and ties > 300
 
 
 def test_cover_size_bound_values():
@@ -237,6 +333,12 @@ def test_msoa_cover_on_matches_forced_reruns():
                     got = cover.family.on(xs).vectors
                     np.testing.assert_array_equal(got, _forced_reruns(cover.family, xs))
     assert depths == {0, 1, 2}
+
+
+def test_msoa_cover_rejects_unknown_feature():
+    cover = msoa_cover([[0.1, 0.9]], 1 / 6, 4, [(0.0,), (1.0,)])
+    with pytest.raises(KeyError, match="not in this family's finite feature set"):
+        cover.family.on([[0.0], [0.5]])
 
 
 def test_msoa_cover_cache_matches_fresh_fat1():
