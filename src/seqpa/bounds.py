@@ -5,6 +5,7 @@ asymptotic terms are surfaced as explicit parameters defaulting to 0 so
 experiments fit them empirically instead of hard-coding guesses.
 """
 
+import inspect
 import math
 
 from scipy.special import gammaln
@@ -82,28 +83,42 @@ def power_family_lower(T, s):
 
 
 BOUND_KINDS = {
-    "cover-upper": (cover_upper, ("T", "alpha", "cover_size")),
-    "lipschitz-upper": (lipschitz_upper, ("T", "d", "R", "L")),
-    "lipschitz-lower": (lipschitz_lower, ("T", "d", "R", "L")),
-    "hessian-upper": (hessian_upper, ("T", "d", "R", "C")),
-    "hessian-volume-upper": (hessian_volume_upper, ("T", "d", "C")),
-    "glm-lower": (glm_lower, ("T", "d", "s")),
-    "power-lower": (power_family_lower, ("T", "s")),
-    "cover-size": (cover_size_bound, ("T", "alpha", "dfat")),
+    "cover-upper": cover_upper,
+    "lipschitz-upper": lipschitz_upper,
+    "lipschitz-lower": lipschitz_lower,
+    "hessian-upper": hessian_upper,
+    "hessian-volume-upper": hessian_volume_upper,
+    "glm-lower": glm_lower,
+    "power-lower": power_family_lower,
+    "cover-size": cover_size_bound,
 }
 
 
+def _parameters(fn):
+    """(the parameters `fn` requires, in order; every parameter it takes)."""
+    params = inspect.signature(fn).parameters.values()
+    return tuple(p.name for p in params if p.default is p.empty), {p.name for p in params}
+
+
+_PARAMETERS = {kind: _parameters(fn) for kind, fn in BOUND_KINDS.items()}
+_INTEGER_PARAMETERS = {"T", "d", "dfat"}
+
+
 def evaluate_bound(kind, **params):
-    """Evaluate a registered bound by name; unknown kinds or bad domains raise."""
+    """Evaluate a registered bound by name.  Unknown kinds, missing or unknown
+    parameters, non-integral T, d or dfat, and bad domains raise ValueError."""
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; known: {sorted(BOUND_KINDS)}")
-    fn, required = BOUND_KINDS[kind]
+    required, accepted = _PARAMETERS[kind]
     missing = [p for p in required if p not in params]
     if missing:
         raise ValueError(f"bound {kind!r} needs parameters {missing}")
-    if kind == "cover-size":
-        params = {k: params[k] for k in required}
-        params["T"] = int(params["T"])
-        params["dfat"] = int(params["dfat"])
-        return fn(**params)
-    return fn(**params)
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        raise ValueError(f"bound {kind!r} does not take parameters {unknown}; "
+                         f"it takes {sorted(accepted)}")
+    for name in _INTEGER_PARAMETERS & params.keys():
+        if not float(params[name]).is_integer():
+            raise ValueError(f"bound parameter {name} must be an integer, got {params[name]!r}")
+        params[name] = int(params[name])
+    return BOUND_KINDS[kind](**params)

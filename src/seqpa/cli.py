@@ -82,25 +82,21 @@ def _cmd_shtarkov(args):
     return 0
 
 
+_BOUND_PARAMETERS = ("T", "d", "s", "R", "L", "C", "alpha", "cover_size", "dfat", "c")
+
+
 def _add_bound(sub):
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
     p.add_argument("--kind", required=True, choices=sorted(bounds.BOUND_KINDS))
-    for name in ("T", "d", "s", "R", "L", "C", "alpha", "cover_size", "dfat", "c"):
+    for name in _BOUND_PARAMETERS:
         p.add_argument(f"--{name}", type=float, default=None)
 
 
 def _cmd_bound(args):
-    _, required = bounds.BOUND_KINDS[args.kind]
-    params = {}
-    for name in ("T", "d", "s", "R", "L", "C", "alpha", "cover_size", "dfat", "c"):
-        v = getattr(args, name)
-        if v is not None:
-            params[name] = int(v) if name in ("d", "dfat") else v
-    if "T" in params:
-        params["T"] = int(params["T"])
+    params = {name: getattr(args, name) for name in _BOUND_PARAMETERS
+              if getattr(args, name) is not None}
     value = bounds.evaluate_bound(args.kind, **params)
-    cols = ",".join(f"{k}={params[k]:.12g}" if isinstance(params[k], float)
-                    else f"{k}={params[k]}" for k in sorted(params))
+    cols = ",".join(f"{k}={params[k]:.12g}" for k in sorted(params))
     print("kind,params,value")
     print(f"{args.kind},{cols},{value:.12g}")
     return 0

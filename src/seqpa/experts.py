@@ -244,16 +244,11 @@ def prediction_matrix(family, features):
                      for t, x in enumerate(features)], axis=1)
 
 
-def _finite_losses(family, features, labels):
-    """(S, n_experts) cumulative losses of a finite family on (x^T, y^T),
-    one row per label sequence in the (S, T) array `labels`."""
-    total = np.zeros((labels.shape[0], family.n_experts))
-    for t in range(labels.shape[1]):
-        p = np.asarray(family.all_predictions(t, features[t]), dtype=float)
-        q = np.where(labels[:, t:t + 1] == 1, p, 1.0 - p)
-        with np.errstate(divide="ignore"):
-            total -= np.log(q)
-    return total
+def log_likelihoods(P):
+    """(ln(1 - P), ln P) of a prediction matrix P: each expert's log
+    probability of label 0 and of label 1 at each step (-inf where zero)."""
+    with np.errstate(divide="ignore"):
+        return np.log1p(-P), np.log(P)
 
 
 def best_in_hindsight(family, features, labels):
@@ -274,9 +269,15 @@ def best_in_hindsight(family, features, labels):
         return None, 0.0
     Y = np.atleast_2d(labels)
     if hasattr(family, "n_experts"):
-        losses = _finite_losses(family, features, Y)
-        params = np.argmin(losses, axis=1)
-        best = losses[np.arange(len(params)), params]
+        # steps[t][y]: every expert's log probability of label y at step t;
+        # total[s, i]: expert i's log probability of sequence s
+        P = prediction_matrix(family, features[:Y.shape[1]])
+        steps = np.stack(log_likelihoods(P)).transpose(2, 0, 1)
+        total = np.zeros((Y.shape[0], family.n_experts))
+        for y, step in zip((Y == 1).astype(np.intp).T, steps):
+            total += step[y]
+        params = np.argmax(total, axis=1)
+        best = -total[np.arange(len(params)), params]
         return (int(params[0]), float(best[0])) if labels.ndim == 1 else (params, best)
     link = getattr(family, "link", None)
     if link is not LOGISTIC:

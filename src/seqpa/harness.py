@@ -19,10 +19,10 @@ import numpy as np
 
 from . import bounds
 from .covering import grid_cover
-from .experts import best_in_hindsight, glm_family, prediction_matrix
+from .experts import best_in_hindsight, glm_family
 from .losses import pointwise_regret
 from .predictors import MixturePredictor, Transcript, continuous_bayes, mixture_losses
-from .shtarkov import block_design_features, label_tree_fold
+from .shtarkov import FiniteMaxOracle, block_design_features, leaf_log_sups
 
 SCHEMA_VERSION = 1
 WORST_CASE_CAP = 18
@@ -76,10 +76,11 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
     """Exact regret-maximizing label sequence for a mixture predictor.
 
     `predictor_factory()` must return a `MixturePredictor`, scored on every
-    sequence by `mixture_losses`.  The comparator is a max-fold for finite
-    families and, for a parametric family, one batched `best_in_hindsight`
-    call over all 2^T sequences, whose certified lower bounds make the
-    returned regret an upper bound on the true one.  Ties go to the first
+    sequence by `mixture_losses`.  The comparator is minus the Shtarkov
+    leaves (`leaf_log_sups` of a `FiniteMaxOracle`) for finite families and,
+    for a parametric family, one batched `best_in_hindsight` call over all
+    2^T sequences, whose certified lower bounds make the returned regret an
+    upper bound on the true one.  Ties go to the first
     sequence in binary order.  Raises ValueError when T is over `cap`.
     Returns (labels, regret).
     """
@@ -92,9 +93,7 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
         raise TypeError(f"worst_case_labels needs MixturePredictor factories, got {predictor!r}")
     loss = mixture_losses(predictor.family, features, predictor.truncation)
     if hasattr(family, "n_experts"):
-        P = prediction_matrix(family, features)
-        with np.errstate(divide="ignore"):
-            best = -label_tree_fold(np.log(1.0 - P), np.log(P), np.max)
+        best = -leaf_log_sups(FiniteMaxOracle(family, features), T)
     else:
         # row j holds the binary expansion of j, the label_tree_fold leaf order
         labels = (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
@@ -173,6 +172,13 @@ def _build_label_fn(cell, rng):
     raise ValueError(f"unknown adversary {kind!r}")
 
 
+def _check_constant(name, value, family_value):
+    """ValueError unless the cell's constant is at least the family's own."""
+    if not value >= family_value:
+        raise ValueError(f"cell constant {name}={value:g} is below the logistic family's "
+                         f"{family_value:.6g} on these features; the bound would not hold")
+
+
 def run_experiment(cell, out_dir=None):
     """Run one experiment cell; returns (ReportRow, Transcript).
 
@@ -195,9 +201,12 @@ def run_experiment(cell, out_dir=None):
     if fam_kind != "logistic":
         raise ValueError(f"unknown family {fam_kind!r} for bench cells")
     family = glm_family(d=d, R=R, s=2.0, lipschitz=L)
+    # the logistic family's Lipschitz constant and curvature on these features
+    max_norm = float(np.linalg.norm(features, axis=1).max())
 
     allowance = 0.0
     if algo == "smooth_bayes":
+        _check_constant("L", L, max_norm / 4.0)
         alpha_raw = cell.get("alpha", "auto")
         alpha = d / T if alpha_raw == "auto" else float(alpha_raw)
         cover = grid_cover(family, alpha)
@@ -205,6 +214,7 @@ def run_experiment(cell, out_dir=None):
         bound = bounds.lipschitz_upper(T, d, R, L)
     elif algo == "continuous_bayes":
         C = float(cell.get("C", 0.25))
+        _check_constant("C", C, max_norm ** 2 / 4.0)
         predictor = continuous_bayes(family, T, C, verify_hessian=False)
         bound = bounds.hessian_upper(T, d, R, C)
         allowance = 0.1

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import shtarkov
-from .experts import FiniteParamFamily, ParametricFamily, ball_lattice, prediction_matrix
+from .experts import (FiniteParamFamily, ParametricFamily, ball_lattice, log_likelihoods,
+                      prediction_matrix)
 from .losses import as_label, log_loss, log_sum_exp
 
 
@@ -153,12 +154,11 @@ def mixture_losses(family, features, truncation=None):
     P = prediction_matrix(family, features)
     if truncation is not None:
         P = smooth_truncate(P, truncation)
-    with np.errstate(divide="ignore"):
-        log_mass = shtarkov.label_tree_fold(np.log(1.0 - P), np.log(P), logsumexp)
+    log_mass = shtarkov.label_tree_fold(*log_likelihoods(P), logsumexp)
     return math.log(P.shape[0]) - log_mass
 
 
-def continuous_bayes(family, T, hessian_bound, verify_hessian=True, seed=0):
+def continuous_bayes(family, T, hessian_bound, verify_hessian=True):
     """Bayesian mixture over a uniform grid on the enlarged parameter ball.
 
     The grid spacing is a tenth of the half-ball radius sqrt(d/CT), which
@@ -174,7 +174,7 @@ def continuous_bayes(family, T, hessian_bound, verify_hessian=True, seed=0):
     if C <= 0:
         raise ValueError("Hessian bound must be positive")
     if verify_hessian:
-        emp = empirical_hessian_bound(family, n_samples=200, seed=seed)
+        emp = empirical_hessian_bound(family)
         if emp > 1.01 * C:
             raise ValueError(f"claimed Hessian bound {C} refuted: empirical {emp:.6g}")
     rho = math.sqrt(d / (C * T))
@@ -184,14 +184,15 @@ def continuous_bayes(family, T, hessian_bound, verify_hessian=True, seed=0):
     return MixturePredictor(FiniteParamFamily(W, family))
 
 
-def empirical_hessian_bound(family, n_samples=200, seed=0, eps=1e-4):
-    """Largest second directional derivative of the per-label log likelihood,
-    estimated by central finite differences at random parameters/features."""
-    rng = np.random.default_rng(seed)
+def empirical_hessian_bound(family):
+    """Largest second directional derivative of the per-label log likelihood, by
+    central differences (step 1e-4) at 200 seeded random parameters/features."""
+    rng = np.random.default_rng(0)
     ball = family.ball
     d = ball.dimension
+    eps = 1e-4
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(200):
         w = rng.normal(size=d)
         w *= rng.uniform() ** (1.0 / d) * ball.radius / max(np.linalg.norm(w), 1e-12)
         x = rng.normal(size=d)
@@ -219,10 +220,6 @@ class NmlPredictor:
         self.table = table
         self.regret = table.root  # ln S_T, constant over positive-mass sequences
 
-    @property
-    def horizon(self):
-        return self.table.horizon
-
     def predict(self, label_prefix):
         """Q(y_t = 1 | label_prefix), t = len(label_prefix)."""
         return self.run(list(label_prefix) + [0])[-1]
@@ -230,7 +227,7 @@ class NmlPredictor:
     def run(self, labels):
         """Predictions along one label sequence, walking the table once."""
         labels = [as_label(y) for y in labels]
-        if len(labels) > self.horizon:
+        if len(labels) > self.table.horizon:
             raise ValueError("prediction past the horizon")
         preds, idx = [], 0
         for t, y in enumerate(labels):

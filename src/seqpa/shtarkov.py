@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
-from .experts import ball_lattice, ds_project, prediction_matrix
+from .experts import (ball_lattice, best_in_hindsight, ds_project, log_likelihoods,
+                      prediction_matrix)
 from .losses import log_sum_exp
 
 ENUMERATION_CAP = 22
@@ -28,16 +29,6 @@ def _log_binom(n, k):
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
-def _bernoulli_log_lik(k, n, w):
-    """k*ln(w) + (n-k)*ln(1-w) with the 0*ln(0) := 0 convention."""
-    k = np.asarray(k, dtype=float)
-    w = np.asarray(w, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(k == 0, 0.0, k * np.log(w))
-        b = np.where(k == n, 0.0, (n - k) * np.log1p(-w))
-    return a + b
-
-
 # ---------------------------------------------------------------------------
 # Sup-probability oracles
 
@@ -45,40 +36,21 @@ def _bernoulli_log_lik(k, n, w):
 class FiniteMaxOracle:
     """ln sup over a finite family; requires the feature sequence."""
 
-    exchangeable = False
-
     def __init__(self, family, features):
         self.family = family
         self.features = np.atleast_2d(np.asarray(features, dtype=float))
 
-    def per_step_probs(self, T):
-        """(n_experts, T) matrix of per-step probabilities of label 1."""
-        return prediction_matrix(self.family, self.features[:T])
-
     def log_sup(self, labels):
-        P = self.per_step_probs(len(labels))
-        y = np.asarray(labels, dtype=float)
-        with np.errstate(divide="ignore"):
-            # select per label so 0 * ln 0 never arises
-            ll = np.where(y > 0.5, np.log(P), np.log1p(-P))
-        return float(ll.sum(axis=1).max())
+        """Minus the best loss in hindsight on `labels`."""
+        return -best_in_hindsight(self.family, self.features, labels)[1]
 
 
 class ExchangeableOracle:
     """Base for oracles whose sup depends on labels only through the count of 1s."""
 
-    exchangeable = True
-
     def log_sup(self, labels):
         labels = list(labels)
         return float(self.log_sup_by_count(sum(labels), len(labels)))
-
-
-class ConstantBernoulliMLE(ExchangeableOracle):
-    """Constant-probability experts p in [0, 1]: sup at the empirical frequency."""
-
-    def log_sup_by_count(self, k, n):
-        return _bernoulli_log_lik(k, n, np.clip(np.asarray(k, dtype=float) / n, 0.0, 1.0))
 
 
 class IntervalBernoulli(ExchangeableOracle):
@@ -90,8 +62,21 @@ class IntervalBernoulli(ExchangeableOracle):
         self.lo, self.hi = float(lo), float(hi)
 
     def log_sup_by_count(self, k, n):
-        w = np.clip(np.asarray(k, dtype=float) / n, self.lo, self.hi)
-        return _bernoulli_log_lik(k, n, w)
+        """k*ln(w) + (n-k)*ln(1-w) at the clamped MLE w, with the 0*ln(0) := 0
+        convention."""
+        k = np.asarray(k, dtype=float)
+        w = np.clip(k / n, self.lo, self.hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(k == 0, 0.0, k * np.log(w))
+            b = np.where(k == n, 0.0, (n - k) * np.log1p(-w))
+        return a + b
+
+
+class ConstantBernoulliMLE(IntervalBernoulli):
+    """Constant-probability experts p in [0, 1]: sup at the empirical frequency."""
+
+    def __init__(self):
+        super().__init__(0.0, 1.0)
 
 
 class DsClosedForm(ExchangeableOracle):
@@ -115,7 +100,7 @@ def shtarkov_sum(oracle, T):
     Exchangeable oracles are grouped by the number of ones and run to very
     large T; generic oracles enumerate all 2^T sequences (T <= 22).
     """
-    if getattr(oracle, "exchangeable", False):
+    if isinstance(oracle, ExchangeableOracle):
         k = np.arange(T + 1)
         return log_sum_exp(_log_binom(T, k) + oracle.log_sup_by_count(k, T))
     return minimax_value(oracle, T).root
@@ -174,36 +159,29 @@ def label_tree_fold(a0, a1, reduce):
     return out.ravel()
 
 
-def _leaf_log_sups(oracle, T):
+def leaf_log_sups(oracle, T):
     """ln sup probability of every label sequence, indexed like `GameValueTable`
-    leaves: a max-fold of a `FiniteMaxOracle`'s log probabilities, or an
-    exchangeable oracle's `log_sup_by_count` at each leaf's count of ones."""
+    leaves: a max-fold of a `FiniteMaxOracle`'s log likelihoods, bit-identical
+    to its `log_sup`, or an exchangeable oracle's `log_sup_by_count` at each
+    leaf's count of ones."""
     if isinstance(oracle, FiniteMaxOracle):
-        P = oracle.per_step_probs(T)
-        with np.errstate(divide="ignore"):
-            return label_tree_fold(np.log1p(-P), np.log(P), np.max)
-    if not getattr(oracle, "exchangeable", False):
+        P = prediction_matrix(oracle.family, oracle.features[:T])
+        return label_tree_fold(*log_likelihoods(P), np.max)
+    if not isinstance(oracle, ExchangeableOracle):
         raise TypeError(f"no label-tree leaves for oracle {oracle!r}")
     counts = label_tree_fold(np.zeros((1, T)), np.ones((1, T)), np.max).astype(int)
     return np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)[counts]
 
 
 def minimax_value(oracle, T):
-    """Exact fixed-design game values over the `_leaf_log_sups` leaves of a
+    """Exact fixed-design game values over the `leaf_log_sups` leaves of a
     `FiniteMaxOracle` or an exchangeable oracle; the root realizes ln S_T."""
     if T > ENUMERATION_CAP:
         raise ValueError(f"T={T} exceeds the enumeration cap {ENUMERATION_CAP}")
-    leaves = _leaf_log_sups(oracle, T)
-    levels = [leaves]
-    cur = leaves
+    levels = [leaf_log_sups(oracle, T)]
     for _ in range(T):
-        pair = cur.reshape(-1, 2)
-        m = pair.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            nxt = m + np.log(np.exp(pair[:, 0] - m) + np.exp(pair[:, 1] - m))
-        nxt = np.where(m == -math.inf, -math.inf, nxt)
-        levels.append(nxt)
-        cur = nxt
+        cur = levels[-1]
+        levels.append(np.logaddexp(cur[0::2], cur[1::2]))
     levels.reverse()
     return GameValueTable(levels, T)
 

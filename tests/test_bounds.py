@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from seqpa.bounds import (
     lipschitz_upper,
     power_family_lower,
 )
+from seqpa.covering import cover_size_bound
 
 
 def test_ball_log_volume_known_dimensions():
@@ -65,6 +67,40 @@ def test_evaluate_bound_dispatch():
         evaluate_bound("no-such-kind", T=1)
     with pytest.raises(ValueError):
         evaluate_bound("lipschitz-upper", T=100)
+
+
+def test_evaluate_bound_required_parameters():
+    required = {
+        "cover-upper": ("T", "alpha", "cover_size"),
+        "lipschitz-upper": ("T", "d", "R", "L"),
+        "lipschitz-lower": ("T", "d", "R", "L"),
+        "hessian-upper": ("T", "d", "R", "C"),
+        "hessian-volume-upper": ("T", "d", "C"),
+        "glm-lower": ("T", "d", "s"),
+        "power-lower": ("T", "s"),
+        "cover-size": ("T", "alpha", "dfat"),
+    }
+    for kind, names in required.items():
+        with pytest.raises(ValueError, match=re.escape(str(list(names)))):
+            evaluate_bound(kind)
+
+
+def test_evaluate_bound_rejects_unknown_parameters():
+    with pytest.raises(ValueError, match=r"does not take parameters \['alpha'\]"):
+        evaluate_bound("lipschitz-upper", T=100, d=1, R=1.0, L=1.0, alpha=0.1)
+    # optional parameters are taken
+    assert evaluate_bound("glm-lower", T=64, d=2, s=2.0, c=1.0) == glm_lower(64, 2, 2.0, c=1.0)
+
+
+def test_evaluate_bound_integer_parameters():
+    assert evaluate_bound("cover-size", T=100.0, alpha=0.1, dfat=2.0) == \
+        cover_size_bound(100, 0.1, 2)
+    with pytest.raises(ValueError, match="dfat must be an integer"):
+        evaluate_bound("cover-size", T=100, alpha=0.1, dfat=2.5)
+    with pytest.raises(ValueError, match="T must be an integer"):
+        evaluate_bound("cover-size", T=100.5, alpha=0.1, dfat=2)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        evaluate_bound("lipschitz-upper", T=100, d=1.5, R=1.0, L=1.0)
 
 
 def test_evaluate_bound_domain_checks():

@@ -14,6 +14,21 @@ def test_bound_subcommand(capsys):
     assert value == pytest.approx(math.log(201) + 2)
 
 
+def test_bound_subcommand_rejects_unknown_parameter():
+    with pytest.raises(ValueError, match=r"does not take parameters \['alpha'\]"):
+        main(["bound", "--kind", "lipschitz-upper", "--T", "100", "--d", "1",
+              "--R", "1", "--L", "1", "--alpha", "0.1"])
+
+
+def test_bound_subcommand_rejects_fractional_integer(capsys):
+    with pytest.raises(ValueError, match="dfat must be an integer"):
+        main(["bound", "--kind", "cover-size", "--T", "100", "--alpha", "0.1",
+              "--dfat", "2.5"])
+    assert main(["bound", "--kind", "cover-size", "--T", "100", "--alpha", "0.1",
+                 "--dfat", "2"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "cover-size,T=100,alpha=0.1,dfat=2,1115251"
+
+
 def test_shtarkov_subcommand(capsys):
     assert main(["shtarkov", "--oracle", "constant-bernoulli", "--T", "2"]) == 0
     out = capsys.readouterr().out.strip().split("\n")

@@ -135,6 +135,26 @@ def test_run_experiment_deterministic():
     assert r1.csv_line() == r2.csv_line()
 
 
+def test_run_experiment_rejects_understated_hessian_constant():
+    # block features have norm 1: the logistic curvature is exactly 1/4
+    cell = dict(family="logistic", algorithm="continuous_bayes", T=64, d=2,
+                adversary="greedy", features="block", seed=0)
+    for C in ("0.2", "0.05", "0.01"):
+        with pytest.raises(ValueError, match=f"C={C}.*0.25"):
+            run_experiment(dict(cell, C=C))
+    assert run_experiment(dict(cell, C="0.25"))[0].ok
+
+
+def test_run_experiment_rejects_understated_lipschitz_constant():
+    cell = dict(family="logistic", algorithm="smooth_bayes", T=128, d=1,
+                adversary="greedy", features="ball", seed=0)
+    for L in ("0.1", "0.05"):
+        with pytest.raises(ValueError, match=f"L={L}"):
+            run_experiment(dict(cell, L=L))
+    block = dict(cell, T=64, d=2, features="block", L="0.25")  # exactly 1/4
+    assert run_experiment(block)[0].ok
+
+
 def _write_config(path):
     path.write_text(
         "[grid]\n"

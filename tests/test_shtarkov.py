@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from seqpa import shtarkov
 from seqpa.bounds import lipschitz_lower
-from seqpa.experts import FiniteStaticFamily, build_hard_lipschitz_class
+from seqpa.experts import FiniteStaticFamily, best_in_hindsight, build_hard_lipschitz_class
+from seqpa.harness import worst_case_labels
+from seqpa.predictors import MixturePredictor, mixture_losses
 from seqpa.shtarkov import (
     LEAF_BLOCK_BITS,
     ConstantBernoulliMLE,
@@ -19,6 +21,7 @@ from seqpa.shtarkov import (
     ds_sup_verify,
     hard_class_certificate,
     identification_bound,
+    leaf_log_sups,
     minimax_value,
     restricted_binomial_shtarkov,
     shtarkov_sum,
@@ -97,11 +100,7 @@ def test_leaves_match_per_sequence_log_sup(which):
     rng = np.random.default_rng(which)
     for j in [0, 2 ** T - 1, *rng.integers(0, 2 ** T, 200)]:
         labels = [(int(j) >> (T - 1 - t)) & 1 for t in range(T)]
-        expected = oracle.log_sup(labels)
-        if expected == -math.inf:
-            assert leaves[j] == -math.inf
-        else:
-            assert leaves[j] == pytest.approx(expected, abs=1e-12)
+        assert leaves[j] == oracle.log_sup(labels)
 
 
 @pytest.mark.parametrize("which", range(3))
@@ -111,6 +110,30 @@ def test_blocked_leaves_equal_single_block(which, monkeypatch):
     whole = minimax_value(oracle, T).levels[-1]
     monkeypatch.setattr(shtarkov, "LEAF_BLOCK_BITS", 2)
     np.testing.assert_array_equal(minimax_value(oracle, T).levels[-1], whole)
+
+
+def test_finite_comparators_bit_identical():
+    # the Shtarkov leaves, the batched and per-sequence best loss and the
+    # worst-case regret all read one likelihood, so they agree to the bit
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n, K, T = rng.integers(2, 7), rng.integers(1, 4), rng.integers(2, 11)
+        table = rng.uniform(0.02, 0.98, (n, K))
+        table[rng.uniform(size=(n, K)) < 0.3] = 0.0  # 0/1 experts
+        table[rng.uniform(size=(n, K)) < 0.2] = 1.0
+        fam = FiniteStaticFamily(table, feature_keys=[(float(j),) for j in range(K)])
+        features = rng.integers(0, K, (T, 1)).astype(float)
+        oracle = FiniteMaxOracle(fam, features)
+        leaves = leaf_log_sups(oracle, T)
+        labels = (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
+        _, best = best_in_hindsight(fam, features, labels)
+        assert np.array_equal(leaves, -best)
+        assert all(leaves[j] == oracle.log_sup(y) for j, y in enumerate(labels))
+        for alpha in (None, 0.05):
+            worst, regret = worst_case_labels(
+                lambda: MixturePredictor(fam, truncation=alpha), fam, features)
+            j = int("".join(map(str, worst)), 2)
+            assert regret == mixture_losses(fam, features, alpha)[j] + leaves[j]
 
 
 def test_interval_bernoulli_clamps_mle():
