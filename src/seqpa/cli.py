@@ -2,7 +2,8 @@
 
 Subcommands: predict (one online run), shtarkov (sum / lower bounds),
 bound (closed-form registry), cover (cover construction stats), bench
-(experiment matrix from a config file).
+(experiment matrix from a config file).  A ValueError from any of them is
+printed as `seqpa <cmd>: error: <message>` and exits 2.
 """
 
 import argparse
@@ -150,7 +151,11 @@ def main(argv=None):
     np.seterr(over="warn")
     handler = {"predict": _cmd_predict, "shtarkov": _cmd_shtarkov,
                "bound": _cmd_bound, "cover": _cmd_cover, "bench": _cmd_bench}
-    return handler[args.command](args)
+    try:
+        return handler[args.command](args)
+    except ValueError as exc:  # a bad value reported like argparse's own errors
+        print(f"seqpa {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

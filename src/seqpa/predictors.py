@@ -2,10 +2,15 @@
 
 `MixturePredictor` is the posterior-weighted mixture over a finite expert
 family, optionally with smooth truncation of every expert prediction;
-`mixture_losses` scores it on every label sequence at once.  The
-continuous-prior variant is realized as a uniform grid over an enlarged
-parameter ball.  `nml_predict` builds the fixed-design normalized maximum
-likelihood strategy from the exact game-value table.
+`mixture_losses` scores it on every label sequence at once.  The mixture
+keeps its weights in the linear domain between exact log-domain folds, so
+a step or an update takes no exp or log; a fold runs only when some
+expert's product of probabilities since the last one leaves
+[2^-600, 2^300], so no weight is lost and the predictions are the exact
+Bayesian mixture's to double precision.  The continuous-prior variant is
+realized as a uniform grid over an enlarged parameter ball.  `nml_predict`
+builds the fixed-design normalized maximum likelihood strategy from the
+exact game-value table.
 """
 
 import contextlib
@@ -78,16 +83,41 @@ class AllExpertsRuledOut(RuntimeError):
     """Every expert has assigned probability zero to the observed past."""
 
 
+# Fold range for each expert's product r of q's since the last fold, from
+# the double range [2^-1022, 2^1024): inside it r is normal and one more
+# factor q < 2 cannot overflow it; 2^-1075 (where exp underflows) times
+# 2^300 / 2^-600 is 2^-175, under double precision of the mixture; and a
+# factor q >= 2^-422 keeps r * q >= 2^-1022 normal, so smaller q fold first.
+_R_MIN, _R_MAX, _Q_MIN = 2.0 ** -600, 2.0 ** 300, 2.0 ** -422
+
+
 class MixturePredictor:
-    """Posterior-weighted mixture over a finite family (log-domain weights).
+    """Posterior-weighted mixture over a finite family.
 
     With `truncation=None` this is the plain Bayesian mixture; with
     `truncation=alpha` every expert prediction is smooth-truncated before
-    the weight update, so each log-weight stays equal to minus the
+    the weight update, so each log weight stays equal to minus the
     truncated cumulative loss of that expert.  The prediction truncates the
     posterior average instead: truncation is affine and the posterior
     weights sum to one, so truncating the average equals averaging the
     truncated experts.  Step/update alternation is enforced.
+
+    The weights live in the linear domain between exact log-domain folds.
+    The state is the log weights as of the last fold (`_lw`), the product
+    `_r` of each expert's q = p + alpha or 1 + alpha - p over the `_k`
+    updates since then, and `_w = exp(_lw - max _lw) * _r`.  An update
+    multiplies `_r` and `_w` by q; a step reads `_w` only.  A fold sets
+    `_lw += ln _r - _k ln(1 + 2 alpha)`, resets `_r` to 1 and recomputes
+    `_w`.  It runs only when some r leaves [2^-600, 2^300], or before a
+    q below 2^-422 is multiplied in, and never raises.  Between folds:
+
+    - every r is a normal double, so each expert's log weight is kept to
+      rounding, also for an expert whose exp underflowed at the fold;
+    - the leader of the last fold has w = r, a normal double, so the sum
+      of the weights is positive unless every expert is ruled out;
+    - an expert whose exp underflowed at the fold stays below 2^-175 of
+      the leader, so the prediction is the exact mixture's to double
+      precision.
     """
 
     def __init__(self, family, truncation=None):
@@ -96,11 +126,24 @@ class MixturePredictor:
         if truncation is not None and not 0.0 < truncation < 1.0:
             raise ValueError("truncation parameter must lie in (0, 1)")
         n = family.n_experts
-        self.log_weights = np.zeros(n)
-        self._w = np.empty(n)  # exp(log_weights - max), rewritten every step
-        self._q = np.empty(n)  # ln of each expert's probability of y_t, every update
+        self._lw = np.zeros(n)
+        self._r = np.ones(n)
+        self._w = np.ones(n)
+        self._q = np.empty(n)  # p + alpha or 1 + alpha - p, rewritten every update
+        self._k = 0
         self.t = 0
         self._pending = None
+
+    @property
+    def log_weights(self):
+        """Current log weights (a new array), kept to rounding for every
+        expert: minus each expert's (truncated) cumulative loss."""
+        with np.errstate(divide="ignore"):
+            lw = np.log(self._r)
+        lw += self._lw
+        if self.truncation is not None:
+            lw -= self._k * math.log1p(2.0 * self.truncation)
+        return lw
 
     def step(self, x):
         """Receive feature x_t and return the mixture prediction."""
@@ -109,20 +152,18 @@ class MixturePredictor:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         # may be a view of the family's own table: read, never written
         p = np.asarray(self.family.all_predictions(self.t, x), dtype=float)
-        m = self.log_weights.max()
-        if m == -math.inf:
+        total = self._w.sum()
+        if total == 0.0:
             raise AllExpertsRuledOut("all mixture weights are zero")
-        w = np.subtract(self.log_weights, m, out=self._w)
-        np.exp(w, out=w)
-        mean = (w @ p) / w.sum()
+        mean = (self._w @ p) / total
         if self.truncation is not None:
             mean = (mean + self.truncation) / (1.0 + 2.0 * self.truncation)
         self._pending = p
         return float(min(max(mean, 0.0), 1.0))
 
     def update(self, y):
-        """Reveal label y_t; decrement each log-weight by that expert's
-        (truncated) loss -ln((q + alpha) / (1 + 2 alpha)), q = p or 1 - p."""
+        """Reveal label y_t; multiply each expert's weight by q = p + alpha
+        or 1 + alpha - p, (1 + 2 alpha) times its truncated probability of y_t."""
         if self._pending is None:
             raise RuntimeError("update called before step")
         y = as_label(y)
@@ -133,12 +174,25 @@ class MixturePredictor:
             np.add(p, alpha, out=q)
         else:
             np.subtract(1.0 + alpha, p, out=q)
-        with np.errstate(divide="ignore"):
-            np.log(q, out=q)
-        self.log_weights += q
-        if self.truncation is not None:
-            self.log_weights -= math.log1p(2.0 * alpha)
+        if alpha < _Q_MIN and q.min() < _Q_MIN:  # q >= alpha
+            self._fold()
+        self._r *= q
+        self._w *= q
+        self._k += 1
+        if self._r.min() < _R_MIN or self._r.max() > _R_MAX:
+            self._fold()
         self.t += 1
+
+    def _fold(self):
+        """Move ln r into the exact log weights and restart r at 1."""
+        self._lw = self.log_weights
+        self._r.fill(1.0)
+        self._k = 0
+        m = self._lw.max()
+        if m == -math.inf:
+            self._w.fill(0.0)
+        else:
+            np.exp(np.subtract(self._lw, m, out=self._w), out=self._w)
 
     def log_mixture_mass(self):
         """ln of the uniform-prior mixture probability of the observed past."""

@@ -14,16 +14,26 @@ def test_bound_subcommand(capsys):
     assert value == pytest.approx(math.log(201) + 2)
 
 
-def test_bound_subcommand_rejects_unknown_parameter():
-    with pytest.raises(ValueError, match=r"does not take parameters \['alpha'\]"):
-        main(["bound", "--kind", "lipschitz-upper", "--T", "100", "--d", "1",
-              "--R", "1", "--L", "1", "--alpha", "0.1"])
+def _error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1, captured.err  # one line, no traceback
+    return lines[0]
+
+
+def test_bound_subcommand_rejects_unknown_parameter(capsys):
+    assert main(["bound", "--kind", "lipschitz-upper", "--T", "100", "--d", "1",
+                 "--R", "1", "--L", "1", "--alpha", "0.1"]) == 2
+    assert _error_line(capsys) == ("seqpa bound: error: bound 'lipschitz-upper' does not "
+                                   "take parameters ['alpha']; it takes ['L', 'R', 'T', 'd']")
 
 
 def test_bound_subcommand_rejects_fractional_integer(capsys):
-    with pytest.raises(ValueError, match="dfat must be an integer"):
-        main(["bound", "--kind", "cover-size", "--T", "100", "--alpha", "0.1",
-              "--dfat", "2.5"])
+    assert main(["bound", "--kind", "cover-size", "--T", "100", "--alpha", "0.1",
+                 "--dfat", "2.5"]) == 2
+    assert _error_line(capsys) == ("seqpa bound: error: bound parameter dfat must be an "
+                                   "integer, got 2.5")
     assert main(["bound", "--kind", "cover-size", "--T", "100", "--alpha", "0.1",
                  "--dfat", "2"]) == 0
     assert capsys.readouterr().out.split("\n")[1] == "cover-size,T=100,alpha=0.1,dfat=2,1115251"
@@ -65,3 +75,16 @@ def test_bench_subcommand(capsys, tmp_path):
 def test_unknown_bound_kind_errors():
     with pytest.raises(SystemExit):
         main(["bound", "--kind", "nope"])
+
+
+def test_bench_subcommand_reports_bad_cell(capsys, tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("[grid]\nfamily = logistic\nalgorithm = nope\n"
+                   "T = 8\nd = 1\nadversary = greedy\nseed = 0\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert _error_line(capsys) == "seqpa bench: error: unknown algorithm 'nope'"
+
+
+def test_predict_subcommand_reports_bad_adversary(capsys):
+    assert main(["predict", "--T", "8", "--adversary", "nope"]) == 2
+    assert _error_line(capsys) == "seqpa predict: error: unknown adversary 'nope'"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit, ndtr
 
 from seqpa import experts
+from seqpa.covering import grid_cover
 from seqpa.experts import (
     LOGISTIC,
     CodeBook,
@@ -52,6 +53,24 @@ def test_logistic_link_values():
     np.testing.assert_allclose(scalars, [expit(v) for v in scalar_in], rtol=1e-15, atol=0.0)
     assert scalars[1] == 0.0 and scalars[5] == 1.0
     np.testing.assert_allclose(LOGISTIC([-1, 0, 1]), expit([-1.0, 0.0, 1.0]), rtol=1e-15)
+
+
+
+def test_finite_param_family_predictions_stay_in_link_range():
+    # the link's [0, 1] contract stands in for the clip all_predictions used to make
+    cover = grid_cover(glm_family(d=1, R=800.0), 0.5).family
+    params = cover.params.tobytes()
+    assert cover.params.min() == -800.0 and cover.params.max() == 800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1.0, -1.0, 0.3, 1e-3):
+            z = cover.params[:, 0] * x
+            p = cover.all_predictions(0, np.array([x]))
+            assert np.all((p >= 0.0) & (p <= 1.0))
+            assert p.tobytes() == np.clip(LOGISTIC(z), 0.0, 1.0).tobytes()
+            below = z < -709.79  # exp(-z) overflows: exactly 0, as the clip left it
+            assert np.all(p[below] == 0.0) and below.any() == (abs(x) == 1.0)
+    assert cover.params.tobytes() == params
 
 
 def test_logistic_interval_containment():

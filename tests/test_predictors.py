@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,6 +177,84 @@ def test_mixture_step_matches_reference(truncation):
             ref.update(y)
             np.testing.assert_allclose(fused.log_weights, ref.log_weights, rtol=0, atol=1e-10)
         assert table.tobytes() == table_bytes, f"{type(family).__name__} table was written"
+
+
+class _ExactSumReference(_ReferenceMixture):
+    """The reference with each log weight summed exactly (as fractions of the
+    per-step ln q doubles): a float sum drifts by up to 4e-12 over a few
+    hundred steps at |log weight| ~ 1000, more than the tolerance."""
+
+    def __init__(self, family, truncation):
+        super().__init__(family, truncation)
+        self._sums = [Fraction(0)] * family.n_experts
+
+    def update(self, y):
+        q = self._p if y == 1 else 1.0 - self._p
+        self._sums = [s + Fraction(v) for s, v in zip(self._sums, np.log(q).tolist())]
+        self.log_weights = np.array([float(s) for s in self._sums])
+        self.t += 1
+
+
+def _fold_runs(truncation):
+    """(name, family, feature keys, labels) runs that take the weights far
+    outside the double range, so the mixture stays exact only by folding."""
+    keys = [(0.0,), (1.0,)]
+    # (a) expert 1 falls 850 nats behind expert 0, then overtakes it
+    eps, alpha = 1e-4, truncation or 0.0
+    swing = FiniteStaticFamily(np.array([[1.0, eps], [eps, 1.0], [0.01, 0.01]]),
+                               feature_keys=keys)
+    phase = math.ceil(850.0 / math.log((1.0 + alpha) / (eps + alpha)))
+    yield "overtake", swing, [0.0] * phase + [1.0] * (2 * phase), [1] * (3 * phase)
+    # (b) every expert confident and right: q = 1 + alpha at every step
+    sure = FiniteStaticFamily(np.array([[1.0, 0.0]] * 3), feature_keys=keys)
+    yield "confident", sure, [0.0, 1.0] * 10_000, [1, 0] * 10_000
+    # (c) every expert loses about ln 2 a step, the leader too
+    flat = FiniteStaticFamily(np.array([[0.5], [0.4], [0.6]]))
+    yield "decay", flat, [0.0] * 2000, np.random.default_rng(3).integers(0, 2, 2000).tolist()
+    # (d) a q of 1e-200 lands on an r of 1e-170, a product below the doubles
+    plunge = FiniteStaticFamily(np.array([[0.01, 1e-200], [0.5, 0.5]]), feature_keys=keys)
+    yield "plunge", plunge, [0.0] * 85 + [1.0] * 3, [1] * 88
+
+
+@pytest.mark.parametrize("truncation", [None, 0.1])
+def test_mixture_folds_match_log_domain_reference(truncation):
+    for name, family, keys, labels in _fold_runs(truncation):
+        pred, ref = MixturePredictor(family, truncation), _ExactSumReference(family, truncation)
+        yhats, lws = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for key, y in zip(keys, labels):
+                yhats.append((pred.step([key]), ref.step([key])))
+                pred.update(y)
+                ref.update(y)
+                lws.append((pred.log_weights, ref.log_weights))
+        got, want = np.array(yhats).T
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=name)
+        got, want = (np.array(v) for v in zip(*lws))
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+        if name == "overtake":
+            assert np.max(want.max(axis=1) - want[:, 1]) > 800.0
+            assert np.argmax(want[-1]) == 1
+        elif name == "decay":
+            assert want[-1].max() < -1000.0
+
+
+def test_mixture_owns_at_most_four_expert_buffers():
+    # _lw, _r, _w, _q: one buffer more than the log-domain step, through folds
+    cover = grid_cover(glm_family(d=2, R=1.0), 0.1).family
+    n = cover.n_experts
+    pred = MixturePredictor(cover)
+    rng = np.random.default_rng(4)
+    features = rng.normal(size=(700, 2)) / 2.0
+    for x, y in zip(features, rng.integers(0, 2, 700)):
+        pred.step(x)
+        pred.update(int(y))
+    assert pred._k < pred.t  # at least one fold ran
+    buffers = [v for v in vars(pred).values() if isinstance(v, np.ndarray)]
+    assert all(b.shape == (n,) and b.dtype == np.float64 for b in buffers)
+    assert len(buffers) <= 4
 
 
 class _TruncationOffInUpdate(MixturePredictor):
