@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experts import (
-    DsFamily,
     FiniteParamFamily,
     _validate_table,
     ball_lattice,
@@ -27,14 +26,8 @@ DEFAULT_SIZE_CAP = 10 ** 7
 
 @dataclass
 class CoverSet:
-    """Finite cover of a family at a given scale, held as one finite family.
-
-    A lattice cover's `family` is static: each member predicts from the
-    current feature alone, so mixtures iterate over it directly.  An M-SOA
-    cover's `family` (`MsoaCoverFamily`) is sequential: a member's
-    prediction depends on the whole feature prefix, so it is read along
-    one feature sequence with `family.on(features)`.
-    """
+    """Finite cover of a family at a given scale, held as one finite family,
+    read step by step (an M-SOA cover's family from t = 0, in order)."""
 
     scale: float
     family: object
@@ -273,15 +266,15 @@ def msoa_run(dfamily, x_cols, y_levels, cache=None):
 
 
 class MsoaCoverFamily:
-    """The members of an M-SOA cover as one sequential finite family.
+    """The members of an M-SOA cover as one finite family, read step by step.
 
     Member i is the learner that, instead of restricting on errors,
     restricts at the steps `forced[i, 0]` to the levels `forced[i, 1]`
     (both padded with -1) and plays those levels there.  Such a member
     ignores labels, but its prediction at step t depends on the features
-    up to t, so the family is read along one feature sequence:
-    `on(features)` gives every member's level trajectory there as a
-    time-indexed `DsFamily` (s = inf, so any [0,1] table is feasible).
+    up to t, so the family holds the state of one feature sequence: one
+    reader at a time, from t = 0, in order.  t = 0 starts a new sequence;
+    any other t but the step after the last one read raises ValueError.
     """
 
     def __init__(self, dfamily, cache, forced):
@@ -289,34 +282,38 @@ class MsoaCoverFamily:
         self.cache = cache
         self.forced = forced
         self._index = {key: j for j, key in enumerate(dfamily.feature_keys)}
+        self._next = 0
 
     @property
     def n_experts(self):
         return self.forced.shape[0]
 
-    def on(self, features):
-        """One pass over time: members in one consistent class share their unforced
-        prediction, so each step scores each class once and moves forced members in one gather."""
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        cols = [feature_column(self._index, x) for x in features]
+    def all_predictions(self, t, x):
+        """Every member's level at step t: members in one consistent class share their unforced
+        prediction, so each class is scored once, and the members forced at t move in one gather."""
+        if t != 0 and t != self._next:
+            raise ValueError(f"step {t} read where step {self._next} (or 0, to restart) is "
+                             "next: one reader at a time, from t = 0, in order")
+        j = feature_column(self._index, x)
         dfam = self.dfamily
-        # the distinct consistent classes, numbered in order of appearance
-        class_id = {frozenset(range(dfam.n_experts)): 0}
-        member_class = np.zeros(self.n_experts, dtype=np.intp)
-        out = np.empty((self.n_experts, len(cols)))
-        for t, j in enumerate(cols):
-            classes = list(class_id)
-            khat = np.empty(len(classes), dtype=np.intp)
-            restricted = np.empty((len(classes), dfam.K), dtype=np.intp)
-            for c, members in enumerate(classes):
-                khat[c], subclasses = _msoa_step(self.cache, dfam.level_sets[j], members)
-                restricted[c] = [class_id.setdefault(sub, len(class_id)) for sub in subclasses]
-            out[:, t] = dfam.levels[khat[member_class]]
-            rows, slots = np.nonzero(self.forced[:, 0] == t)
-            forced_k = self.forced[rows, 1, slots]
-            out[rows, t] = dfam.levels[forced_k]
-            member_class[rows] = restricted[member_class[rows], forced_k]
-        return DsFamily(out, s=math.inf)
+        if t == 0:
+            # the distinct consistent classes, numbered in order of appearance
+            self._class_id = {frozenset(range(dfam.n_experts)): 0}
+            self._member_class = np.zeros(self.n_experts, dtype=np.intp)
+        class_id, member_class = self._class_id, self._member_class
+        classes = list(class_id)
+        khat = np.empty(len(classes), dtype=np.intp)
+        restricted = np.empty((len(classes), dfam.K), dtype=np.intp)
+        for c, members in enumerate(classes):
+            khat[c], subclasses = _msoa_step(self.cache, dfam.level_sets[j], members)
+            restricted[c] = [class_id.setdefault(sub, len(class_id)) for sub in subclasses]
+        out = dfam.levels[khat[member_class]]
+        rows, slots = np.nonzero(self.forced[:, 0] == t)
+        forced_k = self.forced[rows, 1, slots]
+        out[rows] = dfam.levels[forced_k]
+        member_class[rows] = restricted[member_class[rows], forced_k]
+        self._next = t + 1
+        return out
 
 
 def cover_size_bound(T, alpha, dfat):

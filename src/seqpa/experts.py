@@ -3,9 +3,10 @@
 Families come in two flavors.  Finite families expose ``n_experts`` and
 ``all_predictions(t, x)``: the vector of every expert's prediction at
 0-based step t with current feature x (this is what the mixture
-predictors iterate over).  Parametric families carry an evaluation oracle
-``value(w, x)`` plus a parameter ball, and are turned into finite families
-by the covering module or by grid discretization.
+predictors iterate over); a sequential one, whose predictions depend on
+the feature prefix, is read from t = 0, in order.  Parametric families
+carry an evaluation oracle ``value(w, x)`` plus a parameter ball, and are
+turned into finite families by the covering module or by grid discretization.
 """
 
 import math
@@ -146,11 +147,8 @@ class FiniteStaticFamily:
     def n_experts(self):
         return self.table.shape[0]
 
-    def _column(self, x):
-        return 0 if self._index is None else feature_column(self._index, x)
-
     def all_predictions(self, t, x):
-        return self.table[:, self._column(x)]
+        return self.table[:, 0 if self._index is None else feature_column(self._index, x)]
 
 
 @dataclass

@@ -107,12 +107,13 @@ class MixturePredictor:
     `_r` of each expert's q = p + alpha or 1 + alpha - p over the `_k`
     updates since then, and `_w = exp(_lw - max _lw) * _r`.  An update
     multiplies `_r` and `_w` by q; a step reads `_w` only.  A fold sets
-    `_lw += ln _r - _k ln(1 + 2 alpha)`, resets `_r` to 1 and recomputes
-    `_w`.  It runs only when some r leaves [2^-600, 2^300], or before a
-    q below 2^-422 is multiplied in, and never raises.  Between folds:
+    `_lw += ln _r - _k ln(1 + 2 alpha)`, resets `_r` to 1 (0 for a
+    ruled-out expert) and recomputes `_w`.  It runs only when an expert is
+    newly ruled out (q = 0), some other r leaves [2^-600, 2^300], or before
+    a q in (0, 2^-422) is multiplied in, and never raises.  Between folds:
 
-    - every r is a normal double, so each expert's log weight is kept to
-      rounding, also for an expert whose exp underflowed at the fold;
+    - every r but a ruled-out one is a normal double, so each expert's log
+      weight is kept to rounding, also for an expert whose exp underflowed;
     - the leader of the last fold has w = r, a normal double, so the sum
       of the weights is positive unless every expert is ruled out;
     - an expert whose exp underflowed at the fold stays below 2^-175 of
@@ -131,6 +132,7 @@ class MixturePredictor:
         self._w = np.ones(n)
         self._q = np.empty(n)  # p + alpha or 1 + alpha - p, rewritten every update
         self._k = 0
+        self._live = n  # experts with r > 0, i.e. not ruled out at the last fold
         self.t = 0
         self._pending = None
 
@@ -174,19 +176,24 @@ class MixturePredictor:
             np.add(p, alpha, out=q)
         else:
             np.subtract(1.0 + alpha, p, out=q)
-        if alpha < _Q_MIN and q.min() < _Q_MIN:  # q >= alpha
-            self._fold()
-        self._r *= q
+        if alpha < _Q_MIN and q.min() < _Q_MIN and np.min(q, where=q > 0.0, initial=1.0) < _Q_MIN:
+            self._fold()  # q >= alpha; a q of exactly 0 multiplies in exactly, with no fold
+        r = self._r
+        r *= q
         self._w *= q
         self._k += 1
-        if self._r.min() < _R_MIN or self._r.max() > _R_MAX:
+        low = r.min()
+        if low == 0.0 and np.count_nonzero(r) == self._live:  # no expert newly ruled out
+            low = np.min(r, where=r > 0.0, initial=1.0)
+        if low < _R_MIN or r.max() > _R_MAX:
             self._fold()
         self.t += 1
 
     def _fold(self):
-        """Move ln r into the exact log weights and restart r at 1."""
+        """Move ln r into the exact log weights; restart r at 1, or at 0 if ruled out."""
         self._lw = self.log_weights
-        self._r.fill(1.0)
+        np.greater(self._lw, -math.inf, out=self._r)
+        self._live = np.count_nonzero(self._r)
         self._k = 0
         m = self._lw.max()
         if m == -math.inf:
@@ -273,10 +280,6 @@ class NmlPredictor:
     def __init__(self, table):
         self.table = table
         self.regret = table.root  # ln S_T, constant over positive-mass sequences
-
-    def predict(self, label_prefix):
-        """Q(y_t = 1 | label_prefix), t = len(label_prefix)."""
-        return self.run(list(label_prefix) + [0])[-1]
 
     def run(self, labels):
         """Predictions along one label sequence, walking the table once."""

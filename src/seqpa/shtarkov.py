@@ -128,6 +128,7 @@ class GameValueTable:
         return float(self.levels[0][0])
 
     def value(self, label_prefix):
+        # kept for the label_tree benchmark's leaf check and the NML test reference
         idx = 0
         for y in label_prefix:
             idx = idx * 2 + int(y)

@@ -27,6 +27,7 @@ from seqpa.experts import (
     best_in_hindsight,
     build_hard_lipschitz_class,
     glm_family,
+    prediction_matrix,
 )
 from seqpa.harness import run_bench, run_experiment
 from seqpa.losses import cumulative_loss, log_loss, log_sum_exp
@@ -70,8 +71,9 @@ def test_criterion_1_nml_duality_and_equalizer():
         fam = FiniteStaticFamily(vals[:, None])
         oracle = FiniteMaxOracle(fam, np.zeros((T, 1)))
         table = minimax_value(oracle, T)
-        # independent brute force: direct sum over all label sequences
-        sups = [oracle.log_sup(list(y)) for y in all_label_sequences(T)]
+        # independent brute force: direct sum over all label sequences, the
+        # best expert of each from one batched hindsight call
+        sups = -best_in_hindsight(fam, oracle.features, np.array(list(all_label_sequences(T))))[1]
         brute = log_sum_exp(sups)
         worst_gap = max(worst_gap, abs(table.root - brute))
         nml = nml_predict(oracle, T)
@@ -351,7 +353,7 @@ def test_criterion_8_msoa_errors_and_cover():
         dfat = max(0, fat1_number(dfam.table, dfam.K)[0])
         cover_ok &= len(cover) <= cover_size_bound(T, alpha, dfat)
         for seq in itertools.product(range(2), repeat=T):
-            P = cover.family.on(feats[list(seq)]).vectors
+            P = prediction_matrix(cover.family, feats[list(seq)])
             target = values[:, list(seq)]
             cover_ok &= bool((np.abs(P[None] - target[:, None]).max(axis=2)
                               <= 3 * alpha + 1e-12).any(axis=1).all())

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from seqpa.covering import (
     msoa_cover,
     msoa_run,
 )
-from seqpa.experts import FiniteStaticFamily, glm_family
-from seqpa.harness import worst_case_labels
+from seqpa.experts import (DsFamily, FiniteStaticFamily, best_in_hindsight, glm_family,
+                           prediction_matrix)
+from seqpa.harness import greedy_label_fn, run_protocol, worst_case_labels
 from seqpa.predictors import MixturePredictor
 
 
@@ -238,7 +240,7 @@ def _covers_exhaustively(family, values, feats, T, radius):
     """Whether, along every feature sequence, each row of `values` has a
     member of the sequential `family` within `radius` at every step."""
     for seq in itertools.product(range(len(feats)), repeat=T):
-        P = family.on(feats[list(seq)]).vectors
+        P = prediction_matrix(family, feats[list(seq)])
         target = values[:, list(seq)]
         if not (np.abs(P[None] - target[:, None]).max(axis=2) <= radius + 1e-12).any(axis=1).all():
             return False
@@ -281,16 +283,17 @@ def test_msoa_cover_members_are_sequential():
     T = 8
     cover = msoa_cover(values, 1 / 6, T, keys)
     xs = np.array(keys)[rng.integers(0, 3, T)]
-    full = cover.family.on(xs).vectors
+    full = prediction_matrix(cover.family, xs)
     assert full.shape == (len(cover), T)
     for t in range(T):
-        np.testing.assert_array_equal(cover.family.on(xs[:t + 1]).vectors[:, t], full[:, t])
+        np.testing.assert_array_equal(prediction_matrix(cover.family, xs[:t + 1])[:, t],
+                                      full[:, t])
 
 
 def _forced_reruns(family, features):
     """Every member's levels along `features`, one forced learner rerun per
     member over a plain dict of fat1_number values: the reference for
-    MsoaCoverFamily.on."""
+    MsoaCoverFamily's step-by-step read."""
     dfam = family.dfamily
     index = {key: j for j, key in enumerate(dfam.feature_keys)}
     columns = [dfam.table[:, index[tuple(x)]] for x in np.asarray(features, float).tolist()]
@@ -318,7 +321,7 @@ def _forced_reruns(family, features):
     return dfam.levels[np.array(runs, dtype=int).reshape(len(runs), len(columns))]
 
 
-def test_msoa_cover_on_matches_forced_reruns():
+def test_msoa_cover_read_matches_forced_reruns():
     # one shared pass over time gives the per-member reruns bit for bit
     depths = set()
     for seed in (0, 1):
@@ -330,7 +333,7 @@ def test_msoa_cover_on_matches_forced_reruns():
                     cover = msoa_cover(values, alpha, T, keys)
                     depths.add(cover.family.forced.shape[2])
                     xs = np.array(keys)[rng.integers(0, len(keys), T)]
-                    got = cover.family.on(xs).vectors
+                    got = prediction_matrix(cover.family, xs)
                     np.testing.assert_array_equal(got, _forced_reruns(cover.family, xs))
     assert depths == {0, 1, 2}
 
@@ -338,7 +341,7 @@ def test_msoa_cover_on_matches_forced_reruns():
 def test_msoa_cover_rejects_unknown_feature():
     cover = msoa_cover([[0.1, 0.9]], 1 / 6, 4, [(0.0,), (1.0,)])
     with pytest.raises(KeyError, match="not in this family's finite feature set"):
-        cover.family.on([[0.0], [0.5]])
+        prediction_matrix(cover.family, [[0.0], [0.5]])
 
 
 def test_msoa_cover_cache_matches_fresh_fat1():
@@ -347,7 +350,7 @@ def test_msoa_cover_cache_matches_fresh_fat1():
     keys = [(0.0,), (0.5,), (1.0,)]
     values = rng.uniform(0.02, 0.98, (8, 3))
     cover = msoa_cover(values, 1 / 10, 8, keys)
-    cover.family.on(np.array(keys)[rng.integers(0, 3, 8)])
+    prediction_matrix(cover.family, np.array(keys)[rng.integers(0, 3, 8)])
     dfam = cover.family.dfamily
     for _ in range(60):
         S = frozenset(np.flatnonzero(rng.uniform(size=8) < rng.uniform()).tolist())
@@ -365,7 +368,7 @@ def test_msoa_cover_read_at_scale():
     assert len(cover) == 50_721
     xs = np.array(keys)[rng.integers(0, 3, T)]
     start = time.perf_counter()
-    table = cover.family.on(xs).vectors
+    table = prediction_matrix(cover.family, xs)
     elapsed = time.perf_counter() - start
     assert table.shape == (50_721, T)
     sample = np.sort(rng.choice(len(cover), 100, replace=False))
@@ -374,6 +377,70 @@ def test_msoa_cover_read_at_scale():
     np.testing.assert_array_equal(table[sample], _forced_reruns(some, xs))
     print(f"msoa cover T={T}: {len(cover)} members read in {elapsed:.3f}s")
     assert elapsed < 10
+
+
+def test_msoa_cover_read_is_one_reader_from_zero_in_order():
+    rng = np.random.default_rng(7)
+    keys = [(0.0,), (0.5,), (1.0,)]
+    T = 12
+    cover = msoa_cover(rng.uniform(0.02, 0.98, (6, 3)), 1 / 10, T, keys)
+    fam = cover.family
+    xs = np.array(keys)[rng.integers(0, 3, T)]
+    with pytest.raises(ValueError, match="step 3 read where step 0"):
+        fam.all_predictions(3, xs[3])
+    first = prediction_matrix(fam, xs)
+    # a skipped or repeated step fails loudly
+    for t in range(3):
+        fam.all_predictions(t, xs[t])
+    with pytest.raises(ValueError, match="step 5 read where step 3"):
+        fam.all_predictions(5, xs[5])
+    with pytest.raises(ValueError, match="step 1 read where step 3"):
+        fam.all_predictions(1, xs[1])
+    # an interleaved second reader restarts the family, so the first one fails
+    a, b = MixturePredictor(fam), MixturePredictor(fam)
+    for t in range(2):
+        a.step(xs[t])
+        a.update(1)
+    b.step(xs[0])
+    with pytest.raises(ValueError, match="step 2 read where step 1"):
+        a.step(xs[2])
+    # a fresh t = 0 read restarts and reproduces the first table
+    np.testing.assert_array_equal(prediction_matrix(fam, xs), first)
+    # the streamed family steps a mixture like its dense table; w @ p on a
+    # strided column rounds differently from a contiguous one
+    streamed = MixturePredictor(fam, truncation=cover.scale)
+    dense = MixturePredictor(DsFamily(first, s=math.inf), truncation=cover.scale)
+    for x, y in zip(xs, rng.integers(0, 2, T)):
+        assert abs(streamed.step(x) - dense.step(x)) <= 1e-12
+        streamed.update(y)
+        dense.update(y)
+    np.testing.assert_array_equal(streamed.log_weights, dense.log_weights)
+
+
+def test_msoa_cover_mixture_memory_at_scale():
+    # a greedy stepped mixture over the T=64 cover (50,721 members) holds
+    # O(members) memory: its peak stays under a quarter of the dense
+    # (members, T) float64 table, and its regret within the cover bound
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0.02, 0.98, (6, 3))
+    keys = [(0.0,), (0.5,), (1.0,)]
+    T = 64
+    cover = msoa_cover(values, 0.1, T, keys)
+    xs = np.array(keys)[rng.integers(0, 3, T)]
+    dense_bytes = len(cover) * T * 8
+    tracemalloc.start()
+    try:
+        run = run_protocol(MixturePredictor(cover.family, truncation=cover.scale), xs,
+                           greedy_label_fn())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    regret = run.cumulative_loss - best_in_hindsight(
+        FiniteStaticFamily(values, keys), xs, run.labels)[1]
+    print(f"msoa cover T={T} mixture: peak {peak / 2 ** 20:.2f} MiB against a "
+          f"{dense_bytes / 2 ** 20:.2f} MiB dense table, regret {regret:.3f}")
+    assert peak < dense_bytes / 4
+    assert regret <= cover_upper(T, cover.scale, len(cover))
 
 
 def test_msoa_cover_mixture_within_cover_bound():
@@ -389,9 +456,8 @@ def test_msoa_cover_mixture_within_cover_bound():
             for T in (8, 12):
                 xs = np.array(keys)[rng.integers(0, 3, T)]
                 cover = msoa_cover(values, alpha, T, keys)
-                table = cover.family.on(xs)
                 _, regret = worst_case_labels(
-                    lambda: MixturePredictor(table, truncation=cover.scale), target, xs)
+                    lambda: MixturePredictor(cover.family, truncation=cover.scale), target, xs)
                 slack = cover_upper(T, cover.scale, len(cover)) - regret
                 assert slack >= 0, (seed, alpha, T, regret)
                 min_slack = min(min_slack, slack)

@@ -241,6 +241,48 @@ def test_mixture_folds_match_log_domain_reference(truncation):
             assert want[-1].max() < -1000.0
 
 
+class _CountsFolds(MixturePredictor):
+    folds = 0
+
+    def _fold(self):
+        self.folds += 1
+        super()._fold()
+
+
+def test_mixture_folds_once_per_newly_ruled_out_expert():
+    # exact 0/1 predictions: an update folds once when it rules out a new
+    # expert and not at all when it only gives q = 0 to one already out;
+    # these runs are too short for any other r to leave the fold range
+    pred = _CountsFolds(FiniteStaticFamily([[0.0], [0.5]]))
+    for _ in range(10):
+        pred.step([0.0])
+        pred.update(1)
+    assert pred.folds == 1
+    rng = np.random.default_rng(6)
+    keys = [(0.0,), (1.0,)]
+    outs = repeats = 0
+    for _ in range(20):
+        table = rng.choice([0.0, 0.5, 1.0], (6, 2))
+        table[0] = 0.5  # one expert is never ruled out
+        family = FiniteStaticFamily(table, keys)
+        pred, ref = _CountsFolds(family), _ReferenceMixture(family, None)
+        alive, new_outs = np.ones(6, dtype=bool), 0
+        for j, y in zip(rng.integers(0, 2, 40), rng.integers(0, 2, 40)):
+            assert abs(pred.step(keys[j]) - ref.step(keys[j])) <= 1e-12
+            pred.update(y)
+            ref.update(y)
+            out = table[:, j] == 1 - y
+            new_outs += bool((alive & out).any())
+            repeats += bool((~alive & out).any())
+            alive &= ~out
+        assert pred.folds == new_outs
+        outs += new_outs
+        np.testing.assert_array_equal(np.isneginf(pred.log_weights), ~alive)
+        np.testing.assert_allclose(pred.log_weights[alive], ref.log_weights[alive],
+                                   rtol=0, atol=1e-12)
+    assert outs == 52 and repeats == 625
+
+
 def test_mixture_owns_at_most_four_expert_buffers():
     # _lw, _r, _w, _q: one buffer more than the log-domain step, through folds
     cover = grid_cover(glm_family(d=2, R=1.0), 0.1).family
@@ -366,10 +408,10 @@ def test_nml_predictions_sum_to_one():
     fam = FiniteStaticFamily(np.array([[0.3], [0.8]]))
     oracle = FiniteMaxOracle(fam, np.zeros((3, 1)))
     nml = nml_predict(oracle, 3)
-    p = nml.predict([])
+    p = nml.run([0])[-1]
     assert 0.0 <= p <= 1.0
-    p01 = nml.predict([0])
-    p11 = nml.predict([1])
+    p01 = nml.run([0, 0])[-1]
+    p11 = nml.run([1, 0])[-1]
     assert 0.0 <= p01 <= 1.0 and 0.0 <= p11 <= 1.0
 
 
@@ -404,14 +446,12 @@ def _nml_prediction_per_prefix(table, prefix):
     return float(math.exp(v1 - v)) if v1 > -math.inf else 0.0
 
 
-def test_nml_run_and_predict_bit_identical_to_per_prefix_values():
+def test_nml_run_bit_identical_to_per_prefix_values():
     for oracle, T, sequences in _nml_inputs():
         nml = nml_predict(oracle, T)
         for labels in sequences:
             expected = [_nml_prediction_per_prefix(nml.table, labels[:t]) for t in range(T)]
             assert nml.run(labels) == expected
-            assert nml.predict(labels[:-1]) == expected[-1]
+            assert nml.run(labels[:-1] + [0])[-1] == expected[-1]
     with pytest.raises(ValueError):
         nml.run([0] * (T + 1))
-    with pytest.raises(ValueError):
-        nml.predict([0] * T)
