@@ -9,6 +9,7 @@ memoized, intended for desk-scale instances.
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,11 @@ class DiscretizedFamily:
     @property
     def n_experts(self):
         return self.table.shape[0]
+
+    @functools.cached_property
+    def full_class(self):
+        """The frozenset of every row, built (and hashed) once per family."""
+        return frozenset(range(self.n_experts))
 
     @functools.cached_property
     def level_sets(self):
@@ -212,15 +218,47 @@ def fat1_number(table, K):
 # Multi-level mistake-bounded learner (M-SOA)
 
 
-def _msoa_step(cache, column_sets, members):
-    """The learner's step rule: play the level k whose subclass (the
-    frozenset `members` intersected with `column_sets[k]`, the rows at
-    level k on the current feature, i.e. `DiscretizedFamily.level_sets[j]`)
-    has the largest 1-shattering number, the lowest level on ties.
-    Returns (level, subclasses) with subclasses[k] the members at level k."""
-    subclasses = [members & s for s in column_sets]
+# learner-step memos by id of their cache, so a cache needs no hash and two
+# equal caches never share one; each entry holds a weak reference whose
+# callback drops the entry when its cache dies, before the id can be reused
+_step_memos = {}
+
+
+def _step_memo(cache, level_sets):
+    """The learner-step memo of `cache` for the table indexed by `level_sets`.
+
+    It maps (members, j) to `_msoa_step`'s (level, subclasses), lives exactly
+    as long as the cache object and is shared by every run and cover read
+    given that object.  Raises TypeError for a cache that cannot be weakly
+    referenced and ValueError for one already serving another table.
+    """
+    key = id(cache)
+    entry = _step_memos.get(key)
+    if entry is None:
+        try:
+            ref = weakref.ref(cache, lambda _: _step_memos.pop(key, None))
+        except TypeError:
+            raise TypeError(f"cache must be weakly referenceable, since its learner steps are "
+                            f"memoized for its lifetime; {type(cache).__name__!r} is not") from None
+        entry = _step_memos[key] = (ref, level_sets, {})
+    if entry[1] is not level_sets and entry[1] != level_sets:
+        raise ValueError("cache already serves a family with another level table; "
+                         "use one cache per family")
+    return entry[2]
+
+
+def _msoa_step(memo, cache, level_sets, members, j):
+    """The learner's step rule on feature column j: play the level k whose
+    subclass (the frozenset `members` intersected with `level_sets[j][k]`, the
+    rows at level k on that column) has the largest 1-shattering number, the
+    lowest level on ties.  Returns (level, subclasses) with subclasses[k] the
+    members at level k, and stores it in `memo`, the cache's `_step_memo`, so
+    a step is scored once per (class, column) per cache: callers look
+    `memo[members, j]` up first and call this on a miss."""
+    subclasses = tuple(members & s for s in level_sets[j])
     scores = [cache.value(sub) for sub in subclasses]
-    return scores.index(max(scores)), subclasses
+    step = memo[members, j] = scores.index(max(scores)), subclasses
+    return step
 
 
 def msoa_run(dfamily, x_cols, y_levels, cache=None):
@@ -228,13 +266,17 @@ def msoa_run(dfamily, x_cols, y_levels, cache=None):
 
     `x_cols` are feature column indices into `dfamily.table`,
     `y_levels` the revealed 0-based level labels in range(dfamily.K), one
-    per column, and `cache` any object whose `value(members)` gives the
-    1-shattering number of the subfamily `members` (by default a fresh
-    memo of `dfamily`'s table).  Each step is `_msoa_step` on the family's
-    `level_sets`.  An error is a prediction off by >= 2 levels; errors
-    trigger restriction to the consistent subclass.  Raises ValueError
-    for a column or label out of range or a label count other than the
-    column count, before any step.
+    per column, and `cache` any weakly referenceable object whose
+    `value(members)` gives the 1-shattering number of the subfamily
+    `members` (by default a fresh memo of `dfamily`'s table).  `cache.value`
+    must be a pure function of `members` for this family's table: each step
+    is `_msoa_step` on the family's `level_sets`, scored once per (class,
+    column) per cache, and that step memo dies with its cache.  An error is
+    a prediction off by >= 2 levels; errors trigger restriction to the
+    consistent subclass.  Raises ValueError for a column or label out of
+    range, a label count other than the column count or a cache already
+    serving another table, and TypeError for a cache that cannot be weakly
+    referenced, all before any step.
     """
     K, level_sets = dfamily.K, dfamily.level_sets
     n_features = len(level_sets)
@@ -247,14 +289,16 @@ def msoa_run(dfamily, x_cols, y_levels, cache=None):
             raise ValueError(f"feature column {j} at step {t} is not in range({n_features})")
         if not 0 <= y < K:
             raise ValueError(f"label level {y} at step {t} is not in range({K})")
-        steps.append((level_sets[j], y))
+        steps.append((j, y))
     if cache is None:
         cache = _fat1_memo(dfamily.table, K)
-    members = frozenset(range(dfamily.n_experts))
+    memo = _step_memo(cache, level_sets)
+    members = dfamily.full_class
     preds = []
     errors = 0
-    for column_sets, y in steps:
-        khat, subclasses = _msoa_step(cache, column_sets, members)
+    for j, y in steps:
+        khat, subclasses = (memo.get((members, j))
+                            or _msoa_step(memo, cache, level_sets, members, j))
         preds.append(khat)
         if abs(khat - y) >= 2:
             errors += 1
@@ -282,6 +326,7 @@ class MsoaCoverFamily:
         self.cache = cache
         self.forced = forced
         self._index = {key: j for j, key in enumerate(dfamily.feature_keys)}
+        self._memo = _step_memo(cache, dfamily.level_sets)
         self._next = 0
 
     @property
@@ -290,7 +335,8 @@ class MsoaCoverFamily:
 
     def all_predictions(self, t, x):
         """Every member's level at step t: members in one consistent class share their unforced
-        prediction, so each class is scored once, and the members forced at t move in one gather."""
+        prediction, so each class takes one step from the cache's step memo, and the members
+        forced at t move in one gather."""
         if t != 0 and t != self._next:
             raise ValueError(f"step {t} read where step {self._next} (or 0, to restart) is "
                              "next: one reader at a time, from t = 0, in order")
@@ -298,14 +344,16 @@ class MsoaCoverFamily:
         dfam = self.dfamily
         if t == 0:
             # the distinct consistent classes, numbered in order of appearance
-            self._class_id = {frozenset(range(dfam.n_experts)): 0}
+            self._class_id = {dfam.full_class: 0}
             self._member_class = np.zeros(self.n_experts, dtype=np.intp)
         class_id, member_class = self._class_id, self._member_class
         classes = list(class_id)
         khat = np.empty(len(classes), dtype=np.intp)
         restricted = np.empty((len(classes), dfam.K), dtype=np.intp)
+        memo, level_sets = self._memo, dfam.level_sets
         for c, members in enumerate(classes):
-            khat[c], subclasses = _msoa_step(self.cache, dfam.level_sets[j], members)
+            khat[c], subclasses = (memo.get((members, j))
+                                   or _msoa_step(memo, self.cache, level_sets, members, j))
             restricted[c] = [class_id.setdefault(sub, len(class_id)) for sub in subclasses]
         out = dfam.levels[khat[member_class]]
         rows, slots = np.nonzero(self.forced[:, 0] == t)

@@ -150,15 +150,18 @@ def test_criterion_3_truncation_ratio_and_finite_class_regret():
         T = int(rng.integers(1, 11))
         n = int(rng.integers(2, 7))
         fam = FiniteStaticFamily(rng.uniform(0.05, 0.95, (n, 1)))
-        for y in all_label_sequences(T):
-            pred = MixturePredictor(fam)
-            total = 0.0
-            for t in range(T):
-                yhat = pred.step(np.zeros(1))
-                total += log_loss(yhat, y[t])
-                pred.update(y[t])
+        losses = mixture_losses(fam, np.zeros((T, 1)))
+        # one stepped mixture as the reference, on the alternating labels 0101...,
+        # whose leaf index is that binary number, (2^T - 1) // 3
+        pred = MixturePredictor(fam)
+        total = 0.0
+        for t in range(T):
+            total += log_loss(pred.step(np.zeros(1)), t % 2)
+            pred.update(t % 2)
+        assert abs(total - losses[(2 ** T - 1) // 3]) <= 1e-12
+        for loss, y in zip(losses, all_label_sequences(T)):
             best = min(cumulative_loss([fam.table[i, 0]] * T, y) for i in range(n))
-            if total - best > math.log(n) + 1e-9:
+            if loss - best > math.log(n) + 1e-9:
                 class_viol += 1
     elapsed = time.monotonic() - start
     ok = ratio_viol == 0 and class_viol == 0

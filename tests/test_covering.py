@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import time
@@ -6,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from seqpa import covering
 from seqpa.bounds import cover_upper
 from seqpa.covering import (
     DiscretizedFamily,
@@ -166,13 +168,15 @@ class _RecordingCache:
         return self.inner.value(members)
 
 
-def _scan_msoa_run(dfam, x_cols, y_levels, cache):
+def _scan_msoa_run(dfam, x_cols, y_levels, cache, visited):
     """The learner with its subclasses rebuilt by a generator scan over the
-    members at every step: the reference for the level-index step."""
+    members at every step, scoring every step afresh: the reference for the
+    level-index step.  Appends each step's (members, j) to `visited`."""
     columns = dfam.table.T.tolist()
     members = frozenset(range(dfam.n_experts))
     preds, errors = [], 0
     for j, y in zip(x_cols, y_levels):
+        visited.append((members, j))
         subclasses = [frozenset(i for i in members if columns[j][i] == k) for k in range(dfam.K)]
         scores = [cache.value(sub) for sub in subclasses]
         khat = scores.index(max(scores))
@@ -192,10 +196,23 @@ def _outcome(run, cache):
         return RuntimeError, cache.asked
 
 
+def _memoized_queries(asked, visited, K):
+    """The scan's queries `asked` minus the K of each step whose (members, j)
+    already occurred: what a learner scoring each step once per cache asks."""
+    seen = set()
+    out = []
+    for i, step in enumerate(visited):
+        if step not in seen:
+            seen.add(step)
+            out += asked[i * K:(i + 1) * K]
+    return out
+
+
 def test_msoa_level_index_matches_scan_reference():
-    # same predictions, errors and cache queries, in the same order, as the scan
+    # same predictions and errors as the scan, and the scan's cache queries in
+    # the same order, minus those of each (members, j) step already scored
     rng = np.random.default_rng(11)
-    empty_levels = ties = runs = 0
+    empty_levels = ties = runs = repeats = 0
     for _ in range(120):
         K = int(rng.choice([2, 3, 4]))
         n, m = int(rng.integers(1, 13)), int(rng.integers(1, 5))
@@ -217,16 +234,120 @@ def test_msoa_level_index_matches_scan_reference():
                       rng.integers(0, K, len(x_cols)).tolist()):
                 got = _outcome(lambda c: msoa_run(dfam, x_cols, y, cache=c),
                                _RecordingCache(memo))
-                want = _outcome(lambda c: _scan_msoa_run(dfam, x_cols, y, c),
+                visited = []
+                want = _outcome(lambda c: _scan_msoa_run(dfam, x_cols, y, c, visited),
                                 _RecordingCache(memo))
-                assert got == want, (table.tolist(), x_cols, y)
+                assert got[0] == want[0], (table.tolist(), x_cols, y)
                 asked = want[1]
+                assert got[1] == _memoized_queries(asked, visited, K), (table.tolist(), x_cols, y)
                 runs += 1
+                repeats += len(visited) - len(set(visited))
                 empty_levels += any(not s for s in asked)
                 scores = [memo.value(s) for s in asked]
                 ties += any(scores[i:i + K].count(max(scores[i:i + K])) > 1
                             for i in range(0, len(scores), K))
-    assert runs == 1440 and empty_levels > 500 and ties > 300
+    assert runs == 1440 and empty_levels > 500 and ties > 300 and repeats > 500
+
+
+def _grid_family(n_features, K):
+    """Every point of the K-level grid over `n_features` columns as one family."""
+    table = np.array(list(itertools.product(range(K), repeat=n_features)))
+    return DiscretizedFamily(alpha=1.0 / (2.0 * K),
+                             levels=discretization_levels(1.0 / (2.0 * K))[:K], table=table)
+
+
+def test_msoa_shared_cache_scores_each_step_once():
+    # one recording cache shared over every target and sequence of a family
+    # scores each distinct (members, j) once, with the fresh-cache outcomes
+    dfam = _grid_family(3, 3)
+    K = dfam.K
+    shared = _RecordingCache(_fat1_memo(dfam.table, K))
+    visited = set()
+    for target in range(dfam.n_experts):
+        for x_cols in itertools.product(range(3), repeat=3):
+            y = [int(dfam.table[target, j]) for j in x_cols]
+            got = msoa_run(dfam, x_cols, y, cache=shared)
+            assert got == msoa_run(dfam, x_cols, y, cache=_RecordingCache(shared.inner))
+            steps = []
+            assert _scan_msoa_run(dfam, x_cols, y, shared.inner, steps) == got
+            visited.update(steps)
+
+    def canonical(subclasses):
+        return tuple(tuple(sorted(sub)) for sub in subclasses)
+
+    blocks = [canonical(shared.asked[i:i + K]) for i in range(0, len(shared.asked), K)]
+    assert sorted(blocks) == sorted(
+        canonical(members & s for s in dfam.level_sets[j]) for members, j in visited)
+    assert len(blocks) == len(visited)
+
+
+def test_msoa_step_memo_dies_with_its_cache():
+    # a fresh cache gets a fresh memo, and no memo outlives its cache
+    dfam = _grid_family(2, 2)
+    gc.collect()
+    baseline = len(covering._step_memos)
+    first, second = (_RecordingCache(_fat1_memo(dfam.table, dfam.K)) for _ in range(2))
+    assert msoa_run(dfam, [0, 1], [1, 1], cache=first) == msoa_run(dfam, [0, 1], [1, 1],
+                                                                   cache=second)
+    assert first.asked == second.asked != []
+    assert len(covering._step_memos) == baseline + 2
+    del first, second
+    gc.collect()
+    assert len(covering._step_memos) == baseline
+    rng = np.random.default_rng(2)
+    tracemalloc.start()
+    try:
+        for i in range(200):
+            table = rng.integers(0, 3, (int(rng.integers(1, 9)), 2))
+            fam = DiscretizedFamily(alpha=1 / 6, levels=discretization_levels(1 / 6),
+                                    table=table)
+            cache = _fat1_memo(table, 3)
+            for target in range(fam.n_experts):
+                msoa_run(fam, [0, 1, 0], [int(table[target, j]) for j in (0, 1, 0)],
+                         cache=cache)
+            if i == 0:
+                gc.collect()
+                start = tracemalloc.get_traced_memory()[0]
+        del fam, cache
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(covering._step_memos) == baseline
+    print(f"200 families: {growth} bytes traced growth")
+    assert growth < 64 * 1024, growth
+
+
+class _SlotCache:
+    """A cache without a weak-reference slot; its value must never be asked."""
+
+    __slots__ = ()
+
+    def value(self, members):
+        raise AssertionError("a learner step ran")
+
+
+def test_msoa_rejects_cache_the_memo_cannot_key():
+    dfam = discretize([[0.1, 0.9], [0.9, 0.1]], 1 / 6, feature_keys=[(0.0,), (1.0,)])
+    with pytest.raises(TypeError, match="cache must be weakly referenceable.*'_SlotCache'"):
+        msoa_run(dfam, [0, 1], [0, 2], cache=_SlotCache())
+    # the input checks still come first
+    with pytest.raises(ValueError, match="feature column 2 at step 1"):
+        msoa_run(dfam, [0, 2], [0, 2], cache=_SlotCache())
+    with pytest.raises(TypeError, match="weakly referenceable"):
+        MsoaCoverFamily(dfam, _SlotCache(), np.full((1, 2, 0), -1, dtype=np.int32))
+
+
+def test_msoa_cache_serves_one_table():
+    dfam = discretize([[0.1, 0.9], [0.9, 0.1]], 1 / 6)
+    cache = _fat1_memo(dfam.table, dfam.K)
+    msoa_run(dfam, [0, 1], [0, 2], cache=cache)
+    # an equal table in another family object may use the same cache
+    same = discretize([[0.1, 0.9], [0.9, 0.1]], 1 / 6)
+    assert msoa_run(same, [0, 1], [0, 2], cache=cache) == msoa_run(dfam, [0, 1], [0, 2])
+    other = discretize([[0.9, 0.1], [0.9, 0.1]], 1 / 6)
+    with pytest.raises(ValueError, match="another level table"):
+        msoa_run(other, [0], [2], cache=cache)
 
 
 def test_cover_size_bound_values():
