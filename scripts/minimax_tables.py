@@ -9,6 +9,7 @@ Usage: python scripts/minimax_tables.py
 
 import math
 
+from seqpa.bounds import glm_lower
 from seqpa.experts import LOGISTIC
 from seqpa.shtarkov import (
     ConstantBernoulliMLE,
@@ -35,7 +36,7 @@ def main():
         for d in (2, 4, 8):
             T = d * 1024
             value = block_shtarkov_lower(d, T, LOGISTIC, s)
-            lead = (d / 2) * math.log(T / d ** ((s + 2) / s))
+            lead = glm_lower(T, d, s)
             print(f"  s={s:.0f}  d={d}  T={T:>6}  value={value:8.3f}  lead={lead:8.3f}")
 
 

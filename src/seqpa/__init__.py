@@ -39,7 +39,6 @@ from .covering import (
     CoverSet,
     DiscretizedFamily,
     MsoaCoverFamily,
-    cover_size_bound,
     discretize,
     fat1_number,
     fat_shattering_number,
@@ -62,6 +61,6 @@ from .shtarkov import (
     restricted_binomial_shtarkov,
     shtarkov_sum,
 )
-from .bounds import evaluate_bound
+from .bounds import cover_size_bound, evaluate_bound
 
 __version__ = "0.1.0"

@@ -10,8 +10,6 @@ import math
 
 from scipy.special import gammaln
 
-from .covering import cover_size_bound
-
 
 def _require(cond, msg):
     if not cond:
@@ -74,6 +72,23 @@ def glm_lower(T, d, s, c=0.0):
     arg = T / d ** ((s + 2.0) / s)
     _require(arg > 0, "need T > 0")
     return (d / 2.0) * math.log(arg) - c * d
+
+
+def cover_size_bound(T, alpha, dfat):
+    """Exact sum_{t<=dfat} C(T,t) * ceil(3/(2*alpha))^t, as a float (inf on overflow)."""
+    if dfat < 0:
+        return 0.0
+    base = math.ceil(3.0 / (2.0 * alpha))
+    total = sum(math.comb(T, t) * base ** t for t in range(min(dfat, T) + 1))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
+
+
+def lattice_cover_size(d, R, L, alpha):
+    """(2RL/alpha + 1)^d, the member bound of a lattice cover (not a bound kind)."""
+    return (2.0 * R * L / alpha + 1.0) ** d
 
 
 def power_family_lower(T, s):

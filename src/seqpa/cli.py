@@ -119,7 +119,7 @@ def _cmd_cover(args):
         raise SystemExit("only the logistic family is built in")
     fam = glm_family(d=args.d, R=args.R, s=args.s, lipschitz=args.L)
     cover = grid_cover(fam, args.alpha, size_cap=args.size_cap)
-    size_bound = (2 * args.R * args.L / args.alpha + 1) ** args.d
+    size_bound = bounds.lattice_cover_size(args.d, args.R, args.L, args.alpha)
     print("family,d,alpha,size,size_bound")
     print(f"{args.family},{args.d},{args.alpha:.12g},{len(cover)},{size_bound:.12g}")
     return 0

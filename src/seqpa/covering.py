@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import cover_size_bound, lattice_cover_size  # noqa: F401  (re-exported)
 from .experts import (
     FiniteParamFamily,
     _validate_table,
@@ -64,7 +65,7 @@ def grid_cover(pfam, alpha, size_cap=DEFAULT_SIZE_CAP):
         raise ValueError(f"lattice cover would have up to {len(axis) ** d} members, "
                          f"over the cap {size_cap}")
     W = ball_lattice(axis, d, s, reach + 1e-12)
-    bound = (2.0 * R * L / alpha + 1.0) ** d
+    bound = lattice_cover_size(d, R, L, alpha)
     if len(W) > bound:
         raise ValueError(f"lattice cover has {len(W)} members, over the "
                          f"(2RL/alpha+1)^d bound {bound:.6g}; this construction "
@@ -362,18 +363,6 @@ class MsoaCoverFamily:
         member_class[rows] = restricted[member_class[rows], forced_k]
         self._next = t + 1
         return out
-
-
-def cover_size_bound(T, alpha, dfat):
-    """Exact sum_{t<=dfat} C(T,t) * ceil(3/(2*alpha))^t, as a float (inf on overflow)."""
-    if dfat < 0:
-        return 0.0
-    base = math.ceil(3.0 / (2.0 * alpha))
-    total = sum(math.comb(T, t) * base ** t for t in range(min(dfat, T) + 1))
-    try:
-        return float(total)
-    except OverflowError:
-        return math.inf
 
 
 def msoa_cover(values, alpha, T, feature_keys):

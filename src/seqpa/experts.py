@@ -259,13 +259,16 @@ def best_in_hindsight(family, features, labels):
     w and a certified lower bound f(w) - gap on the infimum of the
     cumulative log loss f over the ball (see `_best_logistic`), so regret
     computed against it never understates the true regret.  For an (S, T)
-    array both come back with a leading axis of length S.
+    array both come back with a leading axis of length S.  The first T
+    feature rows are used; fewer than T raise ValueError.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.asarray(labels)
     if labels.size == 0 and labels.ndim == 1:
         return None, 0.0
     Y = np.atleast_2d(labels)
+    if Y.shape[1] > len(features):
+        raise ValueError(f"{Y.shape[1]} labels but only {len(features)} feature rows")
     if hasattr(family, "n_experts"):
         # steps[t][y]: every expert's log probability of label y at step t;
         # total[s, i]: expert i's log probability of sequence s

@@ -77,12 +77,11 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
 
     `predictor_factory()` must return a `MixturePredictor`, scored on every
     sequence by `mixture_losses`.  The comparator is minus the Shtarkov
-    leaves (`leaf_log_sups` of a `FiniteMaxOracle`) for finite families and,
-    for a parametric family, one batched `best_in_hindsight` call over all
-    2^T sequences, whose certified lower bounds make the returned regret an
-    upper bound on the true one.  Ties go to the first
-    sequence in binary order.  Raises ValueError when T is over `cap`.
-    Returns (labels, regret).
+    leaves, `leaf_log_sups` of a `FiniteMaxOracle`, for a finite or the
+    logistic family alike; the logistic leaves are certified upper bounds
+    on ln sup, so the returned regret is an upper bound on the true one.
+    Ties go to the first sequence in binary order.  Raises ValueError when
+    T is over `cap`.  Returns (labels, regret).
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     T = features.shape[0]
@@ -92,12 +91,7 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
     if not isinstance(predictor, MixturePredictor):
         raise TypeError(f"worst_case_labels needs MixturePredictor factories, got {predictor!r}")
     loss = mixture_losses(predictor.family, features, predictor.truncation)
-    if hasattr(family, "n_experts"):
-        best = -leaf_log_sups(FiniteMaxOracle(family, features), T)
-    else:
-        # row j holds the binary expansion of j, the label_tree_fold leaf order
-        labels = (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
-        _, best = best_in_hindsight(family, features, labels.astype(np.uint8))
+    best = -leaf_log_sups(FiniteMaxOracle(family, features), T)
     with np.errstate(invalid="ignore"):
         regret = np.where((loss == math.inf) & (best == math.inf), 0.0, loss - best)
     j = int(np.argmax(regret))

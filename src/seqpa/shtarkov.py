@@ -34,7 +34,8 @@ def _log_binom(n, k):
 
 
 class FiniteMaxOracle:
-    """ln sup over a finite family; requires the feature sequence."""
+    """ln sup over a finite family, or a certified upper bound on it (within
+    `CERTIFIED_GAP`) over the logistic family; requires the feature sequence."""
 
     def __init__(self, family, features):
         self.family = family
@@ -162,12 +163,20 @@ def label_tree_fold(a0, a1, reduce):
 
 def leaf_log_sups(oracle, T):
     """ln sup probability of every label sequence, indexed like `GameValueTable`
-    leaves: a max-fold of a `FiniteMaxOracle`'s log likelihoods, bit-identical
-    to its `log_sup`, or an exchangeable oracle's `log_sup_by_count` at each
-    leaf's count of ones."""
+    leaves: for a `FiniteMaxOracle`, a max-fold of a finite family's log
+    likelihoods (bit-identical to `log_sup`) or one batched logistic
+    `best_in_hindsight` solve (certified, within `CERTIFIED_GAP`); for an
+    exchangeable oracle, `log_sup_by_count` at each leaf's count of ones."""
     if isinstance(oracle, FiniteMaxOracle):
-        P = prediction_matrix(oracle.family, oracle.features[:T])
-        return label_tree_fold(*log_likelihoods(P), np.max)
+        features = oracle.features[:T]
+        if len(features) < T:
+            raise ValueError(f"T={T} labels but only {len(features)} feature rows")
+        if hasattr(oracle.family, "n_experts"):
+            P = prediction_matrix(oracle.family, features)
+            return label_tree_fold(*log_likelihoods(P), np.max)
+        # row j holds the binary expansion of j, the label_tree_fold leaf order
+        labels = (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
+        return -best_in_hindsight(oracle.family, features, labels.astype(np.uint8))[1]
     if not isinstance(oracle, ExchangeableOracle):
         raise TypeError(f"no label-tree leaves for oracle {oracle!r}")
     counts = label_tree_fold(np.zeros((1, T)), np.ones((1, T)), np.max).astype(int)

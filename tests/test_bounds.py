@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from seqpa.bounds import (
     BOUND_KINDS,
     ball_log_volume,
+    cover_size_bound,
     cover_upper,
     evaluate_bound,
     glm_lower,
@@ -16,7 +17,6 @@ from seqpa.bounds import (
     lipschitz_upper,
     power_family_lower,
 )
-from seqpa.covering import cover_size_bound
 
 
 def test_ball_log_volume_known_dimensions():

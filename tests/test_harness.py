@@ -88,6 +88,7 @@ def test_worst_case_parametric_comparator_batched():
     labels, regret = worst_case_labels(
         lambda: MixturePredictor(cover.family, truncation=alpha), fam, features)
     assert time.monotonic() - start < 1.0
+    assert shtarkov_sum(FiniteMaxOracle(fam, features), T) <= regret + 1e-12
     tr = run_protocol(MixturePredictor(cover.family, truncation=alpha), features,
                       fixed_label_fn(labels))
     _, best = best_in_hindsight(fam, features, labels)

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from seqpa import shtarkov
 from seqpa.bounds import lipschitz_lower
-from seqpa.experts import FiniteStaticFamily, best_in_hindsight, build_hard_lipschitz_class
-from seqpa.harness import worst_case_labels
-from seqpa.predictors import MixturePredictor, mixture_losses
+from seqpa.experts import (FiniteStaticFamily, best_in_hindsight, build_hard_lipschitz_class,
+                           glm_family)
+from seqpa.harness import _ball_features, worst_case_labels
+from seqpa.losses import cumulative_loss
+from seqpa.predictors import MixturePredictor, mixture_losses, nml_predict
 from seqpa.shtarkov import (
     LEAF_BLOCK_BITS,
     ConstantBernoulliMLE,
@@ -134,6 +136,38 @@ def test_finite_comparators_bit_identical():
                 lambda: MixturePredictor(fam, truncation=alpha), fam, features)
             j = int("".join(map(str, worst)), 2)
             assert regret == mixture_losses(fam, features, alpha)[j] + leaves[j]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_logistic_leaves_and_nml_equalizer(d):
+    # the logistic family's leaves come from one batched solve: each is the
+    # per-sequence log sup up to rounding, and its NML still equalizes
+    T = 10
+    features = _ball_features(np.random.default_rng(d), T, d)
+    oracle = FiniteMaxOracle(glm_family(d=d, R=1.0), features)
+    table = minimax_value(oracle, T)
+    nml = nml_predict(oracle, T)
+    assert shtarkov_sum(oracle, T) == table.root == nml.regret
+    for j, leaf in enumerate(table.levels[-1]):
+        y = [(j >> (T - 1 - t)) & 1 for t in range(T)]
+        sup = oracle.log_sup(y)
+        assert abs(leaf - sup) <= 1e-12
+        assert abs(cumulative_loss(nml.run(y), y) + sup - table.root) <= 1e-9
+
+
+@pytest.mark.parametrize("family", [FiniteStaticFamily(np.array([[0.25], [0.75]])),
+                                    glm_family(d=1, R=1.0)])
+def test_fewer_features_than_labels_is_an_error(family):
+    oracle = FiniteMaxOracle(family, np.zeros((3, 1)))
+    for call in (minimax_value, shtarkov_sum, nml_predict, leaf_log_sups):
+        with pytest.raises(ValueError, match="T=5 labels but only 3 feature rows"):
+            call(oracle, 5)
+    with pytest.raises(ValueError, match="5 labels but only 3 feature rows"):
+        oracle.log_sup([0, 1, 0, 1, 1])
+    # more features than labels stays legal: callers pass prefixes
+    prefix = FiniteMaxOracle(family, np.zeros((2, 1)))
+    assert oracle.log_sup([0, 1]) == prefix.log_sup([0, 1])
+    assert minimax_value(oracle, 2).root == shtarkov_sum(prefix, 2)
 
 
 def test_interval_bernoulli_clamps_mle():
