@@ -18,7 +18,7 @@ from .experts import LOGISTIC, glm_family
 
 def _add_predict(sub):
     p = sub.add_parser("predict", help="run one online experiment cell")
-    p.add_argument("--family", default="logistic")
+    p.add_argument("--family", default="logistic", choices=["logistic"])
     p.add_argument("--algorithm", default="smooth_bayes",
                    choices=["smooth_bayes", "continuous_bayes", "constant"])
     p.add_argument("--T", type=int, required=True)
@@ -54,7 +54,7 @@ def _add_shtarkov(sub):
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--link", default="logistic")
+    p.add_argument("--link", default="logistic", choices=["logistic"])
     p.add_argument("--interval", default=None, help="lo,hi for interval-bernoulli")
 
 
@@ -72,8 +72,6 @@ def _cmd_shtarkov(args):
         formula = f"{env:.12g}"
         verdict = "ok" if ln_s >= env else "below-envelope"
     else:  # block-glm
-        if args.link != "logistic":
-            raise SystemExit("only the logistic link is built in")
         ln_s = shtarkov.block_shtarkov_lower(args.d, args.T, LOGISTIC, args.s)
         env = bounds.glm_lower(args.d * (args.T // args.d), args.d, args.s)
         formula = f"{env:.12g}"
@@ -105,7 +103,7 @@ def _cmd_bound(args):
 
 def _add_cover(sub):
     p = sub.add_parser("cover", help="build a cover and report its size")
-    p.add_argument("--family", default="logistic")
+    p.add_argument("--family", default="logistic", choices=["logistic"])
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--L", type=float, default=1.0)
@@ -115,8 +113,6 @@ def _add_cover(sub):
 
 
 def _cmd_cover(args):
-    if args.family != "logistic":
-        raise SystemExit("only the logistic family is built in")
     fam = glm_family(d=args.d, R=args.R, s=args.s, lipschitz=args.L)
     cover = grid_cover(fam, args.alpha, size_cap=args.size_cap)
     size_bound = bounds.lattice_cover_size(args.d, args.R, args.L, args.alpha)

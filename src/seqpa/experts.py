@@ -238,8 +238,8 @@ def ds_project(p, s):
 
 def prediction_matrix(family, features):
     """(n_experts, T) predictions of a finite family along a feature sequence."""
-    return np.stack([np.asarray(family.all_predictions(t, x), dtype=float)
-                     for t, x in enumerate(features)], axis=1)
+    cols = [np.asarray(family.all_predictions(t, x), dtype=float) for t, x in enumerate(features)]
+    return np.stack(cols, axis=1) if cols else np.empty((family.n_experts, 0))
 
 
 def log_likelihoods(P):
@@ -404,13 +404,19 @@ class CodeBook:
                              f"declared minimum {self.min_hamming}")
 
 
+def _zero_positive_counts(table):
+    """(M, M) counts N: N[a, b] is the number of columns where row a is 0
+    and row b is positive (exact in float64 up to 2^53 columns)."""
+    return (table == 0).astype(float) @ (table > 0).astype(float).T
+
+
 def _min_pairwise_hamming(vectors):
-    M = vectors.shape[0]
-    best = vectors.shape[1]
-    for i in range(M):
-        for j in range(i + 1, M):
-            best = min(best, int((vectors[i] != vectors[j]).sum()))
-    return best
+    """Least Hamming distance N[a, b] + N[b, a] between two rows of a 0/1
+    matrix; the row length when there are fewer than two rows."""
+    N = _zero_positive_counts(vectors)
+    D = N + N.T
+    np.fill_diagonal(D, vectors.shape[1])
+    return int(D.min(initial=vectors.shape[1]))
 
 
 class HardLipschitzFamily:
@@ -481,18 +487,18 @@ def build_hard_lipschitz_class(d, T, R, L, alpha, seed):
                          f"(increase R*L or decrease alpha)")
     rng = np.random.default_rng(seed)
     threshold = T / 4.0
-    vectors = []
-    rejections = 0
-    while len(vectors) < M:
+    vectors = np.empty((M, T), dtype=np.uint8)
+    n = rejections = 0
+    while n < M:
         cand = rng.integers(0, 2, size=T).astype(np.uint8)
-        if all((cand != v).sum() >= threshold for v in vectors):
-            vectors.append(cand)
+        if np.all(np.count_nonzero(vectors[:n] != cand, axis=1) >= threshold):
+            vectors[n] = cand
+            n += 1
         else:
             rejections += 1
             if rejections > HARD_CLASS_RETRIES:
                 raise RuntimeError(f"rejection sampling failed for (M={M}, T={T}) "
                                    f"after {HARD_CLASS_RETRIES} rejections")
-    vectors = np.array(vectors)
     codebook = CodeBook(vectors, _min_pairwise_hamming(vectors))
 
     packing = _lattice_packing(d, R, alpha / L, M)

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
-from .experts import (ball_lattice, best_in_hindsight, ds_project, log_likelihoods,
-                      prediction_matrix)
+from .experts import (_zero_positive_counts, ball_lattice, best_in_hindsight, ds_project,
+                      log_likelihoods, prediction_matrix)
 from .losses import log_sum_exp
 
 ENUMERATION_CAP = 22
@@ -324,14 +324,6 @@ class HardClassReport:
     informative: bool
 
 
-def _pairwise_discriminator_sets(table):
-    """For each ordered pair (a, b), the largest index set where a's value is 0
-    and b's is positive; the all-zeros test on that set separates the pair."""
-    M = table.shape[0]
-    return {(a, b): np.where((table[a] == 0) & (table[b] > 0))[0]
-            for a in range(M) for b in range(M) if a != b}
-
-
 def hard_class_certificate(family, codebook, trials=10_000, seed=0, d=None):
     """Monte-Carlo certificate for the hard Lipschitz construction.
 
@@ -340,6 +332,11 @@ def hard_class_certificate(family, codebook, trials=10_000, seed=0, d=None):
     bound next to the analytic error bound M^2 * exp(-alpha*T/8).  The
     closed-form comparison uses the family's own dimension, radius and
     Lipschitz constant; `d`, when given, must equal that dimension.
+
+    Sources src and o are told apart by the all-zeros test on the larger of
+    {src 0, o positive} and {o 0, src positive}, ties to the first.  src's
+    samples are 0 wherever its table is, so src can lose only a test read
+    on the second set (N[o, src] > N[src, o]), when it drew no 1 there.
     """
     ball = family.ball
     if d is not None and d != ball.dimension:
@@ -353,23 +350,15 @@ def hard_class_certificate(family, codebook, trials=10_000, seed=0, d=None):
     min_h = codebook.min_hamming
     if min_h < T / 4.0:
         raise ValueError("codebook violates the T/4 distance requirement")
-    sets = _pairwise_discriminator_sets(table)
+    N = _zero_positive_counts(table)
+    risky, zeros = N.T > N, (table == 0).T  # risky[src, o]: N[o, src] > N[src, o]
 
     rng = np.random.default_rng(seed)
     worst_err = 0.0
     per_source = max(1, trials // M)
     for src in range(M):
         samples = rng.uniform(size=(per_source, T)) < table[src]  # Bernoulli per coordinate
-        # src must win every pairwise all-zeros test it takes part in
-        lost = np.zeros(per_source, dtype=bool)
-        for other in range(M):
-            if other != src:
-                J, K = sets[(src, other)], sets[(other, src)]
-                # use the larger side, oriented so all-zeros picks the 0-valued row
-                if len(J) >= len(K):
-                    lost |= samples[:, J].any(axis=1)
-                else:
-                    lost |= ~samples[:, K].any(axis=1)
+        lost = ~(samples @ zeros[:, risky[src]]).all(axis=1)  # bool: a float @ copies samples
         worst_err = max(worst_err, int(lost.sum()) / per_source)
     std_err = math.sqrt(max(worst_err * (1 - worst_err), 1.0 / per_source) / per_source)
 

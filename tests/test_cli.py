@@ -88,3 +88,14 @@ def test_bench_subcommand_reports_bad_cell(capsys, tmp_path):
 def test_predict_subcommand_reports_bad_adversary(capsys):
     assert main(["predict", "--T", "8", "--adversary", "nope"]) == 2
     assert _error_line(capsys) == "seqpa predict: error: unknown adversary 'nope'"
+
+
+@pytest.mark.parametrize("argv", [["cover", "--family", "probit", "--alpha", "0.1"],
+                                  ["predict", "--family", "probit", "--T", "8"],
+                                  ["shtarkov", "--oracle", "block-glm", "--T", "8",
+                                   "--link", "probit"]])
+def test_single_valued_knobs_reject_other_values(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'probit'" in capsys.readouterr().err

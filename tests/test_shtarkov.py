@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from seqpa import shtarkov
 from seqpa.bounds import lipschitz_lower
-from seqpa.experts import (FiniteStaticFamily, best_in_hindsight, build_hard_lipschitz_class,
-                           glm_family)
+from seqpa import experts
+from seqpa.experts import (CodeBook, FiniteStaticFamily, HardLipschitzFamily, ParamBall,
+                           best_in_hindsight, build_hard_lipschitz_class, glm_family,
+                           prediction_matrix)
 from seqpa.harness import _ball_features, worst_case_labels
 from seqpa.losses import cumulative_loss
 from seqpa.predictors import MixturePredictor, mixture_losses, nml_predict
@@ -16,6 +20,7 @@ from seqpa.shtarkov import (
     ConstantBernoulliMLE,
     DsClosedForm,
     FiniteMaxOracle,
+    HardClassReport,
     IntervalBernoulli,
     block_design_features,
     block_shtarkov_lower,
@@ -170,6 +175,17 @@ def test_fewer_features_than_labels_is_an_error(family):
     assert minimax_value(oracle, 2).root == shtarkov_sum(prefix, 2)
 
 
+@pytest.mark.parametrize("family", [FiniteStaticFamily([[0.3], [0.6]]), glm_family(d=1, R=1.0)])
+def test_empty_horizon(family):
+    # T = 0: the empty label sequence has probability 1 under every expert
+    oracle = FiniteMaxOracle(family, np.zeros((2, 1)))
+    assert minimax_value(oracle, 0).root == 0.0
+    assert shtarkov_sum(oracle, 0) == 0.0
+    if hasattr(family, "n_experts"):
+        assert prediction_matrix(family, np.zeros((0, 1))).shape == (2, 0)
+        assert mixture_losses(family, np.zeros((0, 1))).tolist() == [0.0]
+
+
 def test_interval_bernoulli_clamps_mle():
     oracle = IntervalBernoulli(0.3, 0.7)
     # k/n = 0 clamps to 0.3
@@ -274,3 +290,94 @@ def test_hard_class_certificate_uses_family_radius():
     assert report.formula_lower_bound == pytest.approx(0.837, abs=5e-4)
     with pytest.raises(ValueError, match="dimension"):
         hard_class_certificate(fam, cb, trials=500, seed=0, d=2)
+
+
+def _reference_min_hamming(vectors):
+    """The per-pair Hamming loop the pairwise count matrix replaced."""
+    best = vectors.shape[1]
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            best = min(best, int((vectors[i] != vectors[j]).sum()))
+    return best
+
+
+def _reference_certificate(family, codebook, trials, seed):
+    """The per-pair loss loop the pairwise count matrix replaced, with both
+    sides of each test read from its index sets."""
+    table, ball = family.table, family.ball
+    M, T = table.shape
+    rng = np.random.default_rng(seed)
+    worst, per_source = 0.0, max(1, trials // M)
+    for src in range(M):
+        samples = rng.uniform(size=(per_source, T)) < table[src]
+        lost = np.zeros(per_source, dtype=bool)
+        for other in range(M):
+            if other != src:
+                J = np.where((table[src] == 0) & (table[other] > 0))[0]
+                K = np.where((table[other] == 0) & (table[src] > 0))[0]
+                if len(J) >= len(K):
+                    lost |= samples[:, J].any(axis=1)
+                else:
+                    lost |= ~samples[:, K].any(axis=1)
+        worst = max(worst, int(lost.sum()) / per_source)
+    std_err = math.sqrt(max(worst * (1 - worst), 1.0 / per_source) / per_source)
+    analytic = M ** 2 * math.exp(-float(table.max()) * T / 8.0)
+    formula = lipschitz_lower(T, ball.dimension, ball.radius, family.lipschitz)
+    return HardClassReport(M, codebook.min_hamming, T / 4.0, worst, std_err, analytic,
+                           math.log(M / 2.0), formula, M > 2 and min(worst, analytic) <= 0.5)
+
+
+def _codebook_family(vectors, alpha):
+    M, T = vectors.shape
+    return HardLipschitzFamily(np.arange(M)[:, None], vectors * alpha, np.zeros((T, 1)),
+                               1.0, ParamBall(1, 1.0))
+
+
+def test_hard_class_certificate_matches_per_pair_reference():
+    rng = np.random.default_rng(2205)
+    reports = []
+    while len(reports) < 240:
+        M, T = int(rng.integers(2, 7)), int(rng.integers(4, 24))
+        vectors = rng.integers(0, 2, size=(M, T)).astype(np.uint8)
+        min_h = _reference_min_hamming(vectors)
+        assert experts._min_pairwise_hamming(vectors) == min_h
+        if min_h < T / 4:
+            continue
+        fam = _codebook_family(vectors, float(rng.uniform(0.05, 0.9)))
+        cb = CodeBook(vectors, min_h)
+        trials, seed = int(rng.integers(50, 400)), int(rng.integers(1000))
+        report = hard_class_certificate(fam, cb, trials=trials, seed=seed)
+        reference = _reference_certificate(fam, cb, trials, seed)
+        assert dataclasses.astuple(report) == dataclasses.astuple(reference)
+        reports.append(report)
+    assert sum(r.mc_error > 0 for r in reports) > len(reports) / 2
+
+
+def test_hard_class_certificate_marks_the_exposed_source():
+    # ones on {0, 1} and on {2, 3, 4}: the pair's test reads {2, 3, 4}, where
+    # source 0 is 0, so only source 1 can lose, when it draws no 1 there
+    T, alpha, trials = 8, 0.5, 20_000
+    vectors = np.zeros((2, T), dtype=np.uint8)
+    vectors[0, :2] = vectors[1, 2:5] = 1
+    report = hard_class_certificate(_codebook_family(vectors, alpha), CodeBook(vectors, 5),
+                                    trials=trials, seed=0)
+    exact = (1 - alpha) ** 3
+    assert abs(report.mc_error - exact) <= 4 * math.sqrt(exact * (1 - exact) / (trials // 2))
+
+
+def test_hard_class_certificate_at_d2():
+    T = 2048
+    alpha = 16 * math.log(T) / T
+    fam, cb = build_hard_lipschitz_class(d=2, T=T, R=2.0, L=1.0, alpha=alpha, seed=0)
+    tracemalloc.start()
+    try:
+        report = hard_class_certificate(fam, cb, trials=10_000, seed=0, d=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert cb.min_hamming == _reference_min_hamming(cb.vectors) == 924 >= T / 4
+    assert dataclasses.astuple(report) == (281, 924, 512.0, 0.0, 1 / 35, 0.018825769424438473,
+                                           math.log(281 / 2), 2.694684347186782, True)
+    formula = lipschitz_lower(T, 2, 2.0, 1.0)
+    assert report.implied_lower_bound > formula == report.formula_lower_bound
