@@ -391,15 +391,18 @@ def _best_logistic(X, Y, R):
 
 @dataclass
 class CodeBook:
-    """Binary code vectors with a verified minimum pairwise Hamming distance."""
+    """Binary code vectors with a verified minimum pairwise Hamming distance;
+    `min_hamming` defaults to the computed minimum."""
 
     vectors: np.ndarray  # (M, T) uint8
-    min_hamming: int
+    min_hamming: int | None = None
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.uint8)
         actual = _min_pairwise_hamming(self.vectors)
-        if actual < self.min_hamming:
+        if self.min_hamming is None:
+            self.min_hamming = actual
+        elif actual < self.min_hamming:
             raise ValueError(f"pairwise Hamming distance {actual} is below the "
                              f"declared minimum {self.min_hamming}")
 
@@ -499,7 +502,7 @@ def build_hard_lipschitz_class(d, T, R, L, alpha, seed):
             if rejections > HARD_CLASS_RETRIES:
                 raise RuntimeError(f"rejection sampling failed for (M={M}, T={T}) "
                                    f"after {HARD_CLASS_RETRIES} rejections")
-    codebook = CodeBook(vectors, _min_pairwise_hamming(vectors))
+    codebook = CodeBook(vectors)
 
     packing = _lattice_packing(d, R, alpha / L, M)
     table = vectors.astype(float) * alpha

@@ -21,6 +21,10 @@ from .losses import log_sum_exp
 
 ENUMERATION_CAP = 22
 LEAF_BLOCK_BITS = 14  # label_tree_fold builds 2^14 leaves per row at a time
+# Largest label_tree_fold working array, in float64 elements: 2^26 is 512 MiB.
+# A fold holds about three such arrays at once (the last label level, the next
+# one and a temporary of the reduce), about 1.5 GiB, well inside an 8 GiB machine.
+FOLD_ELEMENT_CAP = 2 ** 26
 
 
 def _log_binom(n, k):
@@ -143,14 +147,31 @@ def label_tree_fold(a0, a1, reduce):
     of the result is reduce(row sums, axis=0) along the sequence whose
     binary expansion is j (y_1 most significant), summed left to right in
     t.  Blocks of 2^LEAF_BLOCK_BITS leaves per row share a label prefix, so
-    memory does not grow with n * 2^T.
+    memory does not grow with n * 2^T: a block's working array holds
+    n * 2^min(T, LEAF_BLOCK_BITS) float64 values, and a fold whose block (or
+    2^T output) is over FOLD_ELEMENT_CAP raises ValueError before it allocates.
+
+    Layout rule: no inner axis of length 2.  Each label step writes both
+    children of the (n, m) row-by-prefix sums with two full-length adds into
+    an (n, m, 2) array, read as (n, 2m).  A broadcast into a trailing axis
+    of length 2 makes numpy run its inner loop once per two elements,
+    several times slower for the same additions in the same order.
     """
-    pairs = np.stack([a0, a1], axis=2)
-    n, T, _ = pairs.shape
+    a0 = np.asarray(a0, dtype=float)
+    a1 = np.asarray(a1, dtype=float)
+    n, T = a0.shape
+    # a block's levels and, for T > 2 * LEAF_BLOCK_BITS, the output are the largest
+    block = max(n * 2 ** min(T, LEAF_BLOCK_BITS), 2 ** T)
+    if block > FOLD_ELEMENT_CAP:
+        raise ValueError(f"label_tree_fold of n={n} rows at T={T} needs {8 * block} bytes "
+                         f"per working array, over the {8 * FOLD_ELEMENT_CAP}-byte cap")
 
     def extend(acc, steps):
         for t in steps:
-            acc = (acc[:, :, None] + pairs[:, None, t, :]).reshape(n, -1)
+            children = np.empty((n, acc.shape[1], 2))
+            np.add(acc, a0[:, t, None], out=children[:, :, 0])
+            np.add(acc, a1[:, t, None], out=children[:, :, 1])
+            acc = children.reshape(n, -1)
         return acc
 
     head = max(T - LEAF_BLOCK_BITS, 0)
@@ -179,7 +200,7 @@ def leaf_log_sups(oracle, T):
         return -best_in_hindsight(oracle.family, features, labels.astype(np.uint8))[1]
     if not isinstance(oracle, ExchangeableOracle):
         raise TypeError(f"no label-tree leaves for oracle {oracle!r}")
-    counts = label_tree_fold(np.zeros((1, T)), np.ones((1, T)), np.max).astype(int)
+    counts = np.bitwise_count(np.arange(2 ** T))
     return np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)[counts]
 
 

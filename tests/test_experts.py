@@ -228,6 +228,23 @@ def test_codebook_min_hamming_enforced():
         CodeBook(np.array([[0, 1, 0, 1], [0, 1, 0, 0]]), min_hamming=2)
     cb = CodeBook(np.array([[0, 1, 1, 0], [1, 0, 0, 1]]), min_hamming=4)
     assert cb.min_hamming == 4
+    assert CodeBook(np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 1]])).min_hamming == 1
+
+
+def test_hard_class_build_computes_min_hamming_once(monkeypatch):
+    calls = []
+    counted = experts._min_pairwise_hamming
+
+    def counting(vectors):
+        calls.append(vectors.shape)
+        return counted(vectors)
+
+    monkeypatch.setattr(experts, "_min_pairwise_hamming", counting)
+    T = 512
+    _, cb = build_hard_lipschitz_class(d=1, T=T, R=1.0, L=1.0,
+                                       alpha=16 * math.log(T) / T, seed=0)
+    assert calls == [cb.vectors.shape]
+    assert cb.min_hamming == counted(cb.vectors) >= T // 4
 
 
 def test_build_hard_lipschitz_class_small():

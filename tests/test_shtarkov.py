@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from seqpa import shtarkov
 from seqpa.bounds import lipschitz_lower
@@ -117,6 +118,88 @@ def test_blocked_leaves_equal_single_block(which, monkeypatch):
     whole = minimax_value(oracle, T).levels[-1]
     monkeypatch.setattr(shtarkov, "LEAF_BLOCK_BITS", 2)
     np.testing.assert_array_equal(minimax_value(oracle, T).levels[-1], whole)
+
+
+def _reference_fold(a0, a1, reduce):
+    """The broadcast label-tree fold that the two-add `extend` replaced."""
+    pairs = np.stack([a0, a1], axis=2)
+    n, T, _ = pairs.shape
+
+    def extend(acc, steps):
+        for t in steps:
+            acc = (acc[:, :, None] + pairs[:, None, t, :]).reshape(n, -1)
+        return acc
+
+    head = max(T - shtarkov.LEAF_BLOCK_BITS, 0)
+    prefixes = extend(np.zeros((n, 1)), range(head))
+    out = np.empty((prefixes.shape[1], 2 ** (T - head)))
+    for p, prefix in enumerate(prefixes.T):
+        out[p] = reduce(extend(prefix[:, None], range(head, T)), axis=0)
+    return out.ravel()
+
+
+def _fold_terms(n, T, seed):
+    # exact 0 and 1 probabilities, so both logs hold -inf entries
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(size=(n, T))
+    P[rng.uniform(size=(n, T)) < 0.2] = 0.0
+    P[rng.uniform(size=(n, T)) < 0.2] = 1.0
+    P.flat[::5], P.flat[2::5] = 0.0, 1.0
+    with np.errstate(divide="ignore"):
+        return np.log1p(-P), np.log(P)
+
+
+@pytest.mark.parametrize("reduce", [np.max, logsumexp])
+@pytest.mark.parametrize("T", [0, 1, 5, LEAF_BLOCK_BITS + 2])
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_fold_bit_identical_to_broadcast_reference(n, T, reduce):
+    a0, a1 = _fold_terms(n, T, seed=n * 100 + T)
+    with np.errstate(invalid="ignore"):
+        got, want = shtarkov.label_tree_fold(a0, a1, reduce), _reference_fold(a0, a1, reduce)
+    assert got.shape == (2 ** T,)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("reduce", [np.max, logsumexp])
+def test_fold_bit_identical_over_prefix_blocks(reduce, monkeypatch):
+    # T = 7 with 2-bit blocks: 32 prefix blocks, all but the first with head > 0
+    monkeypatch.setattr(shtarkov, "LEAF_BLOCK_BITS", 2)
+    for n in (1, 3, 8):
+        a0, a1 = _fold_terms(n, 7, seed=n)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(shtarkov.label_tree_fold(a0, a1, reduce),
+                                  _reference_fold(a0, a1, reduce))
+
+
+def test_fold_size_check_boundary(monkeypatch):
+    monkeypatch.setattr(shtarkov, "LEAF_BLOCK_BITS", 3)
+    monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 64)
+    fold = shtarkov.label_tree_fold
+    assert fold(np.zeros((8, 5)), np.ones((8, 5)), np.max).shape == (32,)  # 8 * 2^3 = 64
+    with pytest.raises(ValueError, match=r"n=9 rows at T=5 needs 576 bytes"):
+        fold(np.zeros((9, 5)), np.ones((9, 5)), np.max)
+    assert fold(np.zeros((1, 6)), np.ones((1, 6)), np.max).shape == (64,)
+    with pytest.raises(ValueError, match=r"n=1 rows at T=7 needs 1024 bytes"):
+        fold(np.zeros((1, 7)), np.ones((1, 7)), np.max)  # the 2^T output is over
+
+
+def test_oversize_fold_fails_before_allocating():
+    # the tuned T = 16 M-SOA cover's size: 69,505 * 2^14 float64 is 8.5 GiB a block
+    n, T = 69_505, 16
+    a = np.zeros((n, T))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n={n} rows at T={T} needs {8 * n * 2 ** 14} bytes"):
+            shtarkov.label_tree_fold(a, a, np.max)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    fam = FiniteStaticFamily(np.full((n, 1), 0.5))
+    features = np.zeros((T, 1))
+    with pytest.raises(ValueError, match=f"n={n} rows at T={T}"):
+        mixture_losses(fam, features)
+    with pytest.raises(ValueError, match=f"n={n} rows at T={T}"):
+        worst_case_labels(lambda: MixturePredictor(fam), fam, features)
 
 
 def test_finite_comparators_bit_identical():
