@@ -85,13 +85,19 @@ def _logistic(z):
     below z = -709.78, where exp(-z) overflows.  A scalar z gives a numpy
     float; an array z gives a new array, computed in one buffer.
     """
-    with np.errstate(over="ignore"):
-        if np.ndim(z) == 0:
+    if np.ndim(z) == 0:
+        with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-float(z)))
-        e = np.negative(z, dtype=float)
+    return _logistic_of_negated(np.negative(z, dtype=float))
+
+
+def _logistic_of_negated(e):
+    """The logistic link of z, given e = -z as a float array that it
+    overwrites with the result: 1 / (1 + exp(e)), all in e's buffer."""
+    with np.errstate(over="ignore"):
         np.exp(e, out=e)
-        e += 1.0
-        return np.reciprocal(e, out=e)
+    e += 1.0
+    return np.reciprocal(e, out=e)
 
 
 LOGISTIC = LinkFunction("logistic", _logistic, c1=0.5, c2=0.2)
@@ -175,16 +181,25 @@ def glm_family(link=LOGISTIC, d=1, R=1.0, s=2.0, lipschitz=None):
         return float(link(float(np.dot(w, x))))
 
     def value_batch(W, x):
-        return np.asarray(link(W @ np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        if link is LOGISTIC:  # W @ -x is -(W @ x) bit for bit: one buffer a call
+            return _logistic_of_negated(W @ -x)
+        return np.asarray(link(W @ x), dtype=float)
 
     return ParametricFamily(ParamBall(d, R, s), lipschitz, value, value_batch, link)
 
 
 class FiniteParamFamily:
-    """A parametric family restricted to a finite parameter set (a cover grid)."""
+    """A parametric family restricted to a finite parameter set (a cover grid).
+
+    `params` is held as an (n, d) array in column-major order, so the
+    product `params @ x` of every step streams down each column once.  The
+    values and their C-order bytes are those passed in; a row-major input
+    is copied once, and the family keeps only the copy.
+    """
 
     def __init__(self, params, parent):
-        self.params = np.atleast_2d(np.asarray(params, dtype=float))
+        self.params = np.asfortranarray(np.atleast_2d(np.asarray(params, dtype=float)))
         self.parent = parent
 
     @property
@@ -465,12 +480,14 @@ class HardLipschitzFamily:
 def _lattice_packing(d, R, separation, count):
     """First `count` points of an integer lattice (spacing = separation) in B_2^d(R)."""
     per_axis = np.arange(-math.floor(R / separation), math.floor(R / separation) + 1) * separation
-    pts = sorted(ball_lattice(per_axis, d, 2.0, R + MEMBERSHIP_SLACK),
-                 key=lambda p: (np.linalg.norm(p), tuple(p)))
-    if len(pts) < count:
+    W = ball_lattice(per_axis, d, 2.0, R + MEMBERSHIP_SLACK)
+    # per-row dot products round like np.linalg.norm of each point, so
+    # equal-norm ties break on the coordinates exactly as a (norm, tuple) key
+    norms = np.sqrt((W[:, None, :] @ W[:, :, None])[:, 0, 0])
+    if len(W) < count:
         raise ValueError(f"lattice packing of B_2^{d}({R}) at separation {separation} "
-                         f"has only {len(pts)} points, need {count}")
-    return np.array(pts[:count])
+                         f"has only {len(W)} points, need {count}")
+    return W[np.lexsort((*W.T[::-1], norms))[:count]]
 
 
 HARD_CLASS_RETRIES = 10_000

@@ -110,7 +110,12 @@ class MixturePredictor:
     `_lw += ln _r - _k ln(1 + 2 alpha)`, resets `_r` to 1 (0 for a
     ruled-out expert) and recomputes `_w`.  It runs only when an expert is
     newly ruled out (q = 0), some other r leaves [2^-600, 2^300], or before
-    a q in (0, 2^-422) is multiplied in, and never raises.  Between folds:
+    a q in (0, 2^-422) is multiplied in, and never raises.  Two scalars
+    `_r_lo`, `_r_hi` bound every live r since the last fold: predictions lie
+    in [0, 1], so each q lies in [min(alpha, fl(1 + alpha) - 1), fl(1 + alpha)],
+    and rounding is monotone, so the bounds times those q's stay bounds.
+    An update scans r for a fold only when the bounds leave the fold range,
+    and a scan that finds none resets them to r's own extremes.  Between folds:
 
     - every r but a ruled-out one is a normal double, so each expert's log
       weight is kept to rounding, also for an expert whose exp underflowed;
@@ -133,6 +138,9 @@ class MixturePredictor:
         self._q = np.empty(n)  # p + alpha or 1 + alpha - p, rewritten every update
         self._k = 0
         self._live = n  # experts with r > 0, i.e. not ruled out at the last fold
+        alpha = 0.0 if truncation is None else truncation
+        self._q_lo, self._q_hi = min(alpha, (1.0 + alpha) - 1.0), 1.0 + alpha
+        self._r_lo = self._r_hi = 1.0
         self.t = 0
         self._pending = None
 
@@ -182,11 +190,17 @@ class MixturePredictor:
         r *= q
         self._w *= q
         self._k += 1
-        low = r.min()
-        if low == 0.0 and np.count_nonzero(r) == self._live:  # no expert newly ruled out
-            low = np.min(r, where=r > 0.0, initial=1.0)
-        if low < _R_MIN or r.max() > _R_MAX:
-            self._fold()
+        self._r_lo *= self._q_lo
+        self._r_hi *= self._q_hi
+        if self._r_lo < _R_MIN or self._r_hi > _R_MAX:
+            low = r.min()
+            if low == 0.0 and np.count_nonzero(r) == self._live:  # no expert newly ruled out
+                low = np.min(r, where=r > 0.0, initial=1.0)
+            high = r.max()
+            if low < _R_MIN or high > _R_MAX:
+                self._fold()
+            else:
+                self._r_lo, self._r_hi = float(low), float(high)
         self.t += 1
 
     def _fold(self):
@@ -195,6 +209,7 @@ class MixturePredictor:
         np.greater(self._lw, -math.inf, out=self._r)
         self._live = np.count_nonzero(self._r)
         self._k = 0
+        self._r_lo = self._r_hi = 1.0
         m = self._lw.max()
         if m == -math.inf:
             self._w.fill(0.0)

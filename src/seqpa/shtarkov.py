@@ -70,8 +70,8 @@ class IntervalBernoulli(ExchangeableOracle):
         """k*ln(w) + (n-k)*ln(1-w) at the clamped MLE w, with the 0*ln(0) := 0
         convention."""
         k = np.asarray(k, dtype=float)
-        w = np.clip(k / n, self.lo, self.hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at n = 0
+            w = np.clip(k / n, self.lo, self.hi)
             a = np.where(k == 0, 0.0, k * np.log(w))
             b = np.where(k == n, 0.0, (n - k) * np.log1p(-w))
         return a + b

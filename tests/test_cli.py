@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,19 @@ def test_bench_subcommand(capsys, tmp_path):
     rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+# sha256 of summary.csv for scripts/bench_small.cfg.  summary.csv bytes stay
+# fixed: a change that moves a digit updates this pin and explains the move
+# in CHANGES.md.
+BENCH_SMALL_SUMMARY_SHA256 = "932757196b98ca0417dfdea7c79622893594ade9b38cc142b513c102ab867db5"
+
+
+def test_bench_small_summary_bytes_pinned(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "scripts" / "bench_small.cfg"
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest()
+    assert digest == BENCH_SMALL_SUMMARY_SHA256
 
 
 def test_unknown_bound_kind_errors():

@@ -22,6 +22,7 @@ from seqpa.experts import (
     build_hard_lipschitz_class,
     ds_project,
     glm_family,
+    prediction_matrix,
 )
 from seqpa.losses import cumulative_loss
 
@@ -71,6 +72,60 @@ def test_finite_param_family_predictions_stay_in_link_range():
             below = z < -709.79  # exp(-z) overflows: exactly 0, as the clip left it
             assert np.all(p[below] == 0.0) and below.any() == (abs(x) == 1.0)
     assert cover.params.tobytes() == params
+
+
+def _ulp_distance(a, b):
+    """Units in the last place between arrays of non-negative doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cover_link_layout(d):
+    # column-major params: at d = 1 the product is the row-major one bit for
+    # bit, at d >= 2 z may move an ulp; the link runs on W @ -x = -(W @ x)
+    cover = grid_cover(glm_family(d=d, R=1.0), 2.0 / 128).family
+    values, raw = cover.params.copy(), cover.params.tobytes()
+    assert cover.params.flags.f_contiguous and cover.params.shape == (cover.n_experts, d)
+    row_major = np.ascontiguousarray(cover.params)
+    features = np.random.default_rng(8).normal(size=(24, d))
+    features /= np.maximum(np.linalg.norm(features, axis=1, keepdims=True), 1.0)
+    P = prediction_matrix(cover, features)
+    for t, x in enumerate(features):
+        got = cover.all_predictions(t, x)
+        assert got.tobytes() == LOGISTIC(cover.params @ x).tobytes()
+        want = LOGISTIC(row_major @ x)
+        if d == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert _ulp_distance(got, want).max() <= 2
+        again = cover.all_predictions(t, x)
+        assert not np.shares_memory(got, again) and again.tobytes() == got.tobytes()
+        assert P[:, t].tobytes() == got.tobytes()
+    assert np.array_equal(cover.params, values) and cover.params.tobytes() == raw
+
+
+def _key_sorted_packing(d, R, separation):
+    """Every point of the lattice packing as first written: a Python sort
+    keyed on each point's np.linalg.norm, then its coordinates."""
+    per_axis = np.arange(-math.floor(R / separation), math.floor(R / separation) + 1) * separation
+    pts = sorted(ball_lattice(per_axis, d, 2.0, R + experts.MEMBERSHIP_SLACK),
+                 key=lambda p: (np.linalg.norm(p), tuple(p)))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("d, R, separation",
+                         [(1, 1.0, 0.05), (2, 4.0, 0.0596), (2, 1.0, 0.0371), (3, 1.0, 0.2)])
+def test_lattice_packing_matches_key_sort(d, R, separation):
+    everything = _key_sorted_packing(d, R, separation)
+    n = len(everything)
+    norms = np.array([np.linalg.norm(p) for p in everything])
+    assert len(np.unique(norms)) < n  # equal-norm ties, broken on the coordinates
+    for count in (1, n // 3, n):
+        got = experts._lattice_packing(d, R, separation, count)
+        want = everything[:count]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=f"has only {n} points"):
+        experts._lattice_packing(d, R, separation, n + 1)
 
 
 def test_logistic_interval_containment():

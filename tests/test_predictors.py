@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqpa.covering import grid_cover
 from seqpa.experts import DsFamily, FiniteStaticFamily, ds_project, glm_family
-from seqpa.losses import cumulative_loss, log_loss
+from seqpa.losses import as_label, cumulative_loss, log_loss
 from seqpa.predictors import (
+    _Q_MIN,
+    _R_MAX,
+    _R_MIN,
     AllExpertsRuledOut,
     MixturePredictor,
     Transcript,
@@ -297,6 +300,90 @@ def test_mixture_owns_at_most_four_expert_buffers():
     buffers = [v for v in vars(pred).values() if isinstance(v, np.ndarray)]
     assert all(b.shape == (n,) and b.dtype == np.float64 for b in buffers)
     assert len(buffers) <= 4
+
+
+class _RecordsFolds(MixturePredictor):
+    def __init__(self, family, truncation=None):
+        self.fold_steps = []
+        super().__init__(family, truncation)
+
+    def _fold(self):
+        self.fold_steps.append(self.t)
+        super()._fold()
+
+
+class _ScansEveryUpdate(_RecordsFolds):
+    """The update before its fold check was gated by a bound: r is scanned
+    for a fold after every update."""
+
+    def update(self, y):
+        if self._pending is None:
+            raise RuntimeError("update called before step")
+        y = as_label(y)
+        p, q = self._pending, self._q
+        self._pending = None
+        alpha = 0.0 if self.truncation is None else self.truncation
+        if y == 1:
+            np.add(p, alpha, out=q)
+        else:
+            np.subtract(1.0 + alpha, p, out=q)
+        if alpha < _Q_MIN and q.min() < _Q_MIN and np.min(q, where=q > 0.0, initial=1.0) < _Q_MIN:
+            self._fold()
+        r = self._r
+        r *= q
+        self._w *= q
+        self._k += 1
+        low = r.min()
+        if low == 0.0 and np.count_nonzero(r) == self._live:
+            low = np.min(r, where=r > 0.0, initial=1.0)
+        if low < _R_MIN or r.max() > _R_MAX:
+            self._fold()
+        self.t += 1
+
+
+def _gate_runs():
+    """(family, features, horizon) triples: the reference families, and a
+    d = 1 cover at R = 800 whose predictions are mostly exactly 0 or 1."""
+    for family, table, features in _reference_families():
+        yield family, features, table.shape[1] if isinstance(family, DsFamily) else None
+    saturated = grid_cover(glm_family(d=1, R=800.0), 0.5).family
+    yield saturated, np.array([[1.0], [-1.0], [0.3], [-0.05]]), None
+
+
+_GATE_RUNS = list(_gate_runs())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(_GATE_RUNS))),
+       st.sampled_from([None, 2.0 ** -8, 0.1, 1.0 / 3.0, 0.999, 1e-130]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 700),
+       st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+def test_mixture_fold_gate_matches_scan_every_update(run, truncation, seed, T, bias):
+    # 1/3: fl(1 + alpha) - 1 < alpha, the lowest q; 1e-130: under _Q_MIN, and
+    # fl(1 + alpha) - 1 = 0; 700 steps take r past both fold thresholds
+    family, features, horizon = _GATE_RUNS[run]
+    T = min(T, horizon or T)
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(T) < bias).astype(int)
+    xs = features[rng.integers(0, len(features), T)]
+    gated, scans = _RecordsFolds(family, truncation), _ScansEveryUpdate(family, truncation)
+    for x, y in zip(xs, labels):
+        try:
+            yhat = gated.step(x)
+        except AllExpertsRuledOut:
+            with pytest.raises(AllExpertsRuledOut):
+                scans.step(x)
+            break
+        assert yhat == scans.step(x)
+        gated.update(y)
+        scans.update(y)
+        r = gated._r
+        assert gated._r_lo <= np.min(r, where=r > 0.0, initial=math.inf)
+        assert gated._r_hi >= r.max()
+    assert gated.fold_steps == scans.fold_steps
+    for name in ("_r", "_w", "_lw", "log_weights"):
+        assert getattr(gated, name).tobytes() == getattr(scans, name).tobytes(), name
+    assert gated._k == scans._k
 
 
 class _TruncationOffInUpdate(MixturePredictor):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ def test_bernoulli_shtarkov_known_values():
     # ln S_1 = ln 2, ln S_2 = ln(1 + 2*(1/2)^2 + 1) = ln(5/2)
     assert shtarkov_sum(ConstantBernoulliMLE(), 1) == pytest.approx(math.log(2))
     assert shtarkov_sum(ConstantBernoulliMLE(), 2) == pytest.approx(math.log(2.5))
+
+
+def test_bernoulli_horizon_zero_is_silent():
+    # the empty sequence: one leaf of sup probability 1, and no 0 / 0 warning
+    oracle = ConstantBernoulliMLE()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert shtarkov_sum(oracle, 0) == 0.0
+        assert np.array_equal(leaf_log_sups(oracle, 0), [0.0])
+        assert minimax_value(oracle, 0).root == 0.0
 
 
 def test_minimax_value_root_equals_shtarkov():
