@@ -64,6 +64,8 @@ def _cmd_shtarkov(args):
         ln_s = shtarkov.shtarkov_sum(shtarkov.ConstantBernoulliMLE(), args.T)
         verdict = "ok"
     elif args.oracle == "interval-bernoulli":
+        if args.interval is None:
+            raise ValueError("--oracle interval-bernoulli needs --interval lo,hi")
         lo, hi = (float(v) for v in args.interval.split(","))
         ln_s = shtarkov.shtarkov_sum(shtarkov.IntervalBernoulli(lo, hi), args.T)
         verdict = "ok"

@@ -9,7 +9,6 @@ memoized, intended for desk-scale instances.
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +108,17 @@ class DiscretizedFamily:
         at level k on feature column j, built once per family."""
         return [[frozenset(np.flatnonzero(column == k).tolist()) for k in range(self.K)]
                 for column in np.asarray(self.table).T]
+
+    @functools.cached_property
+    def shattering(self):
+        """The table's 1-shattering recursion (`_fat1_memo`), built once per family."""
+        return _fat1_memo(self.table, self.K)
+
+    @functools.cached_property
+    def step_memo(self):
+        """The learner-step memo: (members, j) -> `_msoa_step`'s (level,
+        subclasses), shared by every run and cover read of this family."""
+        return {}
 
 
 def discretization_levels(alpha):
@@ -219,46 +229,18 @@ def fat1_number(table, K):
 # Multi-level mistake-bounded learner (M-SOA)
 
 
-# learner-step memos by id of their cache, so a cache needs no hash and two
-# equal caches never share one; each entry holds a weak reference whose
-# callback drops the entry when its cache dies, before the id can be reused
-_step_memos = {}
-
-
-def _step_memo(cache, level_sets):
-    """The learner-step memo of `cache` for the table indexed by `level_sets`.
-
-    It maps (members, j) to `_msoa_step`'s (level, subclasses), lives exactly
-    as long as the cache object and is shared by every run and cover read
-    given that object.  Raises TypeError for a cache that cannot be weakly
-    referenced and ValueError for one already serving another table.
-    """
-    key = id(cache)
-    entry = _step_memos.get(key)
-    if entry is None:
-        try:
-            ref = weakref.ref(cache, lambda _: _step_memos.pop(key, None))
-        except TypeError:
-            raise TypeError(f"cache must be weakly referenceable, since its learner steps are "
-                            f"memoized for its lifetime; {type(cache).__name__!r} is not") from None
-        entry = _step_memos[key] = (ref, level_sets, {})
-    if entry[1] is not level_sets and entry[1] != level_sets:
-        raise ValueError("cache already serves a family with another level table; "
-                         "use one cache per family")
-    return entry[2]
-
-
-def _msoa_step(memo, cache, level_sets, members, j):
+def _msoa_step(dfamily, members, j, cache):
     """The learner's step rule on feature column j: play the level k whose
-    subclass (the frozenset `members` intersected with `level_sets[j][k]`, the
-    rows at level k on that column) has the largest 1-shattering number, the
-    lowest level on ties.  Returns (level, subclasses) with subclasses[k] the
-    members at level k, and stores it in `memo`, the cache's `_step_memo`, so
-    a step is scored once per (class, column) per cache: callers look
-    `memo[members, j]` up first and call this on a miss."""
-    subclasses = tuple(members & s for s in level_sets[j])
-    scores = [cache.value(sub) for sub in subclasses]
-    step = memo[members, j] = scores.index(max(scores)), subclasses
+    subclass (the frozenset `members` intersected with `dfamily.level_sets[j][k]`,
+    the rows at level k on that column) has the largest 1-shattering number
+    `cache.value`, the lowest level on ties.  Returns (level, subclasses) with
+    subclasses[k] the members at level k, from the family's `step_memo`, so a
+    step is scored once per (class, column) per family."""
+    step = dfamily.step_memo.get((members, j))
+    if step is None:
+        subclasses = tuple(members & s for s in dfamily.level_sets[j])
+        scores = [cache.value(sub) for sub in subclasses]
+        step = dfamily.step_memo[members, j] = scores.index(max(scores)), subclasses
     return step
 
 
@@ -267,17 +249,14 @@ def msoa_run(dfamily, x_cols, y_levels, cache=None):
 
     `x_cols` are feature column indices into `dfamily.table`,
     `y_levels` the revealed 0-based level labels in range(dfamily.K), one
-    per column, and `cache` any weakly referenceable object whose
-    `value(members)` gives the 1-shattering number of the subfamily
-    `members` (by default a fresh memo of `dfamily`'s table).  `cache.value`
-    must be a pure function of `members` for this family's table: each step
-    is `_msoa_step` on the family's `level_sets`, scored once per (class,
-    column) per cache, and that step memo dies with its cache.  An error is
-    a prediction off by >= 2 levels; errors trigger restriction to the
-    consistent subclass.  Raises ValueError for a column or label out of
-    range, a label count other than the column count or a cache already
-    serving another table, and TypeError for a cache that cannot be weakly
-    referenced, all before any step.
+    per column, and `cache` any object whose `value(members)` gives the
+    1-shattering number of the subfamily `members` of this family's table
+    (by default `dfamily.shattering`).  Each step is `_msoa_step`, scored
+    once per (class, column) per family: a step already in the family's
+    `step_memo` asks `cache` nothing.  An error is a prediction off by >= 2
+    levels; errors trigger restriction to the consistent subclass.  Raises
+    ValueError for a column or label out of range or a label count other
+    than the column count, before any step.
     """
     K, level_sets = dfamily.K, dfamily.level_sets
     n_features = len(level_sets)
@@ -292,14 +271,12 @@ def msoa_run(dfamily, x_cols, y_levels, cache=None):
             raise ValueError(f"label level {y} at step {t} is not in range({K})")
         steps.append((j, y))
     if cache is None:
-        cache = _fat1_memo(dfamily.table, K)
-    memo = _step_memo(cache, level_sets)
+        cache = dfamily.shattering
     members = dfamily.full_class
     preds = []
     errors = 0
     for j, y in steps:
-        khat, subclasses = (memo.get((members, j))
-                            or _msoa_step(memo, cache, level_sets, members, j))
+        khat, subclasses = _msoa_step(dfamily, members, j, cache)
         preds.append(khat)
         if abs(khat - y) >= 2:
             errors += 1
@@ -320,14 +297,15 @@ class MsoaCoverFamily:
     up to t, so the family holds the state of one feature sequence: one
     reader at a time, from t = 0, in order.  t = 0 starts a new sequence;
     any other t but the step after the last one read raises ValueError.
+    Each consistent class steps through `_msoa_step` on `dfamily`'s own
+    shattering recursion and step memo, shared with `msoa_run` on that
+    family.
     """
 
-    def __init__(self, dfamily, cache, forced):
+    def __init__(self, dfamily, forced):
         self.dfamily = dfamily
-        self.cache = cache
         self.forced = forced
         self._index = {key: j for j, key in enumerate(dfamily.feature_keys)}
-        self._memo = _step_memo(cache, dfamily.level_sets)
         self._next = 0
 
     @property
@@ -336,7 +314,7 @@ class MsoaCoverFamily:
 
     def all_predictions(self, t, x):
         """Every member's level at step t: members in one consistent class share their unforced
-        prediction, so each class takes one step from the cache's step memo, and the members
+        prediction, so each class takes one step from the family's step memo, and the members
         forced at t move in one gather."""
         if t != 0 and t != self._next:
             raise ValueError(f"step {t} read where step {self._next} (or 0, to restart) is "
@@ -351,10 +329,8 @@ class MsoaCoverFamily:
         classes = list(class_id)
         khat = np.empty(len(classes), dtype=np.intp)
         restricted = np.empty((len(classes), dfam.K), dtype=np.intp)
-        memo, level_sets = self._memo, dfam.level_sets
         for c, members in enumerate(classes):
-            khat[c], subclasses = (memo.get((members, j))
-                                   or _msoa_step(memo, self.cache, level_sets, members, j))
+            khat[c], subclasses = _msoa_step(dfam, members, j, dfam.shattering)
             restricted[c] = [class_id.setdefault(sub, len(class_id)) for sub in subclasses]
         out = dfam.levels[khat[member_class]]
         rows, slots = np.nonzero(self.forced[:, 0] == t)
@@ -375,8 +351,7 @@ def msoa_cover(values, alpha, T, feature_keys):
     DEFAULT_SIZE_CAP.
     """
     dfam = discretize(values, alpha, feature_keys=[feature_key(k) for k in feature_keys])
-    cache = _fat1_memo(dfam.table, dfam.K)
-    depth = min(max(cache.value(range(dfam.n_experts)), 0), T)
+    depth = min(max(dfam.shattering.value(dfam.full_class), 0), T)
     K = dfam.K
     size = sum(math.comb(T, t) * K ** t for t in range(depth + 1))
     if size > DEFAULT_SIZE_CAP:
@@ -392,4 +367,4 @@ def msoa_cover(values, alpha, T, feature_keys):
         forced[row:row + n, 0, :t] = np.repeat(steps, len(levels), axis=0)
         forced[row:row + n, 1, :t] = np.tile(levels, (len(steps), 1))
         row += n
-    return CoverSet(scale=3.0 * alpha, family=MsoaCoverFamily(dfam, cache, forced))
+    return CoverSet(scale=3.0 * alpha, family=MsoaCoverFamily(dfam, forced))

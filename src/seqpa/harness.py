@@ -177,12 +177,15 @@ def run_experiment(cell, out_dir=None):
     """Run one experiment cell; returns (ReportRow, Transcript).
 
     The cell is a flat dict of strings (one point of the bench matrix).
-    A transcript CSV is written to `out_dir` when given.
+    A transcript CSV is written to `out_dir` when given.  Raises ValueError
+    for T or d below 1.
     """
     start = time.monotonic()
     digest = _cell_digest(cell)
     T = int(cell["T"])
     d = int(cell.get("d", 1))
+    if T < 1 or d < 1:
+        raise ValueError(f"T and d must be positive integers, got T={T}, d={d}")
     R = float(cell.get("R", 1.0))
     L = float(cell.get("L", 1.0))
     seed = int(cell.get("seed", 0))

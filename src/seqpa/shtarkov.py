@@ -104,7 +104,10 @@ def shtarkov_sum(oracle, T):
 
     Exchangeable oracles are grouped by the number of ones and run to very
     large T; generic oracles enumerate all 2^T sequences (T <= 22).
+    Raises ValueError for a negative T.
     """
+    if T < 0:
+        raise ValueError(f"T must be a nonnegative integer, got {T}")
     if isinstance(oracle, ExchangeableOracle):
         k = np.arange(T + 1)
         return log_sum_exp(_log_binom(T, k) + oracle.log_sup_by_count(k, T))
@@ -277,8 +280,10 @@ def block_shtarkov_lower(d, T, link, s):
     """Certified lower bound on ln S_T for a generalized linear family
     over the block feature design: d times the per-block restricted sum.
 
-    Rejects links whose interval containment fails at this d.
+    Rejects d below 1 and links whose interval containment fails at this d.
     """
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
     r = 1.0 / float(s)
     if not link.interval_containment_ok(d, r):
         raise ValueError(f"link {link.name} fails interval containment at d={d}, r={r}")

@@ -19,7 +19,6 @@ from seqpa.covering import (
     grid_cover,
     msoa_cover,
     msoa_run,
-    _fat1_memo,
 )
 from seqpa.experts import (
     LOGISTIC,
@@ -297,13 +296,12 @@ def _check_msoa_errors(table, K, T, seqs):
     alpha = 1.0 / (2.0 * K)
     levels = discretization_levels(alpha)[:K]
     dfam = DiscretizedFamily(alpha=alpha, levels=levels, table=np.asarray(table))
-    cache = _fat1_memo(dfam.table, dfam.K)
-    d = max(0, cache.value(frozenset(range(dfam.n_experts))))
+    d = max(0, dfam.shattering.value(dfam.full_class))
     worst = 0
     for target in range(dfam.n_experts):
         for x_cols in seqs:
             y = [int(dfam.table[target, j]) for j in x_cols]
-            _, errors = msoa_run(dfam, x_cols, y, cache=cache)
+            _, errors = msoa_run(dfam, x_cols, y)
             worst = max(worst, errors)
             if errors > d:
                 return worst, d, False

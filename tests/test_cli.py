@@ -114,3 +114,20 @@ def test_single_valued_knobs_reject_other_values(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "invalid choice: 'probit'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["shtarkov", "--oracle", "interval-bernoulli", "--T", "4"],
+     "seqpa shtarkov: error: --oracle interval-bernoulli needs --interval lo,hi"),
+    (["shtarkov", "--oracle", "block-glm", "--T", "8", "--d", "0"],
+     "seqpa shtarkov: error: d must be a positive integer, got 0"),
+    (["shtarkov", "--oracle", "constant-bernoulli", "--T", "-1"],
+     "seqpa shtarkov: error: T must be a nonnegative integer, got -1"),
+    (["predict", "--T", "8", "--d", "0"],
+     "seqpa predict: error: T and d must be positive integers, got T=8, d=0"),
+    (["predict", "--T", "0"],
+     "seqpa predict: error: T and d must be positive integers, got T=0, d=1"),
+])
+def test_bad_sizes_and_missing_interval_are_reported(argv, line, capsys):
+    assert main(argv) == 2
+    assert _error_line(capsys) == line

@@ -3,16 +3,15 @@ import itertools
 import math
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from seqpa import covering
 from seqpa.bounds import cover_upper
 from seqpa.covering import (
     DiscretizedFamily,
     MsoaCoverFamily,
-    _fat1_memo,
     cover_size_bound,
     discretization_levels,
     discretize,
@@ -196,10 +195,10 @@ def _outcome(run, cache):
         return RuntimeError, cache.asked
 
 
-def _memoized_queries(asked, visited, K):
+def _memoized_queries(asked, visited, K, seen):
     """The scan's queries `asked` minus the K of each step whose (members, j)
-    already occurred: what a learner scoring each step once per cache asks."""
-    seen = set()
+    is in `seen`, the steps of this family already scored (updated in place):
+    what a learner scoring each step once per family asks."""
     out = []
     for i, step in enumerate(visited):
         if step not in seen:
@@ -210,7 +209,8 @@ def _memoized_queries(asked, visited, K):
 
 def test_msoa_level_index_matches_scan_reference():
     # same predictions and errors as the scan, and the scan's cache queries in
-    # the same order, minus those of each (members, j) step already scored
+    # the same order, minus those of each (members, j) step the family has
+    # already scored, in this run or an earlier one
     rng = np.random.default_rng(11)
     empty_levels = ties = runs = repeats = 0
     for _ in range(120):
@@ -226,7 +226,7 @@ def test_msoa_level_index_matches_scan_reference():
             assert frozenset().union(*column_sets) == frozenset(range(n))
             for k, s in enumerate(column_sets):
                 assert s == frozenset(np.flatnonzero(table[:, j] == k).tolist())
-        memo = _fat1_memo(table, K)
+        memo, seen = dfam.shattering, set()
         for _ in range(6):
             x_cols = rng.integers(0, m, int(rng.integers(0, 7))).tolist()
             target = int(rng.integers(0, n))
@@ -239,7 +239,8 @@ def test_msoa_level_index_matches_scan_reference():
                                 _RecordingCache(memo))
                 assert got[0] == want[0], (table.tolist(), x_cols, y)
                 asked = want[1]
-                assert got[1] == _memoized_queries(asked, visited, K), (table.tolist(), x_cols, y)
+                assert got[1] == _memoized_queries(asked, visited, K, seen), (
+                    table.tolist(), x_cols, y)
                 runs += 1
                 repeats += len(visited) - len(set(visited))
                 empty_levels += any(not s for s in asked)
@@ -258,16 +259,17 @@ def _grid_family(n_features, K):
 
 def test_msoa_shared_cache_scores_each_step_once():
     # one recording cache shared over every target and sequence of a family
-    # scores each distinct (members, j) once, with the fresh-cache outcomes
-    dfam = _grid_family(3, 3)
+    # scores each distinct (members, j) once, with the outcomes of a second
+    # family holding the same table
+    dfam, twin = _grid_family(3, 3), _grid_family(3, 3)
     K = dfam.K
-    shared = _RecordingCache(_fat1_memo(dfam.table, K))
+    shared = _RecordingCache(dfam.shattering)
     visited = set()
     for target in range(dfam.n_experts):
         for x_cols in itertools.product(range(3), repeat=3):
             y = [int(dfam.table[target, j]) for j in x_cols]
             got = msoa_run(dfam, x_cols, y, cache=shared)
-            assert got == msoa_run(dfam, x_cols, y, cache=_RecordingCache(shared.inner))
+            assert got == msoa_run(twin, x_cols, y)
             steps = []
             assert _scan_msoa_run(dfam, x_cols, y, shared.inner, steps) == got
             visited.update(steps)
@@ -281,19 +283,18 @@ def test_msoa_shared_cache_scores_each_step_once():
     assert len(blocks) == len(visited)
 
 
-def test_msoa_step_memo_dies_with_its_cache():
-    # a fresh cache gets a fresh memo, and no memo outlives its cache
-    dfam = _grid_family(2, 2)
-    gc.collect()
-    baseline = len(covering._step_memos)
-    first, second = (_RecordingCache(_fat1_memo(dfam.table, dfam.K)) for _ in range(2))
-    assert msoa_run(dfam, [0, 1], [1, 1], cache=first) == msoa_run(dfam, [0, 1], [1, 1],
-                                                                   cache=second)
-    assert first.asked == second.asked != []
-    assert len(covering._step_memos) == baseline + 2
+def test_msoa_step_memo_dies_with_its_family():
+    # a fresh family gets a fresh memo, and no memo outlives its family
+    first, second = _grid_family(2, 2), _grid_family(2, 2)
+    caches = [_RecordingCache(fam.shattering) for fam in (first, second)]
+    assert (msoa_run(first, [0, 1], [1, 1], cache=caches[0])
+            == msoa_run(second, [0, 1], [1, 1], cache=caches[1]))
+    assert caches[0].asked == caches[1].asked != []
+    assert first.step_memo.keys() == second.step_memo.keys() != set()
+    refs = [weakref.ref(first), weakref.ref(second)]
     del first, second
     gc.collect()
-    assert len(covering._step_memos) == baseline
+    assert [ref() for ref in refs] == [None, None]
     rng = np.random.default_rng(2)
     tracemalloc.start()
     try:
@@ -301,53 +302,65 @@ def test_msoa_step_memo_dies_with_its_cache():
             table = rng.integers(0, 3, (int(rng.integers(1, 9)), 2))
             fam = DiscretizedFamily(alpha=1 / 6, levels=discretization_levels(1 / 6),
                                     table=table)
-            cache = _fat1_memo(table, 3)
             for target in range(fam.n_experts):
-                msoa_run(fam, [0, 1, 0], [int(table[target, j]) for j in (0, 1, 0)],
-                         cache=cache)
+                msoa_run(fam, [0, 1, 0], [int(table[target, j]) for j in (0, 1, 0)])
+            assert fam.step_memo
             if i == 0:
                 gc.collect()
                 start = tracemalloc.get_traced_memory()[0]
-        del fam, cache
+        del fam
         gc.collect()
         growth = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert len(covering._step_memos) == baseline
     print(f"200 families: {growth} bytes traced growth")
     assert growth < 64 * 1024, growth
 
 
-class _SlotCache:
-    """A cache without a weak-reference slot; its value must never be asked."""
-
-    __slots__ = ()
+class _RaisingCache:
+    """A cache whose value raises, so a test sees whether a learner step ran."""
 
     def value(self, members):
         raise AssertionError("a learner step ran")
 
 
-def test_msoa_rejects_cache_the_memo_cannot_key():
+def test_msoa_checks_input_before_any_step():
     dfam = discretize([[0.1, 0.9], [0.9, 0.1]], 1 / 6, feature_keys=[(0.0,), (1.0,)])
-    with pytest.raises(TypeError, match="cache must be weakly referenceable.*'_SlotCache'"):
-        msoa_run(dfam, [0, 1], [0, 2], cache=_SlotCache())
-    # the input checks still come first
     with pytest.raises(ValueError, match="feature column 2 at step 1"):
-        msoa_run(dfam, [0, 2], [0, 2], cache=_SlotCache())
-    with pytest.raises(TypeError, match="weakly referenceable"):
-        MsoaCoverFamily(dfam, _SlotCache(), np.full((1, 2, 0), -1, dtype=np.int32))
+        msoa_run(dfam, [0, 2], [0, 2], cache=_RaisingCache())
+    with pytest.raises(ValueError, match="label level 3 at step 1"):
+        msoa_run(dfam, [0, 1], [0, 3], cache=_RaisingCache())
+    with pytest.raises(ValueError, match="1 labels for 2 feature columns"):
+        msoa_run(dfam, [0, 1], [0], cache=_RaisingCache())
+    assert not dfam.step_memo
+    # valid input does reach the cache
+    with pytest.raises(AssertionError, match="a learner step ran"):
+        msoa_run(dfam, [0, 1], [0, 2], cache=_RaisingCache())
 
 
-def test_msoa_cache_serves_one_table():
-    dfam = discretize([[0.1, 0.9], [0.9, 0.1]], 1 / 6)
-    cache = _fat1_memo(dfam.table, dfam.K)
-    msoa_run(dfam, [0, 1], [0, 2], cache=cache)
-    # an equal table in another family object may use the same cache
-    same = discretize([[0.1, 0.9], [0.9, 0.1]], 1 / 6)
-    assert msoa_run(same, [0, 1], [0, 2], cache=cache) == msoa_run(dfam, [0, 1], [0, 2])
-    other = discretize([[0.9, 0.1], [0.9, 0.1]], 1 / 6)
-    with pytest.raises(ValueError, match="another level table"):
-        msoa_run(other, [0], [2], cache=cache)
+def test_msoa_cover_read_then_run_asks_nothing_scored():
+    # a cover read scores every class a realizable learner run along the same
+    # features reaches, so the run asks its cache nothing, with the outcome of
+    # a second family holding the same table
+    rng = np.random.default_rng(4)
+    keys = [(0.0,), (0.5,), (1.0,)]
+    values = rng.uniform(0.02, 0.98, (6, 3))
+    T = 8
+    cover = msoa_cover(values, 1 / 6, T, keys)
+    dfam = cover.family.dfamily
+    twin = discretize(values, 1 / 6)
+    errors = 0
+    for _ in range(5):
+        x_cols = rng.integers(0, 3, T).tolist()
+        prediction_matrix(cover.family, np.array(keys)[x_cols])
+        for target in range(dfam.n_experts):
+            y = [int(dfam.table[target, j]) for j in x_cols]
+            cache = _RecordingCache(dfam.shattering)
+            got = msoa_run(dfam, x_cols, y, cache=cache)
+            assert cache.asked == [], (x_cols, target)
+            assert got == msoa_run(twin, x_cols, y)
+            errors += got[1]
+    assert errors > 0
 
 
 def test_cover_size_bound_values():
@@ -392,7 +405,7 @@ def test_msoa_cover_coverage_gate_has_power():
     n_forced = (fam.forced[:, 0] >= 0).sum(axis=1)
     assert n_forced.max() >= 1
     assert _covers_exhaustively(fam, values, feats, T, 3 * alpha)
-    fewer = MsoaCoverFamily(fam.dfamily, fam.cache, fam.forced[n_forced < n_forced.max()])
+    fewer = MsoaCoverFamily(fam.dfamily, fam.forced[n_forced < n_forced.max()])
     assert not _covers_exhaustively(fewer, values, feats, T, 3 * alpha)
 
 
@@ -476,7 +489,7 @@ def test_msoa_cover_cache_matches_fresh_fat1():
     for _ in range(60):
         S = frozenset(np.flatnonzero(rng.uniform(size=8) < rng.uniform()).tolist())
         fresh = fat1_number(dfam.table[sorted(S)], dfam.K)[0] if S else -1
-        assert cover.family.cache.value(S) == fresh
+        assert dfam.shattering.value(S) == fresh
 
 
 def test_msoa_cover_read_at_scale():
@@ -494,7 +507,7 @@ def test_msoa_cover_read_at_scale():
     assert table.shape == (50_721, T)
     sample = np.sort(rng.choice(len(cover), 100, replace=False))
     fam = cover.family
-    some = MsoaCoverFamily(fam.dfamily, fam.cache, fam.forced[sample])
+    some = MsoaCoverFamily(fam.dfamily, fam.forced[sample])
     np.testing.assert_array_equal(table[sample], _forced_reruns(some, xs))
     print(f"msoa cover T={T}: {len(cover)} members read in {elapsed:.3f}s")
     assert elapsed < 10

@@ -475,3 +475,14 @@ def test_hard_class_certificate_at_d2():
                                            math.log(281 / 2), 2.694684347186782, True)
     formula = lipschitz_lower(T, 2, 2.0, 1.0)
     assert report.implied_lower_bound > formula == report.formula_lower_bound
+
+
+def test_negative_horizon_and_empty_block_design_are_rejected():
+    for oracle in (ConstantBernoulliMLE(), FiniteMaxOracle(FiniteStaticFamily([[0.3]]),
+                                                           np.zeros((2, 1)))):
+        with pytest.raises(ValueError, match="T must be a nonnegative integer, got -1"):
+            shtarkov_sum(oracle, -1)
+    with pytest.raises(ValueError, match="T must be a nonnegative integer, got -1"):
+        ds_lower_bound(-1, 1.0)
+    with pytest.raises(ValueError, match="d must be a positive integer, got 0"):
+        block_shtarkov_lower(0, 8, LOGISTIC, 1.0)
