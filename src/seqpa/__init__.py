@@ -58,7 +58,6 @@ from .shtarkov import (
     hard_class_certificate,
     identification_bound,
     minimax_value,
-    restricted_binomial_shtarkov,
     shtarkov_sum,
 )
 from .bounds import cover_size_bound, evaluate_bound

@@ -47,19 +47,12 @@ def hessian_upper(T, d, R, C):
     return (d / 2.0) * math.log(2.0 * C * R * R * T / d + 2.0) + d / 2.0 + math.log(2.0)
 
 
-def hessian_volume_upper(T, d, C, log_volume_enlarged=None, R=None):
-    """Volume form: ln(Vol(W*) / Vol(B_2^d(sqrt(d/CT)))) + d/2 + ln 2.
-
-    The enlarged set's log volume may be supplied directly; for a
-    Euclidean ball of radius R it is computed in closed form.
-    """
-    _require(T >= 1 and d >= 1 and C > 0, "need T>=1, d>=1, C>0")
+def hessian_volume_upper(T, d, C, R):
+    """Volume form ln(Vol(W*) / Vol(B_2^d(sqrt(d/CT)))) + d/2 + ln 2, with the
+    enlarged set W* the Euclidean ball of radius R + sqrt(d/CT)."""
+    _require(T >= 1 and d >= 1 and C > 0 and R > 0, "need T>=1, d>=1, C,R>0")
     rho = math.sqrt(d / (C * T))
-    if log_volume_enlarged is None:
-        _require(R is not None and R > 0, "supply R or log_volume_enlarged")
-        log_volume_enlarged = ball_log_volume(d, R + rho)
-    return (log_volume_enlarged - ball_log_volume(d, rho)
-            + d / 2.0 + math.log(2.0))
+    return ball_log_volume(d, R + rho) - ball_log_volume(d, rho) + d / 2.0 + math.log(2.0)
 
 
 def glm_lower(T, d, s, c=0.0):
@@ -115,7 +108,7 @@ def _parameters(fn):
     return tuple(p.name for p in params if p.default is p.empty), {p.name for p in params}
 
 
-_PARAMETERS = {kind: _parameters(fn) for kind, fn in BOUND_KINDS.items()}
+BOUND_PARAMETERS = {kind: _parameters(fn) for kind, fn in BOUND_KINDS.items()}
 _INTEGER_PARAMETERS = {"T", "d", "dfat"}
 
 
@@ -124,7 +117,7 @@ def evaluate_bound(kind, **params):
     parameters, non-integral T, d or dfat, and bad domains raise ValueError."""
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; known: {sorted(BOUND_KINDS)}")
-    required, accepted = _PARAMETERS[kind]
+    required, accepted = BOUND_PARAMETERS[kind]
     missing = [p for p in required if p not in params]
     if missing:
         raise ValueError(f"bound {kind!r} needs parameters {missing}")

@@ -46,6 +46,15 @@ def _cmd_predict(args):
     return 0 if row.ok else 1
 
 
+def _interval(text):
+    """`lo,hi` as two floats; any other value is an argparse error naming the option."""
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo,hi (two numbers), got {text!r}") from None
+    return lo, hi
+
+
 def _add_shtarkov(sub):
     p = sub.add_parser("shtarkov", help="Shtarkov sums and lower bounds")
     p.add_argument("--oracle", required=True,
@@ -54,8 +63,8 @@ def _add_shtarkov(sub):
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--link", default="logistic", choices=["logistic"])
-    p.add_argument("--interval", default=None, help="lo,hi for interval-bernoulli")
+    p.add_argument("--interval", type=_interval, default=None, metavar="lo,hi",
+                   help="the probability interval of interval-bernoulli")
 
 
 def _cmd_shtarkov(args):
@@ -66,8 +75,7 @@ def _cmd_shtarkov(args):
     elif args.oracle == "interval-bernoulli":
         if args.interval is None:
             raise ValueError("--oracle interval-bernoulli needs --interval lo,hi")
-        lo, hi = (float(v) for v in args.interval.split(","))
-        ln_s = shtarkov.shtarkov_sum(shtarkov.IntervalBernoulli(lo, hi), args.T)
+        ln_s = shtarkov.shtarkov_sum(shtarkov.IntervalBernoulli(*args.interval), args.T)
         verdict = "ok"
     elif args.oracle == "power-family":
         ln_s, env = shtarkov.ds_lower_bound(args.T, args.s)
@@ -83,18 +91,19 @@ def _cmd_shtarkov(args):
     return 0
 
 
-_BOUND_PARAMETERS = ("T", "d", "s", "R", "L", "C", "alpha", "cover_size", "dfat", "c")
+# every parameter some registered bound takes, read from the registry's signatures
+_BOUND_FLAGS = sorted(set().union(*(accepted for _, accepted in bounds.BOUND_PARAMETERS.values())))
 
 
 def _add_bound(sub):
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
     p.add_argument("--kind", required=True, choices=sorted(bounds.BOUND_KINDS))
-    for name in _BOUND_PARAMETERS:
+    for name in _BOUND_FLAGS:
         p.add_argument(f"--{name}", type=float, default=None)
 
 
 def _cmd_bound(args):
-    params = {name: getattr(args, name) for name in _BOUND_PARAMETERS
+    params = {name: getattr(args, name) for name in _BOUND_FLAGS
               if getattr(args, name) is not None}
     value = bounds.evaluate_bound(args.kind, **params)
     cols = ",".join(f"{k}={params[k]:.12g}" for k in sorted(params))

@@ -168,25 +168,21 @@ class ParametricFamily:
     link: object = None  # the LinkFunction of a generalized linear family
 
 
-def glm_family(link=LOGISTIC, d=1, R=1.0, s=2.0, lipschitz=None):
-    """Generalized linear family x -> link(<w, x>) over the l_s ball of radius R in R^d.
+def glm_family(d=1, R=1.0, s=2.0, lipschitz=1.0):
+    """Logistic family x -> sigma(<w, x>) over the l_s ball of radius R in R^d.
 
-    The default Lipschitz constant assumes features with norm at most 1 and
-    a link with slope at most 1/4 (logistic); pass `lipschitz` otherwise.
+    The default Lipschitz constant assumes features with norm at most 1 (the
+    logistic slope is at most 1/4); pass `lipschitz` otherwise.
     """
-    if lipschitz is None:
-        lipschitz = 1.0
 
     def value(w, x):
-        return float(link(float(np.dot(w, x))))
+        return float(LOGISTIC(float(np.dot(w, x))))
 
     def value_batch(W, x):
-        x = np.asarray(x, dtype=float)
-        if link is LOGISTIC:  # W @ -x is -(W @ x) bit for bit: one buffer a call
-            return _logistic_of_negated(W @ -x)
-        return np.asarray(link(W @ x), dtype=float)
+        # W @ -x is -(W @ x) bit for bit: one buffer a call
+        return _logistic_of_negated(W @ -np.asarray(x, dtype=float))
 
-    return ParametricFamily(ParamBall(d, R, s), lipschitz, value, value_batch, link)
+    return ParametricFamily(ParamBall(d, R, s), lipschitz, value, value_batch, LOGISTIC)
 
 
 class FiniteParamFamily:
@@ -297,8 +293,8 @@ def best_in_hindsight(family, features, labels):
         return (int(params[0]), float(best[0])) if labels.ndim == 1 else (params, best)
     link = getattr(family, "link", None)
     if link is not LOGISTIC:
-        raise TypeError("the hindsight solver needs the logistic link (glm_family with "
-                        f"link=LOGISTIC), got {getattr(link, 'name', link)!r}")
+        raise TypeError("the hindsight solver needs the logistic link of glm_family, "
+                        f"got {getattr(link, 'name', link)!r}")
     if family.ball.norm_order != 2:
         raise ValueError("the hindsight solver needs an l2 parameter ball, got "
                          f"norm order {family.ball.norm_order}")

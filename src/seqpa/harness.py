@@ -33,14 +33,12 @@ class ConstantPredictor:
 
     def __init__(self, value=0.5):
         self.value = value
-        self._pending = False
 
     def step(self, x):
-        self._pending = True
         return self.value
 
     def update(self, y):
-        self._pending = False
+        pass
 
 
 def run_protocol(predictor, features, label_fn):

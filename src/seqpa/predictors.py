@@ -13,11 +13,9 @@ builds the fixed-design normalized maximum likelihood strategy from the
 exact game-value table.
 """
 
-import contextlib
 import csv
 import io
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,25 +55,21 @@ class Transcript:
         self.step_losses.append(loss)
         self.cumulative_loss += loss
 
-    def to_csv(self, path_or_buf):
-        """Write the transcript to a path (str or os.PathLike) or an open text file."""
-        if isinstance(path_or_buf, (str, os.PathLike)):
-            target = open(path_or_buf, "w", newline="")
-        else:
-            target = contextlib.nullcontext(path_or_buf)
-        with target as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "x", "y", "yhat", "step_loss", "cum_loss"])
-            cum = 0.0
-            for t, (y, yhat, loss) in enumerate(
-                    zip(self.labels, self.predictions, self.step_losses), start=1):
-                cum += loss
-                x = ";".join(f"{v:.12g}" for v in np.atleast_1d(self.features[t - 1]))
-                writer.writerow([t, x, y, f"{yhat:.12g}", f"{loss:.12g}", f"{cum:.12g}"])
+    def to_csv(self, path):
+        """Write `to_csv_string()` to the file at `path`."""
+        with open(path, "w", newline="") as fh:
+            fh.write(self.to_csv_string())
 
     def to_csv_string(self):
         buf = io.StringIO()
-        self.to_csv(buf)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["t", "x", "y", "yhat", "step_loss", "cum_loss"])
+        cum = 0.0
+        for t, (y, yhat, loss) in enumerate(
+                zip(self.labels, self.predictions, self.step_losses), start=1):
+            cum += loss
+            x = ";".join(f"{v:.12g}" for v in np.atleast_1d(self.features[t - 1]))
+            writer.writerow([t, x, y, f"{yhat:.12g}", f"{loss:.12g}", f"{cum:.12g}"])
         return buf.getvalue()
 
 
@@ -94,13 +88,14 @@ _R_MIN, _R_MAX, _Q_MIN = 2.0 ** -600, 2.0 ** 300, 2.0 ** -422
 class MixturePredictor:
     """Posterior-weighted mixture over a finite family.
 
-    With `truncation=None` this is the plain Bayesian mixture; with
-    `truncation=alpha` every expert prediction is smooth-truncated before
-    the weight update, so each log weight stays equal to minus the
+    With `truncation=alpha` every expert prediction is smooth-truncated
+    before the weight update, so each log weight stays equal to minus the
     truncated cumulative loss of that expert.  The prediction truncates the
     posterior average instead: truncation is affine and the posterior
     weights sum to one, so truncating the average equals averaging the
-    truncated experts.  Step/update alternation is enforced.
+    truncated experts.  `truncation=None`, the plain Bayesian mixture, runs
+    the same formulas at alpha = 0, where they are exact.  Step/update
+    alternation is enforced.
 
     The weights live in the linear domain between exact log-domain folds.
     The state is the log weights as of the last fold (`_lw`), the product
@@ -131,6 +126,7 @@ class MixturePredictor:
         self.truncation = truncation
         if truncation is not None and not 0.0 < truncation < 1.0:
             raise ValueError("truncation parameter must lie in (0, 1)")
+        self._alpha = alpha = 0.0 if truncation is None else truncation
         n = family.n_experts
         self._lw = np.zeros(n)
         self._r = np.ones(n)
@@ -138,7 +134,6 @@ class MixturePredictor:
         self._q = np.empty(n)  # p + alpha or 1 + alpha - p, rewritten every update
         self._k = 0
         self._live = n  # experts with r > 0, i.e. not ruled out at the last fold
-        alpha = 0.0 if truncation is None else truncation
         self._q_lo, self._q_hi = min(alpha, (1.0 + alpha) - 1.0), 1.0 + alpha
         self._r_lo = self._r_hi = 1.0
         self.t = 0
@@ -151,8 +146,7 @@ class MixturePredictor:
         with np.errstate(divide="ignore"):
             lw = np.log(self._r)
         lw += self._lw
-        if self.truncation is not None:
-            lw -= self._k * math.log1p(2.0 * self.truncation)
+        lw -= self._k * math.log1p(2.0 * self._alpha)
         return lw
 
     def step(self, x):
@@ -165,9 +159,7 @@ class MixturePredictor:
         total = self._w.sum()
         if total == 0.0:
             raise AllExpertsRuledOut("all mixture weights are zero")
-        mean = (self._w @ p) / total
-        if self.truncation is not None:
-            mean = (mean + self.truncation) / (1.0 + 2.0 * self.truncation)
+        mean = ((self._w @ p) / total + self._alpha) / (1.0 + 2.0 * self._alpha)
         self._pending = p
         return float(min(max(mean, 0.0), 1.0))
 
@@ -179,7 +171,7 @@ class MixturePredictor:
         y = as_label(y)
         p, q = self._pending, self._q
         self._pending = None
-        alpha = 0.0 if self.truncation is None else self.truncation
+        alpha = self._alpha
         if y == 1:
             np.add(p, alpha, out=q)
         else:

@@ -267,15 +267,6 @@ def block_design_features(d, T):
     return Tt, feats
 
 
-def restricted_binomial_shtarkov(n, lo, hi):
-    """ln sum_k C(n,k) * sup_{w in [lo,hi]} w^k (1-w)^(n-k), exactly."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < lo <= hi < 1.0:
-        raise ValueError("interval must sit strictly inside (0, 1)")
-    return shtarkov_sum(IntervalBernoulli(lo, hi), n)
-
-
 def block_shtarkov_lower(d, T, link, s):
     """Certified lower bound on ln S_T for a generalized linear family
     over the block feature design: d times the per-block restricted sum.
@@ -287,13 +278,11 @@ def block_shtarkov_lower(d, T, link, s):
     r = 1.0 / float(s)
     if not link.interval_containment_ok(d, r):
         raise ValueError(f"link {link.name} fails interval containment at d={d}, r={r}")
-    if T % d != 0:
-        T = d * (T // d)
     n = T // d
     if n < 1 or n > 10 ** 5:
         raise ValueError(f"per-block length {n} outside [1, 1e5]")
     h = d ** (-r)
-    return d * restricted_binomial_shtarkov(n, link.c1 - link.c2 * h, link.c1 + link.c2 * h)
+    return d * shtarkov_sum(IntervalBernoulli(link.c1 - link.c2 * h, link.c1 + link.c2 * h), n)
 
 
 # ---------------------------------------------------------------------------

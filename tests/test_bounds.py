@@ -42,12 +42,11 @@ def test_hessian_upper_value():
 
 
 def test_hessian_volume_matches_ball_form():
+    # d-ball volumes scale as radius^d: ln Vol(R + rho) - ln Vol(rho) = d ln(1 + R/rho)
     T, d, C, R = 64, 2, 0.25, 1.0
-    direct = hessian_volume_upper(T, d, C, R=R)
     rho = math.sqrt(d / (C * T))
-    via_log_vol = hessian_volume_upper(T, d, C,
-                                       log_volume_enlarged=ball_log_volume(d, R + rho))
-    assert direct == pytest.approx(via_log_vol)
+    assert hessian_volume_upper(T, d, C, R) == pytest.approx(
+        d * math.log(1.0 + R / rho) + d / 2.0 + math.log(2.0))
 
 
 def test_glm_lower_shape():
@@ -75,7 +74,7 @@ def test_evaluate_bound_required_parameters():
         "lipschitz-upper": ("T", "d", "R", "L"),
         "lipschitz-lower": ("T", "d", "R", "L"),
         "hessian-upper": ("T", "d", "R", "C"),
-        "hessian-volume-upper": ("T", "d", "C"),
+        "hessian-volume-upper": ("T", "d", "C", "R"),
         "glm-lower": ("T", "d", "s"),
         "power-lower": ("T", "s"),
         "cover-size": ("T", "alpha", "dfat"),

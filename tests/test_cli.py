@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from seqpa import bounds, harness, shtarkov
 from seqpa.cli import main
+from seqpa.experts import LOGISTIC
 
 
 def test_bound_subcommand(capsys):
@@ -41,11 +43,66 @@ def test_bound_subcommand_rejects_fractional_integer(capsys):
     assert capsys.readouterr().out.split("\n")[1] == "cover-size,T=100,alpha=0.1,dfat=2,1115251"
 
 
+_BOUND_ARGS = {"T": 100, "d": 2, "s": 2, "R": 1, "L": 1, "C": 0.25, "alpha": 0.1,
+               "cover_size": 50, "dfat": 3}
+
+
+@pytest.mark.parametrize("kind", sorted(bounds.BOUND_KINDS))
+def test_bound_subcommand_matches_registry_for_every_kind(kind, capsys):
+    required, _ = bounds.BOUND_PARAMETERS[kind]
+    params = {name: _BOUND_ARGS[name] for name in required}
+    argv = ["bound", "--kind", kind]
+    for name, value in params.items():
+        argv += [f"--{name}", str(value)]
+    assert main(argv) == 0
+    cols = ",".join(f"{k}={params[k]:.12g}" for k in sorted(params))
+    value = bounds.evaluate_bound(kind, **params)
+    assert capsys.readouterr().out == f"kind,params,value\n{kind},{cols},{value:.12g}\n"
+
+
 def test_shtarkov_subcommand(capsys):
     assert main(["shtarkov", "--oracle", "constant-bernoulli", "--T", "2"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     ln_s = float(out[1].split(",")[4])
     assert ln_s == pytest.approx(math.log(2.5))
+
+
+def _interval_line():
+    ln_s = shtarkov.shtarkov_sum(shtarkov.IntervalBernoulli(0.2, 0.7), 50)
+    return f"interval-bernoulli,50,1,1,{ln_s:.12g},,ok"
+
+
+def _power_line():
+    ln_s, env = shtarkov.ds_lower_bound(20, 2.0)
+    assert ln_s >= env
+    return f"power-family,20,1,2,{ln_s:.12g},{env:.12g},ok"
+
+
+def _block_line():
+    ln_s = shtarkov.block_shtarkov_lower(2, 40, LOGISTIC, 2.0)
+    env = bounds.glm_lower(40, 2, 2.0)
+    assert ln_s < env
+    return f"block-glm,40,2,2,{ln_s:.12g},{env:.12g},below-pure-leading-term"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--oracle", "interval-bernoulli", "--T", "50", "--interval", "0.2,0.7"], _interval_line),
+    (["--oracle", "power-family", "--T", "20", "--s", "2"], _power_line),
+    (["--oracle", "block-glm", "--T", "40", "--d", "2", "--s", "2"], _block_line),
+])
+def test_shtarkov_subcommand_lines_match_library(argv, expected, capsys):
+    assert main(["shtarkov"] + argv) == 0
+    assert capsys.readouterr().out == f"oracle,T,d,s,ln_S,formula_bound,verdict\n{expected()}\n"
+
+
+@pytest.mark.parametrize("value", ["0.2", "0.2,0.3,0.4", "a,b"])
+def test_shtarkov_rejects_malformed_interval(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["shtarkov", "--oracle", "interval-bernoulli", "--T", "4", "--interval", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().split("\n")[-1]
+    assert err == (f"seqpa shtarkov: error: argument --interval: expected lo,hi "
+                   f"(two numbers), got {value!r}")
 
 
 def test_cover_subcommand(capsys):
@@ -63,6 +120,17 @@ def test_predict_subcommand_exit_code(capsys, tmp_path):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("digest,family,predictor,adversary")
+
+
+def test_predict_without_out_writes_transcript_to_stdout(capsys):
+    assert main(["predict", "--T", "8", "--d", "2", "--adversary", "iid:0.5",
+                 "--seed", "3"]) == 0
+    cell = {"family": "logistic", "algorithm": "smooth_bayes", "T": "8", "d": "2",
+            "R": "1.0", "L": "1.0", "alpha": "auto", "adversary": "iid:0.5",
+            "features": "ball", "seed": "3"}
+    row, transcript = harness.run_experiment(cell)
+    assert capsys.readouterr().out == (",".join(harness.ReportRow.CSV_FIELDS) + "\n"
+                                       + row.csv_line() + "\n" + transcript.to_csv_string())
 
 
 def test_bench_subcommand(capsys, tmp_path):
@@ -106,9 +174,7 @@ def test_predict_subcommand_reports_bad_adversary(capsys):
 
 
 @pytest.mark.parametrize("argv", [["cover", "--family", "probit", "--alpha", "0.1"],
-                                  ["predict", "--family", "probit", "--T", "8"],
-                                  ["shtarkov", "--oracle", "block-glm", "--T", "8",
-                                   "--link", "probit"]])
+                                  ["predict", "--family", "probit", "--T", "8"]])
 def test_single_valued_knobs_reject_other_values(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

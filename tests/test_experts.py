@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -260,7 +261,8 @@ def test_best_in_hindsight_rejects_unsupported_families():
         best_in_hindsight(glm_family(d=2, R=1.0, s=1.0), features, labels)
     probit = LinkFunction("probit", ndtr)
     with pytest.raises(TypeError, match="logistic"):
-        best_in_hindsight(glm_family(link=probit, d=2, R=1.0), features, labels)
+        best_in_hindsight(dataclasses.replace(glm_family(d=2, R=1.0), link=probit),
+                          features, labels)
 
 
 def test_best_in_hindsight_stopped_early(monkeypatch):

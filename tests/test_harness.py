@@ -156,6 +156,29 @@ def test_run_experiment_rejects_understated_lipschitz_constant():
     assert run_experiment(block)[0].ok
 
 
+def test_run_experiment_file_adversary_plays_the_file(tmp_path):
+    labels = [1, 0, 0, 1, 1, 1, 0, 1]
+    path = tmp_path / "labels.txt"
+    path.write_text(" ".join(map(str, labels[:4])) + "\n" + " ".join(map(str, labels[4:])))
+    cell = dict(family="logistic", algorithm="smooth_bayes", T=8, d=1,
+                adversary=f"file:{path}", features="ball", seed=0)
+    row, transcript = run_experiment(cell)
+    assert transcript.labels == labels
+    assert row.adversary == f"file:{path}" and row.ok
+
+
+def test_run_experiment_constant_cell_has_the_trivial_bound():
+    T = 10
+    cell = dict(family="logistic", algorithm="constant", T=T, d=2,
+                adversary="iid:0.3", features="ball", seed=4)
+    row, transcript = run_experiment(cell)
+    assert transcript.predictions == [0.5] * T
+    assert transcript.cumulative_loss == pytest.approx(T * math.log(2.0))
+    assert row.bound == float(T) and row.allowance == 0.0 and row.ok
+    _, best = best_in_hindsight(glm_family(d=2, R=1.0), transcript.features, transcript.labels)
+    assert row.regret == pointwise_regret(transcript, best)
+
+
 def _write_config(path):
     path.write_text(
         "[grid]\n"

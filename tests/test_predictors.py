@@ -322,7 +322,7 @@ class _ScansEveryUpdate(_RecordsFolds):
         y = as_label(y)
         p, q = self._pending, self._q
         self._pending = None
-        alpha = 0.0 if self.truncation is None else self.truncation
+        alpha = self._alpha
         if y == 1:
             np.add(p, alpha, out=q)
         else:
@@ -388,9 +388,9 @@ def test_mixture_fold_gate_matches_scan_every_update(run, truncation, seed, T, b
 
 class _TruncationOffInUpdate(MixturePredictor):
     def update(self, y):
-        alpha, self.truncation = self.truncation, None
+        alpha, self._alpha = self._alpha, 0.0
         super().update(y)
-        self.truncation = alpha
+        self._alpha = alpha
 
 
 class _SkipsOneUpdate(MixturePredictor):
@@ -403,9 +403,9 @@ class _SkipsOneUpdate(MixturePredictor):
 
 class _OtherAlphaInUpdate(MixturePredictor):
     def update(self, y):
-        alpha, self.truncation = self.truncation, 2.0 * self.truncation
+        alpha, self._alpha = self._alpha, 2.0 * self._alpha
         super().update(y)
-        self.truncation = alpha
+        self._alpha = alpha
 
 
 def test_mixture_losses_gate_catches_broken_mixtures():

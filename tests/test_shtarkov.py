@@ -1,7 +1,12 @@
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +37,6 @@ from seqpa.shtarkov import (
     identification_bound,
     leaf_log_sups,
     minimax_value,
-    restricted_binomial_shtarkov,
     shtarkov_sum,
 )
 from seqpa.experts import LOGISTIC
@@ -291,10 +295,9 @@ def test_interval_bernoulli_clamps_mle():
 
 
 def test_restricted_binomial_matches_brute_force():
-    lo, hi = 0.3, 0.7
-    oracle = IntervalBernoulli(lo, hi)
+    oracle = IntervalBernoulli(0.3, 0.7)
     for n in (1, 3, 6):
-        assert restricted_binomial_shtarkov(n, lo, hi) == pytest.approx(
+        assert shtarkov_sum(oracle, n) == pytest.approx(
             brute_force_log_shtarkov(oracle, n), abs=1e-10)
 
 
@@ -335,6 +338,20 @@ def test_block_design_features_shape():
 def test_block_shtarkov_lower_monotone_in_T():
     vals = [block_shtarkov_lower(2, 2 * n, LOGISTIC, 2.0) for n in (64, 256, 1024)]
     assert vals[0] < vals[1] < vals[2]
+
+
+# sha256 of `python scripts/minimax_tables.py` stdout (Bernoulli sums,
+# ds_lower_bound, block_shtarkov_lower); a change that moves a digit updates
+# this pin and explains the move in CHANGES.md.
+MINIMAX_TABLES_SHA256 = "3502db2e1b3381c30354e71e7c04c0e487b51f8674a5c15617bd4edfa94a13e3"
+
+
+def test_minimax_tables_stdout_pinned():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "minimax_tables.py")],
+                         env=env, capture_output=True, timeout=120, check=True)
+    assert hashlib.sha256(run.stdout).hexdigest() == MINIMAX_TABLES_SHA256
 
 
 def test_identification_bound_exhaustive():
