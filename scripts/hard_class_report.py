@@ -3,7 +3,9 @@
 Constructs the codebook-based family at the standard scale (alpha =
 16 ln T / T), verifies the pairwise Hamming separation, and Monte-Carlo
 estimates the misidentification probability against the analytic
-union bound.
+union bound.  The Monte Carlo draws in fixed row blocks, so a larger
+--trials costs time but no more memory.  A bad size (e.g. --trials 0)
+prints one error line and exits 2.
 
 Usage: python scripts/hard_class_report.py [--T 2048] [--trials 10000]
 """
@@ -23,10 +25,13 @@ def main():
     args = ap.parse_args()
 
     alpha = 16 * math.log(args.T) / args.T
-    fam, cb = build_hard_lipschitz_class(d=1, T=args.T, R=1.0, L=1.0,
-                                         alpha=alpha, seed=args.seed)
-    rep = hard_class_certificate(fam, cb, trials=args.trials,
-                                 seed=args.seed, d=1)
+    try:
+        fam, cb = build_hard_lipschitz_class(d=1, T=args.T, R=1.0, L=1.0,
+                                             alpha=alpha, seed=args.seed)
+        rep = hard_class_certificate(fam, cb, trials=args.trials,
+                                     seed=args.seed, d=1)
+    except ValueError as exc:
+        ap.error(str(exc))
     print(f"T                = {args.T}")
     print(f"alpha            = {alpha:.6f}")
     print(f"sources M        = {rep.n_sources}")

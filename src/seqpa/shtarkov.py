@@ -15,8 +15,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
-from .experts import (_zero_positive_counts, ball_lattice, best_in_hindsight, ds_project,
-                      log_likelihoods, prediction_matrix)
+from .experts import (_zero_positive_counts, best_in_hindsight, ds_project, log_likelihoods,
+                      prediction_matrix)
 from .losses import log_sum_exp
 
 ENUMERATION_CAP = 22
@@ -25,6 +25,11 @@ LEAF_BLOCK_BITS = 14  # label_tree_fold builds 2^14 leaves per row at a time
 # A fold holds about three such arrays at once (the last label level, the next
 # one and a temporary of the reduce), about 1.5 GiB, well inside an 8 GiB machine.
 FOLD_ELEMENT_CAP = 2 ** 26
+# hard_class_certificate draws each source's samples in row blocks of about
+# 2^17 float64 values (1 MiB); ds_sup_verify projects its brute grid in blocks
+# of whole slowest-coordinate slices, about 2^14 points (k * 128 KiB) each
+_DRAW_BLOCK_ELEMENTS = 2 ** 17
+_DS_BLOCK_POINTS = 2 ** 14
 
 
 def _log_binom(n, k):
@@ -62,8 +67,10 @@ class IntervalBernoulli(ExchangeableOracle):
     """Constant-probability experts restricted to [lo, hi]: clamped MLE."""
 
     def __init__(self, lo, hi):
-        if not 0.0 <= lo <= hi <= 1.0:
+        if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
             raise ValueError("interval must sit inside [0, 1]")
+        if lo > hi:
+            raise ValueError(f"interval lo={lo} is above hi={hi}")
         self.lo, self.hi = float(lo), float(hi)
 
     def log_sup_by_count(self, k, n):
@@ -303,10 +310,16 @@ def ds_sup_verify(labels, s, grid_cap=200_000):
     """Closed-form sup of the sequence probability over the power-mass set
     versus a projected-grid brute-force maximization.
 
-    Returns (closed_form_log, brute_log).  Brute force: grid the active
-    coordinates over [0, 1], rescale every candidate row into the feasible
-    set at once, take the best product.
+    Returns (closed_form_log, brute_log).  Brute force: grid the k active
+    coordinates over [0, 1] with m = max(2, floor(grid_cap^(1/k))) points
+    each, rescale every candidate row into the feasible set, take the best
+    product.  The m^k grid is walked in meshgrid 'ij' order in blocks of
+    whole slowest-coordinate slices (about `_DS_BLOCK_POINTS` rows, at least
+    one slice); each row's value depends on that row alone, so the max of
+    the block maxima is the grid's max.  Raises ValueError for grid_cap < 1.
     """
+    if grid_cap < 1:
+        raise ValueError(f"grid_cap must be at least 1, got {grid_cap}")
     labels = [int(y) for y in labels]
     T = len(labels)
     if T > 8:
@@ -316,9 +329,19 @@ def ds_sup_verify(labels, s, grid_cap=200_000):
     if k == 0:
         return closed, 0.0
     m = max(2, int(grid_cap ** (1.0 / k)))
-    grid = ball_lattice(np.linspace(1.0 / m, 1.0, m), k, math.inf, 1.0)
-    with np.errstate(divide="ignore"):
-        best = float(np.log(ds_project(grid, s)).sum(axis=1).max())
+    axis = np.linspace(1.0 / m, 1.0, m)  # every point of axis^k lies in the unit l_inf ball
+    slice_points = m ** (k - 1)
+    heads = max(1, _DS_BLOCK_POINTS // slice_points)
+    block = np.empty((heads, slice_points, k))
+    for c, tail in enumerate(np.meshgrid(*([axis] * (k - 1)), indexing="ij"), start=1):
+        block[:, :, c] = tail.ravel()  # the tail lattice, shared by every block
+    best = -math.inf
+    for start in range(0, m, heads):
+        head = axis[start:start + heads]
+        block[:len(head), :, 0] = head[:, None]
+        grid = block[:len(head)].reshape(-1, k)
+        with np.errstate(divide="ignore"):
+            best = max(best, float(np.log(ds_project(grid, s)).sum(axis=1).max()))
     return closed, best
 
 
@@ -348,11 +371,18 @@ def hard_class_certificate(family, codebook, trials=10_000, seed=0, d=None):
     closed-form comparison uses the family's own dimension, radius and
     Lipschitz constant; `d`, when given, must equal that dimension.
 
+    Each source's `trials // M` samples are drawn in row blocks of about
+    `_DRAW_BLOCK_ELEMENTS` values into one reused buffer, in the order of
+    one dense (trials // M, T) uniform draw, so memory is O(M^2 + M*T) plus
+    that block whatever `trials` is.  Raises ValueError for trials < 1.
+
     Sources src and o are told apart by the all-zeros test on the larger of
     {src 0, o positive} and {o 0, src positive}, ties to the first.  src's
     samples are 0 wherever its table is, so src can lose only a test read
     on the second set (N[o, src] > N[src, o]), when it drew no 1 there.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials}")
     ball = family.ball
     if d is not None and d != ball.dimension:
         raise ValueError(f"d={d} does not match the family's dimension {ball.dimension}")
@@ -371,10 +401,17 @@ def hard_class_certificate(family, codebook, trials=10_000, seed=0, d=None):
     rng = np.random.default_rng(seed)
     worst_err = 0.0
     per_source = max(1, trials // M)
+    rows = max(1, min(per_source, _DRAW_BLOCK_ELEMENTS // max(T, 1)))
+    draws = np.empty((rows, T))
     for src in range(M):
-        samples = rng.uniform(size=(per_source, T)) < table[src]  # Bernoulli per coordinate
-        lost = ~(samples @ zeros[:, risky[src]]).all(axis=1)  # bool: a float @ copies samples
-        worst_err = max(worst_err, int(lost.sum()) / per_source)
+        test = zeros[:, risky[src]]
+        lost = 0
+        for start in range(0, per_source, rows):
+            block = draws[:min(rows, per_source - start)]
+            rng.random(out=block)  # the stream of rng.uniform, bit for bit
+            samples = block < table[src]  # Bernoulli per coordinate
+            lost += len(block) - int((samples @ test).all(axis=1).sum())  # bool @: no float copy
+        worst_err = max(worst_err, lost / per_source)
     std_err = math.sqrt(max(worst_err * (1 - worst_err), 1.0 / per_source) / per_source)
 
     analytic = M ** 2 * math.exp(-alpha * T / 8.0)

@@ -193,6 +193,8 @@ def test_single_valued_knobs_reject_other_values(argv, capsys):
      "seqpa predict: error: T and d must be positive integers, got T=8, d=0"),
     (["predict", "--T", "0"],
      "seqpa predict: error: T and d must be positive integers, got T=0, d=1"),
+    (["shtarkov", "--oracle", "interval-bernoulli", "--T", "4", "--interval", "0.7,0.2"],
+     "seqpa shtarkov: error: interval lo=0.7 is above hi=0.2"),
 ])
 def test_bad_sizes_and_missing_interval_are_reported(argv, line, capsys):
     assert main(argv) == 2

@@ -17,8 +17,8 @@ from seqpa import shtarkov
 from seqpa.bounds import lipschitz_lower
 from seqpa import experts
 from seqpa.experts import (CodeBook, FiniteStaticFamily, HardLipschitzFamily, ParamBall,
-                           best_in_hindsight, build_hard_lipschitz_class, glm_family,
-                           prediction_matrix)
+                           ball_lattice, best_in_hindsight, build_hard_lipschitz_class,
+                           ds_project, glm_family, prediction_matrix)
 from seqpa.harness import _ball_features, worst_case_labels
 from seqpa.losses import cumulative_loss
 from seqpa.predictors import MixturePredictor, mixture_losses, nml_predict
@@ -294,6 +294,15 @@ def test_interval_bernoulli_clamps_mle():
         ConstantBernoulliMLE().log_sup_by_count(2, 4))
 
 
+def test_interval_bernoulli_names_the_fault():
+    with pytest.raises(ValueError, match="interval lo=0.7 is above hi=0.2"):
+        IntervalBernoulli(0.7, 0.2)
+    for lo, hi in ((-0.1, 0.5), (0.2, 1.5), (1.2, 0.3), (0.5, -0.1)):
+        with pytest.raises(ValueError, match=r"interval must sit inside \[0, 1\]"):
+            IntervalBernoulli(lo, hi)
+    assert IntervalBernoulli(0.4, 0.4).log_sup_by_count(1, 2) == pytest.approx(math.log(0.24))
+
+
 def test_restricted_binomial_matches_brute_force():
     oracle = IntervalBernoulli(0.3, 0.7)
     for n in (1, 3, 6):
@@ -316,6 +325,45 @@ def test_ds_sup_matches_grid_brute(T, s):
     labels = rng.integers(0, 2, T).tolist()
     closed, brute = ds_sup_verify(labels, s)
     assert closed >= brute - 1e-9
+    assert closed == pytest.approx(brute, abs=1e-3)
+
+
+def _dense_ds_brute(labels, s, grid_cap):
+    """ds_sup_verify's brute value from the whole grid at once, as computed
+    before the grid was walked in blocks."""
+    k = sum(labels)
+    m = max(2, int(grid_cap ** (1.0 / k)))
+    grid = ball_lattice(np.linspace(1.0 / m, 1.0, m), k, math.inf, 1.0)
+    with np.errstate(divide="ignore"):
+        return float(np.log(ds_project(grid, s)).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("grid_cap", [1_000, 200_000])
+def test_ds_sup_verify_blocks_equal_the_dense_grid(grid_cap):
+    # at the default cap k = 1, 2 and 6 end in a ragged block and k = 6's
+    # slowest-coordinate slice alone is over the block size
+    rng = np.random.default_rng(grid_cap)
+    for k in range(1, 7):
+        labels = [0] * int(rng.integers(k, 9))
+        for t in rng.choice(len(labels), size=k, replace=False):
+            labels[t] = 1
+        for s in (1.0, 2.0, 3.5, math.inf):
+            closed, brute = ds_sup_verify(labels, s, grid_cap=grid_cap)
+            assert brute == _dense_ds_brute(labels, s, grid_cap), (labels, s)
+            assert closed == float(DsClosedForm(s).log_sup_by_count(k, len(labels)))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_ds_sup_verify_memory_is_one_block(k):
+    labels = [1] * k + [0] * (8 - k)
+    tracemalloc.start()
+    try:
+        closed, brute = ds_sup_verify(labels, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"ds_sup_verify k={k}: peak {peak / 2 ** 20:.2f} MiB")
+    assert peak < 4 * 2 ** 20
     assert closed == pytest.approx(brute, abs=1e-3)
 
 
@@ -344,14 +392,27 @@ def test_block_shtarkov_lower_monotone_in_T():
 # ds_lower_bound, block_shtarkov_lower); a change that moves a digit updates
 # this pin and explains the move in CHANGES.md.
 MINIMAX_TABLES_SHA256 = "3502db2e1b3381c30354e71e7c04c0e487b51f8674a5c15617bd4edfa94a13e3"
+# sha256 of `python scripts/hard_class_report.py` stdout at its default arguments
+HARD_CLASS_REPORT_SHA256 = "23576f0e0172b28f01fd82628366a3a253829973a2db47efd059e0efc2ebc4f0"
+
+
+def _run_script(name, *args):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args],
+                          env=env, capture_output=True, timeout=120)
 
 
 def test_minimax_tables_stdout_pinned():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    run = subprocess.run([sys.executable, str(root / "scripts" / "minimax_tables.py")],
-                         env=env, capture_output=True, timeout=120, check=True)
+    run = _run_script("minimax_tables.py")
+    assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout).hexdigest() == MINIMAX_TABLES_SHA256
+
+
+def test_hard_class_report_stdout_pinned():
+    run = _run_script("hard_class_report.py")
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout).hexdigest() == HARD_CLASS_REPORT_SHA256
 
 
 def test_identification_bound_exhaustive():
@@ -462,6 +523,82 @@ def test_hard_class_certificate_matches_per_pair_reference():
         assert dataclasses.astuple(report) == dataclasses.astuple(reference)
         reports.append(report)
     assert sum(r.mc_error > 0 for r in reports) > len(reports) / 2
+
+
+def _random_codebook(rng, M, T):
+    while True:
+        vectors = rng.integers(0, 2, size=(M, T)).astype(np.uint8)
+        min_h = _reference_min_hamming(vectors)
+        if min_h >= T / 4:
+            return CodeBook(vectors, min_h)
+
+
+def test_hard_class_certificate_blocks_equal_one_dense_draw(monkeypatch):
+    # every source's draws span at least three row blocks, the last one
+    # ragged: three cases at the module's block size, then 64-value blocks
+    rng = np.random.default_rng(2020)
+
+    def certify(M, T, alpha, max_blocks):
+        rows = shtarkov._DRAW_BLOCK_ELEMENTS // T
+        assert rows >= 2
+        per_source = rows * int(rng.integers(3, max_blocks)) + int(rng.integers(1, rows))
+        cb = _random_codebook(rng, M, T)
+        fam = _codebook_family(cb.vectors, alpha)
+        trials, seed = per_source * M + int(rng.integers(M)), int(rng.integers(1000))
+        report = hard_class_certificate(fam, cb, trials=trials, seed=seed)
+        assert dataclasses.astuple(report) == dataclasses.astuple(
+            _reference_certificate(fam, cb, trials, seed))
+        return report
+
+    for M, T, alpha in ((3, 2048, 0.002), (2, 1000, 0.004), (4, 700, 0.008)):
+        assert certify(M, T, alpha, 6).mc_error > 0
+    monkeypatch.setattr(shtarkov, "_DRAW_BLOCK_ELEMENTS", 64)
+    reports = [certify(int(rng.integers(2, 6)), int(rng.integers(4, 25)),
+                       float(rng.uniform(0.05, 0.9)), 20) for _ in range(60)]
+    assert sum(r.mc_error > 0 for r in reports) > len(reports) / 2
+
+
+def test_hard_class_certificate_memory_does_not_grow_with_trials():
+    pinned = {
+        2048: (8, 964, 512.0, 0.0, 0.0008, 1.5258789062499998e-05, math.log(4),
+               1.4343535505830207, True),
+        512: (2, 234, 128.0, 0.0, 2e-05, 1.5258789062500003e-05, 0.0,
+              0.24872988492528125, False),
+    }
+    for T, trials in ((2048, 10 ** 4), (512, 10 ** 5)):
+        fam, cb = build_hard_lipschitz_class(d=1, T=T, R=1.0, L=1.0,
+                                             alpha=16 * math.log(T) / T, seed=0)
+        tracemalloc.start()
+        try:
+            report = hard_class_certificate(fam, cb, trials=trials, seed=0, d=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense draw per source would hold trials / M * T * 8 bytes
+        print(f"T={T} trials={trials}: peak {peak / 2 ** 20:.2f} MiB against "
+              f"{trials // report.n_sources * T * 8 / 2 ** 20:.1f} MiB of dense draws")
+        assert peak < 4 * 2 ** 20
+        assert dataclasses.astuple(report) == pinned[T]
+
+
+def test_bad_trials_and_grid_cap_are_rejected():
+    cb = _random_codebook(np.random.default_rng(0), 2, 8)
+    fam = _codebook_family(cb.vectors, 0.5)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
+            hard_class_certificate(fam, cb, trials=trials)
+    for grid_cap in (0, -5):
+        for labels in ([1, 0, 1], [0, 0]):
+            with pytest.raises(ValueError, match=f"grid_cap must be at least 1, got {grid_cap}"):
+                ds_sup_verify(labels, 2.0, grid_cap=grid_cap)
+
+
+def test_hard_class_report_rejects_zero_trials():
+    run = _run_script("hard_class_report.py", "--trials", "0")
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.decode().strip().split("\n")[-1] == (
+        "hard_class_report.py: error: trials must be a positive integer, got 0")
 
 
 def test_hard_class_certificate_marks_the_exposed_source():
