@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 MEMBERSHIP_SLACK = 1e-12
+# lattice_blocks walks axis^d in blocks of whole slowest-coordinate slices,
+# about 2^14 points (d * 128 KiB) each
+_LATTICE_BLOCK_POINTS = 2 ** 14
 
 
 def _lp_norms(W, s):
@@ -23,11 +26,37 @@ def _lp_norms(W, s):
     return A.max(axis=1) if math.isinf(s) else (A ** s).sum(axis=1) ** (1.0 / s)
 
 
+def lattice_blocks(axis, d):
+    """The points of axis^d in meshgrid 'ij' order, as C-order (rows, d) blocks of
+    whole slowest-coordinate slices: about `_LATTICE_BLOCK_POINTS` rows, at least
+    one slice.  Each block is a view of one reused buffer."""
+    slice_points = len(axis) ** (d - 1)
+    heads = max(1, _LATTICE_BLOCK_POINTS // slice_points)
+    block = np.empty((heads, slice_points, d))
+    for c, tail in enumerate(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), start=1):
+        block[:, :, c] = tail.ravel()  # the tail lattice, shared by every block
+    for start in range(0, len(axis), heads):
+        head = axis[start:start + heads]
+        block[:len(head), :, 0] = head[:, None]
+        yield block[:len(head)].reshape(-1, d)
+
+
 def ball_lattice(axis, d, s, bound):
-    """Points of axis^d, in meshgrid 'ij' order, whose l_s norm is at most bound."""
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    W = np.stack([m.ravel() for m in mesh], axis=1)
-    return W[_lp_norms(W, s) <= bound]
+    """Points of axis^d, in meshgrid 'ij' order, whose l_s norm is at most bound.
+
+    Returns an (n, d) column-major array, the layout `FiniteParamFamily`
+    keeps.  The norms are taken over `lattice_blocks`, and the kept points
+    are filled column by column, so memory is the result plus two bools per
+    lattice point plus one block.
+    """
+    axis = np.asarray(axis, dtype=float)
+    keep = np.concatenate([_lp_norms(block, s) <= bound for block in lattice_blocks(axis, d)])
+    keep = keep.reshape((len(axis),) * d)
+    W = np.empty((np.count_nonzero(keep), d), order="F")
+    for c in range(d):
+        # axis along lattice dimension c, broadcast over the others
+        W[:, c] = np.broadcast_to(axis.reshape((-1,) + (1,) * (d - 1 - c)), keep.shape)[keep]
+    return W
 
 
 @dataclass(frozen=True)
@@ -476,9 +505,10 @@ class HardLipschitzFamily:
 def _lattice_packing(d, R, separation, count):
     """First `count` points of an integer lattice (spacing = separation) in B_2^d(R)."""
     per_axis = np.arange(-math.floor(R / separation), math.floor(R / separation) + 1) * separation
-    W = ball_lattice(per_axis, d, 2.0, R + MEMBERSHIP_SLACK)
-    # per-row dot products round like np.linalg.norm of each point, so
-    # equal-norm ties break on the coordinates exactly as a (norm, tuple) key
+    W = np.ascontiguousarray(ball_lattice(per_axis, d, 2.0, R + MEMBERSHIP_SLACK))
+    # per-row dot products over contiguous rows round like np.linalg.norm of
+    # each point, so equal-norm ties break on the coordinates exactly as a
+    # (norm, tuple) key
     norms = np.sqrt((W[:, None, :] @ W[:, :, None])[:, 0, 0])
     if len(W) < count:
         raise ValueError(f"lattice packing of B_2^{d}({R}) at separation {separation} "

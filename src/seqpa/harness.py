@@ -8,10 +8,13 @@ the greedy per-step heuristic.
 """
 
 import configparser
+import contextvars
 import hashlib
 import itertools
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -266,9 +269,26 @@ def run_bench(config_path, out_dir):
 
     Writes transcript CSVs and a summary CSV (rows keyed and sorted by
     config digest, so assembly order is irrelevant).
+
+    Cells run concurrently, one thread per usable core and at most one per
+    cell (a cell spends almost all its time in numpy calls that release
+    the GIL).  Each cell builds its own RNG, family, cover and predictor,
+    so no stateful one-reader family such as `MsoaCoverFamily` is shared,
+    and writes its own transcript, so the bytes written do not depend on
+    the worker count; peak memory is about the worker count times the
+    largest cell's.  A bad cell raises the first bad cell's error in config
+    order, and the cells not yet started are cancelled.
     """
     cells = parse_bench_config(config_path)
-    rows = [run_experiment(cell, out_dir=out_dir)[0] for cell in cells]
+    context = contextvars.copy_context()  # the caller's numpy error state holds in every cell
+
+    def run_cell(cell):
+        return context.copy().run(run_experiment, cell, out_dir=out_dir)[0]
+
+    with ThreadPoolExecutor(min(len(cells), len(os.sched_getaffinity(0)))) as pool:
+        # map yields in config order and cancels the cells not yet started
+        # when one raises
+        rows = list(pool.map(run_cell, cells))
     rows.sort(key=lambda r: r.digest)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
-from .experts import (_zero_positive_counts, best_in_hindsight, ds_project, log_likelihoods,
-                      prediction_matrix)
+from .experts import (_zero_positive_counts, best_in_hindsight, ds_project, lattice_blocks,
+                      log_likelihoods, prediction_matrix)
 from .losses import log_sum_exp
 
 ENUMERATION_CAP = 22
@@ -26,10 +26,8 @@ LEAF_BLOCK_BITS = 14  # label_tree_fold builds 2^14 leaves per row at a time
 # one and a temporary of the reduce), about 1.5 GiB, well inside an 8 GiB machine.
 FOLD_ELEMENT_CAP = 2 ** 26
 # hard_class_certificate draws each source's samples in row blocks of about
-# 2^17 float64 values (1 MiB); ds_sup_verify projects its brute grid in blocks
-# of whole slowest-coordinate slices, about 2^14 points (k * 128 KiB) each
+# 2^17 float64 values (1 MiB)
 _DRAW_BLOCK_ELEMENTS = 2 ** 17
-_DS_BLOCK_POINTS = 2 ** 14
 
 
 def _log_binom(n, k):
@@ -313,10 +311,9 @@ def ds_sup_verify(labels, s, grid_cap=200_000):
     Returns (closed_form_log, brute_log).  Brute force: grid the k active
     coordinates over [0, 1] with m = max(2, floor(grid_cap^(1/k))) points
     each, rescale every candidate row into the feasible set, take the best
-    product.  The m^k grid is walked in meshgrid 'ij' order in blocks of
-    whole slowest-coordinate slices (about `_DS_BLOCK_POINTS` rows, at least
-    one slice); each row's value depends on that row alone, so the max of
-    the block maxima is the grid's max.  Raises ValueError for grid_cap < 1.
+    product.  The m^k grid is walked in `lattice_blocks`; each row's value
+    depends on that row alone, so the max of the block maxima is the grid's
+    max.  Raises ValueError for grid_cap < 1.
     """
     if grid_cap < 1:
         raise ValueError(f"grid_cap must be at least 1, got {grid_cap}")
@@ -330,16 +327,8 @@ def ds_sup_verify(labels, s, grid_cap=200_000):
         return closed, 0.0
     m = max(2, int(grid_cap ** (1.0 / k)))
     axis = np.linspace(1.0 / m, 1.0, m)  # every point of axis^k lies in the unit l_inf ball
-    slice_points = m ** (k - 1)
-    heads = max(1, _DS_BLOCK_POINTS // slice_points)
-    block = np.empty((heads, slice_points, k))
-    for c, tail in enumerate(np.meshgrid(*([axis] * (k - 1)), indexing="ij"), start=1):
-        block[:, :, c] = tail.ravel()  # the tail lattice, shared by every block
     best = -math.inf
-    for start in range(0, m, heads):
-        head = axis[start:start + heads]
-        block[:len(head), :, 0] = head[:, None]
-        grid = block[:len(head)].reshape(-1, k)
+    for grid in lattice_blocks(axis, k):
         with np.errstate(divide="ignore"):
             best = max(best, float(np.log(ds_project(grid, s)).sum(axis=1).max()))
     return closed, best

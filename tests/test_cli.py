@@ -168,6 +168,14 @@ def test_bench_subcommand_reports_bad_cell(capsys, tmp_path):
     assert _error_line(capsys) == "seqpa bench: error: unknown algorithm 'nope'"
 
 
+def test_bench_subcommand_reports_the_first_bad_cell(capsys, tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("[grid]\nfamily = logistic\nalgorithm = smooth_bayes\nT = 8, 16\n"
+                   "d = 1\nadversary = greedy, bogus, iid:0.5, worse\nseed = 0\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert _error_line(capsys) == "seqpa bench: error: unknown adversary 'bogus'"
+
+
 def test_predict_subcommand_reports_bad_adversary(capsys):
     assert main(["predict", "--T", "8", "--adversary", "nope"]) == 2
     assert _error_line(capsys) == "seqpa predict: error: unknown adversary 'nope'"

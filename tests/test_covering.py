@@ -74,6 +74,20 @@ def test_grid_cover_d2_within_bound():
     assert cover.family.n_experts == len(cover)
 
 
+def test_grid_cover_lattice_memory_is_the_cover():
+    # the 103,733-member cover takes 1.58 MiB; the dense meshgrid with its
+    # abs and power copies peaked at 9.05 MiB
+    tracemalloc.start()
+    try:
+        cover = grid_cover(glm_family(d=2), 2 / 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"grid_cover d=2, alpha=2/512: peak {peak / 2 ** 20:.2f} MiB")
+    assert len(cover) == 103_733
+    assert peak < 5 * 2 ** 20
+
+
 def test_grid_cover_rejects_bad_alpha():
     fam = glm_family(d=1, R=1.0)
     with pytest.raises(ValueError):

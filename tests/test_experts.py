@@ -105,6 +105,30 @@ def test_cover_link_layout(d):
     assert np.array_equal(cover.params, values) and cover.params.tobytes() == raw
 
 
+def _dense_ball_lattice(axis, d, s, bound):
+    """ball_lattice as first written: the whole meshgrid at once."""
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    W = np.stack([m.ravel() for m in mesh], axis=1)
+    return W[experts._lp_norms(W, s) <= bound]
+
+
+@pytest.mark.parametrize("block_points", [experts._LATTICE_BLOCK_POINTS, 7])
+@pytest.mark.parametrize("s", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d, lengths", [(1, (1, 6, 20_001)), (2, (1, 6, 130)), (3, (1, 6, 30))])
+def test_ball_lattice_blocks_equal_the_dense_form(d, lengths, s, block_points, monkeypatch):
+    # at the module block size 20_001 (d = 1), 130 (d = 2) and 30 (d = 3)
+    # points per axis end in a ragged block; at 7 points a d >= 2 slice
+    # alone is over the block size
+    monkeypatch.setattr(experts, "_LATTICE_BLOCK_POINTS", block_points)
+    for n in lengths:
+        axis = np.linspace(-1.0, 1.0, n)
+        for bound in (0.8, 1.0, -1.0):  # -1: nothing is kept
+            got, want = ball_lattice(axis, d, s, bound), _dense_ball_lattice(axis, d, s, bound)
+            assert got.shape == want.shape and got.flags.f_contiguous, (n, bound)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (n, bound)
+            assert FiniteParamFamily(got, glm_family(d=d)).params is got
+
+
 def _key_sorted_packing(d, R, separation):
     """Every point of the lattice packing as first written: a Python sort
     keyed on each point's np.linalg.norm, then its coordinates."""
@@ -115,7 +139,8 @@ def _key_sorted_packing(d, R, separation):
 
 
 @pytest.mark.parametrize("d, R, separation",
-                         [(1, 1.0, 0.05), (2, 4.0, 0.0596), (2, 1.0, 0.0371), (3, 1.0, 0.2)])
+                         [(1, 1.0, 0.05), (2, 4.0, 0.0596), (2, 1.0, 0.0371), (3, 1.0, 0.2),
+                          (4, 1.0, 0.3)])
 def test_lattice_packing_matches_key_sort(d, R, separation):
     everything = _key_sorted_packing(d, R, separation)
     n = len(everything)

@@ -1,9 +1,15 @@
+import itertools
 import math
+import os
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqpa import harness
 from seqpa.covering import grid_cover
 from seqpa.experts import FiniteStaticFamily, best_in_hindsight, glm_family
 from seqpa.harness import (
@@ -254,3 +260,93 @@ def test_run_bench_matches_golden_values(tmp_path):
         assert row.ok == ok
         assert row.regret == pytest.approx(regret, abs=1e-9)
         assert row.bound == pytest.approx(bound, abs=1e-9)
+
+
+BENCH_SMALL = Path(__file__).resolve().parents[1] / "scripts" / "bench_small.cfg"
+
+
+def _usable_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_run_bench_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    run_cell, first_two = harness.run_experiment, threading.Barrier(2, timeout=30)
+    order, threads = itertools.count(), set()
+
+    def cell_meeting_the_next(cell, out_dir=None):
+        # the first two cells wait for each other: the barrier breaks unless they run side by side
+        if next(order) < 2:
+            first_two.wait()
+        threads.add(threading.get_ident())
+        return run_cell(cell, out_dir=out_dir)
+
+    # more workers than cores, switching threads often
+    _usable_cores(monkeypatch, 4)
+    monkeypatch.setattr(harness, "run_experiment", cell_meeting_the_next)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_bench(str(BENCH_SMALL), str(tmp_path / "cores"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) > 1
+
+    threads.clear()
+    _usable_cores(monkeypatch, 1)
+    monkeypatch.setattr(harness, "run_experiment", lambda cell, out_dir=None: (
+        threads.add(threading.get_ident()), run_cell(cell, out_dir=out_dir))[1])
+    run_bench(str(BENCH_SMALL), str(tmp_path / "one"))
+    assert len(threads) == 1
+
+    names = sorted(p.name for p in (tmp_path / "cores").iterdir())
+    assert len(names) == 17 and "summary.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+    for name in names:
+        assert (tmp_path / "cores" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_run_bench_raises_the_first_bad_cell_in_config_order(tmp_path, monkeypatch):
+    cfg = tmp_path / "bench.cfg"
+    iid = [f"iid:{k / 16}" for k in range(1, 13)]
+    cfg.write_text("[grid]\nalgorithm = smooth_bayes\nT = 8\n"
+                   f"adversary = greedy, bogus, worse, {', '.join(iid)}\nseed = 0\n")
+    # cells 1 and 2 are bad: cell 1 raises only after cell 2 has, cell 0
+    # returns only after cell 1 has raised, and the rest start after cell 0
+    waits_for = {"greedy": "bogus", "bogus": "worse", **{a: "greedy" for a in iid}}
+    finished = {a: threading.Event() for a in ("greedy", "bogus", "worse")}
+    run_cell, started = harness.run_experiment, []
+
+    def staged_cell(cell, out_dir=None):
+        adversary = cell["adversary"]
+        started.append(adversary)
+        if adversary in waits_for:
+            assert finished[waits_for[adversary]].wait(30)
+        try:
+            return run_cell(cell, out_dir=out_dir)
+        finally:
+            if adversary in finished:
+                finished[adversary].set()
+
+    _usable_cores(monkeypatch, 3)
+    monkeypatch.setattr(harness, "run_experiment", staged_cell)
+    with pytest.raises(ValueError, match="^unknown adversary 'bogus'$"):
+        run_bench(str(cfg), str(tmp_path / "out"))
+    assert {"greedy", "bogus", "worse"} <= set(started)
+    # the cells not started when the error was seen were cancelled
+    assert len(started) < 3 + len(iid)
+
+
+def test_run_bench_cells_keep_the_callers_numpy_error_state(tmp_path, monkeypatch):
+    cfg = tmp_path / "bench.cfg"
+    _write_config(cfg)
+    run_cell, seen = harness.run_experiment, []
+
+    def recording_cell(cell, out_dir=None):
+        seen.append(np.geterr()["over"])
+        return run_cell(cell, out_dir=out_dir)
+
+    _usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(harness, "run_experiment", recording_cell)
+    with np.errstate(over="raise"):
+        run_bench(str(cfg), str(tmp_path / "out"))
+    assert seen == ["raise", "raise"]
