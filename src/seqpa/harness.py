@@ -8,13 +8,14 @@ the greedy per-step heuristic.
 """
 
 import configparser
-import contextvars
 import hashlib
 import itertools
 import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -264,31 +265,50 @@ def parse_bench_config(path):
     return cells
 
 
+def _run_cell(cell, out_dir):
+    """One bench cell in a worker process: (ReportRow, warnings it raised).
+
+    The transcript goes to `out_dir` and is never sent back.  Warnings are
+    recorded under the filters the worker inherited, so an "error" filter
+    still raises here, and come back as (message, category, filename,
+    lineno) for the caller to re-issue.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        row = run_experiment(cell, out_dir=out_dir)[0]
+    return row, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
 def run_bench(config_path, out_dir):
     """Run every cell of a bench config; returns (rows, any_failure).
 
     Writes transcript CSVs and a summary CSV (rows keyed and sorted by
     config digest, so assembly order is irrelevant).
 
-    Cells run concurrently, one thread per usable core and at most one per
-    cell (a cell spends almost all its time in numpy calls that release
-    the GIL).  Each cell builds its own RNG, family, cover and predictor,
-    so no stateful one-reader family such as `MsoaCoverFamily` is shared,
-    and writes its own transcript, so the bytes written do not depend on
-    the worker count; peak memory is about the worker count times the
-    largest cell's.  A bad cell raises the first bad cell's error in config
-    order, and the cells not yet started are cancelled.
+    Cells run in forked worker processes, one per usable core and at most
+    one per cell (Linux `fork`, like `os.sched_getaffinity`).  A worker
+    inherits the caller's numpy error state and warning filters, so both
+    hold inside each cell; warnings a cell raises are re-issued here in
+    config order.  Each cell builds its own RNG, family, cover and
+    predictor and writes its own transcript, so the bytes written do not
+    depend on the worker count.  Peak memory is per worker process: the
+    caller's own `ru_maxrss` includes no cell.  A bad cell raises the first
+    bad cell's error in config order, the cells not yet queued are
+    cancelled, and a worker that dies raises `BrokenProcessPool`.  No
+    worker outlives the call.
     """
     cells = parse_bench_config(config_path)
-    context = contextvars.copy_context()  # the caller's numpy error state holds in every cell
-
-    def run_cell(cell):
-        return context.copy().run(run_experiment, cell, out_dir=out_dir)[0]
-
-    with ThreadPoolExecutor(min(len(cells), len(os.sched_getaffinity(0)))) as pool:
-        # map yields in config order and cancels the cells not yet started
+    rows = []
+    # fork, not spawn: a worker must start with the caller's numpy error
+    # state and warning filters.  The pool forks all its workers before it
+    # starts its own threads.
+    with ProcessPoolExecutor(min(len(cells), len(os.sched_getaffinity(0))),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        # map yields in config order and cancels the cells not yet queued
         # when one raises
-        rows = list(pool.map(run_cell, cells))
+        for row, caught in pool.map(_run_cell, cells, itertools.repeat(out_dir)):
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            rows.append(row)
     rows.sort(key=lambda r: r.digest)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

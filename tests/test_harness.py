@@ -1,9 +1,11 @@
-import itertools
+import contextlib
 import math
+import multiprocessing
 import os
-import sys
-import threading
+import signal
 import time
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -269,34 +271,57 @@ def _usable_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def test_run_bench_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    run_cell, first_two = harness.run_experiment, threading.Barrier(2, timeout=30)
-    order, threads = itertools.count(), set()
+# run_bench forks its workers, so what a test cell shares with the test
+# lives in fork-context primitives or in files, never in a plain object
+FORK = multiprocessing.get_context("fork")
 
-    def cell_meeting_the_next(cell, out_dir=None):
-        # the first two cells wait for each other: the barrier breaks unless they run side by side
-        if next(order) < 2:
-            first_two.wait()
-        threads.add(threading.get_ident())
-        return run_cell(cell, out_dir=out_dir)
 
-    # more workers than cores, switching threads often
-    _usable_cores(monkeypatch, 4)
-    monkeypatch.setattr(harness, "run_experiment", cell_meeting_the_next)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+def _pids(path):
+    return {int(p.name) for p in path.iterdir()}
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test, instead of hanging it, if the block outlasts `seconds`."""
+    def hung(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        run_bench(str(BENCH_SMALL), str(tmp_path / "cores"))
+        yield
     finally:
-        sys.setswitchinterval(interval)
-    assert len(threads) > 1
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
-    threads.clear()
+
+def test_run_bench_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    run_cell, first_two = harness.run_experiment, FORK.Barrier(2, timeout=30)
+    order = FORK.Value("i", 0)
+
+    def cell_in(pids, meeting):
+        def marked_cell(cell, out_dir=None):
+            with order.get_lock():
+                k, order.value = order.value, order.value + 1
+            # the first two cells wait for each other: the barrier breaks unless they run side by side
+            if meeting and k < 2:
+                first_two.wait()
+            (pids / str(os.getpid())).touch()
+            return run_cell(cell, out_dir=out_dir)
+        pids.mkdir()
+        monkeypatch.setattr(harness, "run_experiment", marked_cell)
+        return pids
+
+    # more workers than cores
+    _usable_cores(monkeypatch, 4)
+    pids = cell_in(tmp_path / "pids_cores", meeting=True)
+    run_bench(str(BENCH_SMALL), str(tmp_path / "cores"))
+    assert len(_pids(pids)) > 1 and os.getpid() not in _pids(pids)
+
     _usable_cores(monkeypatch, 1)
-    monkeypatch.setattr(harness, "run_experiment", lambda cell, out_dir=None: (
-        threads.add(threading.get_ident()), run_cell(cell, out_dir=out_dir))[1])
+    pids = cell_in(tmp_path / "pids_one", meeting=False)
     run_bench(str(BENCH_SMALL), str(tmp_path / "one"))
-    assert len(threads) == 1
+    assert len(_pids(pids)) == 1 and os.getpid() not in _pids(pids)
 
     names = sorted(p.name for p in (tmp_path / "cores").iterdir())
     assert len(names) == 17 and "summary.csv" in names
@@ -312,15 +337,20 @@ def test_run_bench_raises_the_first_bad_cell_in_config_order(tmp_path, monkeypat
                    f"adversary = greedy, bogus, worse, {', '.join(iid)}\nseed = 0\n")
     # cells 1 and 2 are bad: cell 1 raises only after cell 2 has, cell 0
     # returns only after cell 1 has raised, and the rest start after cell 0
+    # and then take 0.2 s each, far longer than the error takes to reach
+    # the caller, so cells are still waiting to be queued when it does
     waits_for = {"greedy": "bogus", "bogus": "worse", **{a: "greedy" for a in iid}}
-    finished = {a: threading.Event() for a in ("greedy", "bogus", "worse")}
-    run_cell, started = harness.run_experiment, []
+    finished = {a: FORK.Event() for a in ("greedy", "bogus", "worse")}
+    run_cell, started = harness.run_experiment, tmp_path / "started"
+    started.mkdir()
 
     def staged_cell(cell, out_dir=None):
         adversary = cell["adversary"]
-        started.append(adversary)
+        (started / adversary).touch()
         if adversary in waits_for:
             assert finished[waits_for[adversary]].wait(30)
+        if adversary in iid:
+            time.sleep(0.2)
         try:
             return run_cell(cell, out_dir=out_dir)
         finally:
@@ -331,22 +361,71 @@ def test_run_bench_raises_the_first_bad_cell_in_config_order(tmp_path, monkeypat
     monkeypatch.setattr(harness, "run_experiment", staged_cell)
     with pytest.raises(ValueError, match="^unknown adversary 'bogus'$"):
         run_bench(str(cfg), str(tmp_path / "out"))
-    assert {"greedy", "bogus", "worse"} <= set(started)
-    # the cells not started when the error was seen were cancelled
-    assert len(started) < 3 + len(iid)
+    names = {p.name for p in started.iterdir()}
+    assert {"greedy", "bogus", "worse"} <= names
+    # the cells not queued when the error was seen were cancelled
+    assert len(names) < 3 + len(iid)
+    assert not multiprocessing.active_children()
 
 
 def test_run_bench_cells_keep_the_callers_numpy_error_state(tmp_path, monkeypatch):
     cfg = tmp_path / "bench.cfg"
     _write_config(cfg)
-    run_cell, seen = harness.run_experiment, []
+    run_cell, seen = harness.run_experiment, tmp_path / "seen"
+    seen.mkdir()
 
     def recording_cell(cell, out_dir=None):
-        seen.append(np.geterr()["over"])
+        (seen / f"T{cell['T']}").write_text(np.geterr()["over"])
         return run_cell(cell, out_dir=out_dir)
 
     _usable_cores(monkeypatch, 2)
     monkeypatch.setattr(harness, "run_experiment", recording_cell)
     with np.errstate(over="raise"):
         run_bench(str(cfg), str(tmp_path / "out"))
-    assert seen == ["raise", "raise"]
+    assert {p.name: p.read_text() for p in seen.iterdir()} == {"T8": "raise", "T12": "raise"}
+
+
+def test_run_bench_reissues_cell_warnings_in_config_order(tmp_path, monkeypatch):
+    cfg = tmp_path / "bench.cfg"
+    _write_config(cfg)
+    run_cell = harness.run_experiment
+
+    def warning_cell(cell, out_dir=None):
+        warnings.warn(f"cell T={cell['T']}", UserWarning)
+        return run_cell(cell, out_dir=out_dir)
+
+    _usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(harness, "run_experiment", warning_cell)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_bench(str(cfg), str(tmp_path / "out"))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "cell T=8"), (UserWarning, "cell T=12")]
+    assert all(w.filename == __file__ for w in caught)
+    assert not multiprocessing.active_children()
+
+    # an "error" filter of the caller's raises inside the cell, which stops
+    # where it warned and writes no transcript
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="^cell T=8$"):
+            run_bench(str(cfg), str(tmp_path / "error"))
+    assert not list(tmp_path.glob("error/transcript_*"))
+    assert not multiprocessing.active_children()
+
+
+def test_run_bench_raises_when_a_worker_dies(tmp_path, monkeypatch):
+    cfg = tmp_path / "bench.cfg"
+    _write_config(cfg)
+    run_cell = harness.run_experiment
+
+    def dying_cell(cell, out_dir=None):
+        if cell["T"] == "12":
+            os._exit(1)
+        return run_cell(cell, out_dir=out_dir)
+
+    _usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(harness, "run_experiment", dying_cell)
+    with _deadline(60), pytest.raises(BrokenProcessPool):
+        run_bench(str(cfg), str(tmp_path / "out"))
+    assert not multiprocessing.active_children()
