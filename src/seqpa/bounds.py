@@ -68,7 +68,9 @@ def glm_lower(T, d, s, c=0.0):
 
 
 def cover_size_bound(T, alpha, dfat):
-    """Exact sum_{t<=dfat} C(T,t) * ceil(3/(2*alpha))^t, as a float (inf on overflow)."""
+    """Exact sum_{t<=dfat} C(T,t) * ceil(3/(2*alpha))^t, as a float (inf on overflow);
+    0 for dfat < 0."""
+    _require(T >= 0 and 0 < alpha < 1, "need T>=0, alpha in (0,1)")
     if dfat < 0:
         return 0.0
     base = math.ceil(3.0 / (2.0 * alpha))

@@ -120,12 +120,11 @@ def _add_cover(sub):
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--size-cap", type=int, default=10 ** 7)
 
 
 def _cmd_cover(args):
     fam = glm_family(d=args.d, R=args.R, s=args.s, lipschitz=args.L)
-    cover = grid_cover(fam, args.alpha, size_cap=args.size_cap)
+    cover = grid_cover(fam, args.alpha)
     size_bound = bounds.lattice_cover_size(args.d, args.R, args.L, args.alpha)
     print("family,d,alpha,size,size_bound")
     print(f"{args.family},{args.d},{args.alpha:.12g},{len(cover)},{size_bound:.12g}")

@@ -41,12 +41,13 @@ class CoverSet:
 # Lattice covers of Lipschitz parametric families
 
 
-def grid_cover(pfam, alpha, size_cap=DEFAULT_SIZE_CAP):
+def grid_cover(pfam, alpha):
     """Lattice cover of the parameter ball at l_s radius alpha/L.
 
     The cover's family holds the static functions w -> f(w, .) at the
-    lattice points.  The member count is checked against the standard
-    (2RL/alpha + 1)^d covering bound.
+    lattice points.  A lattice of more than DEFAULT_SIZE_CAP points raises
+    ValueError before it is built; the member count is checked against the
+    standard (2RL/alpha + 1)^d covering bound.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -60,9 +61,9 @@ def grid_cover(pfam, alpha, size_cap=DEFAULT_SIZE_CAP):
     reach = R + radius  # lattice points this far out still cover boundary cells
     kmax = math.floor(reach / delta)
     axis = np.arange(-kmax, kmax + 1) * delta
-    if len(axis) ** d > size_cap:
+    if len(axis) ** d > DEFAULT_SIZE_CAP:
         raise ValueError(f"lattice cover would have up to {len(axis) ** d} members, "
-                         f"over the cap {size_cap}")
+                         f"over the cap {DEFAULT_SIZE_CAP}")
     W = ball_lattice(axis, d, s, reach + 1e-12)
     bound = lattice_cover_size(d, R, L, alpha)
     if len(W) > bound:
@@ -123,7 +124,9 @@ class DiscretizedFamily:
 
 def discretization_levels(alpha):
     """Levels (2k+1)*alpha, the top one capped at 1, so each point of [0,1]
-    lies within alpha of a level."""
+    lies within alpha of a level.  Raises ValueError unless 0 < alpha < inf."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
     K = math.ceil(1.0 / (2.0 * alpha))
     return np.array([min((2 * k + 1) * alpha, 1.0) for k in range(K)])
 
@@ -131,7 +134,8 @@ def discretization_levels(alpha):
 def discretize(values, alpha, feature_keys=None):
     """Snap a [0,1] value table to the nearest level, ties toward the lower index.
 
-    Raises ValueError for a NaN or a value outside [0, 1].
+    Raises ValueError for a NaN or a value outside [0, 1], or a bad alpha
+    (see `discretization_levels`).
     """
     values = _validate_table(np.atleast_2d(np.asarray(values, dtype=float)))
     levels = discretization_levels(alpha)

@@ -4,9 +4,10 @@ Families come in two flavors.  Finite families expose ``n_experts`` and
 ``all_predictions(t, x)``: the vector of every expert's prediction at
 0-based step t with current feature x (this is what the mixture
 predictors iterate over); a sequential one, whose predictions depend on
-the feature prefix, is read from t = 0, in order.  Parametric families
-carry an evaluation oracle ``value(w, x)`` plus a parameter ball, and are
-turned into finite families by the covering module or by grid discretization.
+the feature prefix, is read from t = 0, in order.  The one parametric
+family, ``ParametricFamily``, is the logistic one: a parameter ball plus
+``value_batch(W, x)``; the covering module and grid discretization turn
+it into finite families.
 """
 
 import math
@@ -188,13 +189,15 @@ class FiniteStaticFamily:
 
 @dataclass
 class ParametricFamily:
-    """L-Lipschitz (in the parameter) family f(w, .) over a parameter ball."""
+    """The logistic family x -> sigma(<w, x>) over a parameter ball, L-Lipschitz in w."""
 
     ball: ParamBall
     lipschitz: float
-    value: object  # (w, x) -> prob
-    value_batch: object  # (W: (n,d), x: (d,)) -> new (n,) float array
-    link: object = None  # the LinkFunction of a generalized linear family
+
+    def value_batch(self, W, x):
+        """sigma(W @ x) for an (n, d) parameter array W: a new (n,) float array."""
+        # W @ -x is -(W @ x) bit for bit: one buffer a call
+        return _logistic_of_negated(W @ -np.asarray(x, dtype=float))
 
 
 def glm_family(d=1, R=1.0, s=2.0, lipschitz=1.0):
@@ -203,15 +206,7 @@ def glm_family(d=1, R=1.0, s=2.0, lipschitz=1.0):
     The default Lipschitz constant assumes features with norm at most 1 (the
     logistic slope is at most 1/4); pass `lipschitz` otherwise.
     """
-
-    def value(w, x):
-        return float(LOGISTIC(float(np.dot(w, x))))
-
-    def value_batch(W, x):
-        # W @ -x is -(W @ x) bit for bit: one buffer a call
-        return _logistic_of_negated(W @ -np.asarray(x, dtype=float))
-
-    return ParametricFamily(ParamBall(d, R, s), lipschitz, value, value_batch, LOGISTIC)
+    return ParametricFamily(ParamBall(d, R, s), lipschitz)
 
 
 class FiniteParamFamily:
@@ -320,10 +315,9 @@ def best_in_hindsight(family, features, labels):
         params = np.argmax(total, axis=1)
         best = -total[np.arange(len(params)), params]
         return (int(params[0]), float(best[0])) if labels.ndim == 1 else (params, best)
-    link = getattr(family, "link", None)
-    if link is not LOGISTIC:
-        raise TypeError("the hindsight solver needs the logistic link of glm_family, "
-                        f"got {getattr(link, 'name', link)!r}")
+    if not isinstance(family, ParametricFamily):
+        raise TypeError("the hindsight solver needs a finite family or the logistic "
+                        f"ParametricFamily of glm_family, got {type(family).__name__}")
     if family.ball.norm_order != 2:
         raise ValueError("the hindsight solver needs an l2 parameter ball, got "
                          f"norm order {family.ball.norm_order}")

@@ -214,7 +214,7 @@ def run_experiment(cell, out_dir=None):
     elif algo == "continuous_bayes":
         C = float(cell.get("C", 0.25))
         _check_constant("C", C, max_norm ** 2 / 4.0)
-        predictor = continuous_bayes(family, T, C, verify_hessian=False)
+        predictor = continuous_bayes(family, T, C)
         bound = bounds.hessian_upper(T, d, R, C)
         allowance = 0.1
     elif algo == "constant":

@@ -17,7 +17,7 @@ from scipy.special import gammaln
 from .bounds import lipschitz_lower, power_family_lower
 from .experts import (_zero_positive_counts, best_in_hindsight, ds_project, lattice_blocks,
                       log_likelihoods, prediction_matrix)
-from .losses import log_sum_exp
+from .losses import as_label, log_sum_exp
 
 ENUMERATION_CAP = 22
 LEAF_BLOCK_BITS = 14  # label_tree_fold builds 2^14 leaves per row at a time
@@ -235,11 +235,12 @@ def identification_bound(distributions):
     `distributions` is a (|P|, n_outcomes) row-stochastic matrix.  The
     exhaustive optimum enumerates every estimator map when |P|^n_outcomes
     is at most 10^6; otherwise it is None (reported, bound still valid).
+    A row with an entry outside [0, 1] or a sum other than 1 raises ValueError.
     """
     P = np.atleast_2d(np.asarray(distributions, dtype=float))
     m, n = P.shape
-    if not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("rows must be probability distributions")
+    if np.any((P < 0) | (P > 1)) or not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
+        raise ValueError("rows must be probability distributions (entries in [0, 1], sum 1)")
     S = float(P.max(axis=0).sum())
     bound = 1.0 - S / m
     optimum = None
@@ -262,6 +263,8 @@ def block_design_features(d, T):
 
     T is trimmed down to d * floor(T/d); returns (T_trimmed, features).
     """
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
     if d > T:
         raise ValueError(f"d={d} exceeds T={T}")
     n = T // d
@@ -313,11 +316,11 @@ def ds_sup_verify(labels, s, grid_cap=200_000):
     each, rescale every candidate row into the feasible set, take the best
     product.  The m^k grid is walked in `lattice_blocks`; each row's value
     depends on that row alone, so the max of the block maxima is the grid's
-    max.  Raises ValueError for grid_cap < 1.
+    max.  Raises ValueError for grid_cap < 1 or a label other than 0/1.
     """
     if grid_cap < 1:
         raise ValueError(f"grid_cap must be at least 1, got {grid_cap}")
-    labels = [int(y) for y in labels]
+    labels = [as_label(y) for y in labels]
     T = len(labels)
     if T > 8:
         raise ValueError("brute grid is limited to T <= 8")

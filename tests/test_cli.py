@@ -203,6 +203,12 @@ def test_single_valued_knobs_reject_other_values(argv, capsys):
      "seqpa predict: error: T and d must be positive integers, got T=0, d=1"),
     (["shtarkov", "--oracle", "interval-bernoulli", "--T", "4", "--interval", "0.7,0.2"],
      "seqpa shtarkov: error: interval lo=0.7 is above hi=0.2"),
+    (["bound", "--kind", "cover-size", "--T", "10", "--alpha", "0", "--dfat", "1"],
+     "seqpa bound: error: need T>=0, alpha in (0,1)"),
+    (["bound", "--kind", "cover-size", "--T", "10", "--alpha", "-0.5", "--dfat", "1"],
+     "seqpa bound: error: need T>=0, alpha in (0,1)"),
+    (["bound", "--kind", "cover-size", "--T", "-3", "--alpha", "0.1", "--dfat", "1"],
+     "seqpa bound: error: need T>=0, alpha in (0,1)"),
 ])
 def test_bad_sizes_and_missing_interval_are_reported(argv, line, capsys):
     assert main(argv) == 2

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import time
 import tracemalloc
 import weakref
@@ -25,6 +26,7 @@ from seqpa.experts import (DsFamily, FiniteStaticFamily, best_in_hindsight, glm_
                            prediction_matrix)
 from seqpa.harness import greedy_label_fn, run_protocol, worst_case_labels
 from seqpa.predictors import MixturePredictor
+from seqpa.shtarkov import block_design_features
 
 
 def test_discretization_levels_cover_unit_interval():
@@ -50,6 +52,19 @@ def test_discretize_rejects_values_off_the_unit_interval():
             discretize([[0.5, bad]], 0.25)
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (discretization_levels, (0.0,), "alpha must be a positive finite number, got 0.0"),
+    (discretization_levels, (-0.1,), "alpha must be a positive finite number, got -0.1"),
+    (discretize, ([[0.5]], 0.0), "alpha must be a positive finite number, got 0.0"),
+    (discretize, ([[0.5]], -0.1), "alpha must be a positive finite number, got -0.1"),
+    (block_design_features, (0, 8), "d must be a positive integer, got 0"),
+    (block_design_features, (-1, 8), "d must be a positive integer, got -1"),
+])
+def test_bad_scale_or_dimension_raises_value_error(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*args)
+
+
 def test_grid_cover_covers_family():
     fam = glm_family(d=1, R=1.0)
     alpha = 0.1
@@ -62,7 +77,7 @@ def test_grid_cover_covers_family():
                      axis=1)
     for _ in range(50):
         w = rng.uniform(-1, 1, 1)
-        target = np.array([fam.value(w, x) for x in features])
+        target = np.array([fam.value_batch(w[None, :], x)[0] for x in features])
         assert (np.abs(preds - target).max(axis=1) <= alpha + 1e-12).any()
 
 

@@ -466,15 +466,6 @@ def test_continuous_bayes_respects_regret_bound_small():
     assert total - best <= bound + 0.1
 
 
-def test_empirical_hessian_refuses_bad_constant():
-    from seqpa.predictors import empirical_hessian_bound
-    fam = glm_family(d=1, R=1.0)
-    est = empirical_hessian_bound(fam)
-    assert est <= 0.25 * 1.01
-    with pytest.raises(ValueError):
-        continuous_bayes(fam, T=8, hessian_bound=0.01)
-
-
 def test_nml_equalizer_small():
     fam = FiniteStaticFamily(np.array([[0.2], [0.7]]))
     T = 4

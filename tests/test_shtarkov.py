@@ -375,6 +375,12 @@ def test_ds_lower_bound_formula():
             ((s + 1) / (s * math.e)) * 100 ** (s / (s + 1)))
 
 
+@pytest.mark.parametrize("labels", [[2, 0, 0], [0, -1], [0.5, 1]])
+def test_ds_sup_verify_rejects_non_binary_labels(labels):
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        ds_sup_verify(labels, 2.0)
+
+
 def test_block_design_features_shape():
     T, X = block_design_features(3, 20)
     assert T == 18  # trimmed to a multiple of d
@@ -426,6 +432,12 @@ def test_identification_bound_exhaustive():
     lower, exact = identification_bound(Q)
     assert lower == pytest.approx(0.5)
     assert exact == pytest.approx(0.5)
+
+
+def test_identification_bound_rejects_entries_off_the_unit_interval():
+    # rows sum to 1, but the first is not a distribution
+    with pytest.raises(ValueError, match="probability distributions"):
+        identification_bound([[1.5, -0.5], [0.5, 0.5]])
 
 
 def test_identification_bound_random_lower_bound():
