@@ -16,6 +16,7 @@ import numpy as np
 from .bounds import cover_size_bound, lattice_cover_size  # noqa: F401  (re-exported)
 from .experts import (
     FiniteParamFamily,
+    ParametricFamily,
     _validate_table,
     ball_lattice,
     feature_column,
@@ -44,11 +45,13 @@ class CoverSet:
 def grid_cover(pfam, alpha):
     """Lattice cover of the parameter ball at l_s radius alpha/L.
 
-    The cover's family holds the static functions w -> f(w, .) at the
-    lattice points.  A lattice of more than DEFAULT_SIZE_CAP points raises
-    ValueError before it is built; the member count is checked against the
-    standard (2RL/alpha + 1)^d covering bound.
+    The cover's family holds sigma(<w, .>) at the lattice points; a family
+    other than `ParametricFamily` raises TypeError.  A lattice of more than
+    DEFAULT_SIZE_CAP points raises ValueError before it is built; the member
+    count is checked against the standard (2RL/alpha + 1)^d covering bound.
     """
+    if not isinstance(pfam, ParametricFamily):
+        raise TypeError(f"grid_cover needs a ParametricFamily, got {type(pfam).__name__}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     ball = pfam.ball
@@ -70,7 +73,7 @@ def grid_cover(pfam, alpha):
         raise ValueError(f"lattice cover has {len(W)} members, over the "
                          f"(2RL/alpha+1)^d bound {bound:.6g}; this construction "
                          f"needs d^(1/s) below 2")
-    return CoverSet(scale=alpha, family=FiniteParamFamily(W, pfam))
+    return CoverSet(scale=alpha, family=FiniteParamFamily(W))
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +137,12 @@ def discretization_levels(alpha):
 def discretize(values, alpha, feature_keys=None):
     """Snap a [0,1] value table to the nearest level, ties toward the lower index.
 
-    Raises ValueError for a NaN or a value outside [0, 1], or a bad alpha
-    (see `discretization_levels`).
+    Raises ValueError for a NaN or a value outside [0, 1], a bad alpha
+    (see `discretization_levels`) or a feature_keys count off the columns.
     """
     values = _validate_table(np.atleast_2d(np.asarray(values, dtype=float)))
+    if feature_keys is not None and len(feature_keys) != values.shape[1]:
+        raise ValueError(f"{len(feature_keys)} feature_keys for {values.shape[1]} table columns")
     levels = discretization_levels(alpha)
     dist = np.abs(values[..., None] - levels[None, None, :])
     # argmin takes the first (lowest) index on ties
@@ -352,8 +357,10 @@ def msoa_cover(values, alpha, T, feature_keys):
     it is discretized at scale alpha, and every (step set I, level
     assignment) with |I| up to the 1-shattering number defines one cover
     member.  Member count is sum_{t<=d} C(T,t) * K^t, at most
-    DEFAULT_SIZE_CAP.
+    DEFAULT_SIZE_CAP.  A negative T raises ValueError.
     """
+    if T < 0:
+        raise ValueError(f"T must be a nonnegative integer, got {T}")
     dfam = discretize(values, alpha, feature_keys=[feature_key(k) for k in feature_keys])
     depth = min(max(dfam.shattering.value(dfam.full_class), 0), T)
     K = dfam.K

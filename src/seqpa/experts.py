@@ -5,9 +5,9 @@ Families come in two flavors.  Finite families expose ``n_experts`` and
 0-based step t with current feature x (this is what the mixture
 predictors iterate over); a sequential one, whose predictions depend on
 the feature prefix, is read from t = 0, in order.  The one parametric
-family, ``ParametricFamily``, is the logistic one: a parameter ball plus
-``value_batch(W, x)``; the covering module and grid discretization turn
-it into finite families.
+family, ``ParametricFamily``, is the logistic one, held as data: a ball and
+a Lipschitz constant.  Its covers and grids are ``FiniteParamFamily``s, which
+hold parameters only and evaluate the one link ``LOGISTIC`` themselves.
 """
 
 import math
@@ -79,46 +79,35 @@ class ParamBall:
         return self.norm(w) <= self.radius + MEMBERSHIP_SLACK
 
 
-@dataclass(frozen=True)
-class LinkFunction:
-    """Monotone map from the reals to [0, 1].
+class _LogisticLink:
+    """The logistic link sigma(z) = 1 / (1 + exp(-z)) on numpy's vectorized
+    exp, overflow silenced.
 
-    `c1`, `c2` describe the interval-surjectivity property used by the
-    block-design lower bound: [c1 - c2*d^-r, c1 + c2*d^-r] must sit inside
-    the image of [-d^-r, d^-r].  `interval_containment_ok` checks that
-    numerically for a concrete d and r rather than assuming it.
+    Agrees with scipy.special.expit to a few ulp, and like it is exactly 0
+    below z = -709.78, where exp(-z) overflows.  A scalar z gives a numpy
+    float; an array z gives a new array, computed in one buffer; z is never
+    written.  `c1`, `c2` describe the interval-surjectivity property used by
+    the block-design lower bound: [c1 - c2*d^-r, c1 + c2*d^-r] must sit
+    inside the image of [-d^-r, d^-r].  `interval_containment_ok` checks
+    that numerically for a concrete d and r rather than assuming it.
     """
 
-    name: str
-    fn: object  # vectorized callable real -> [0, 1]
-    c1: float | None = None
-    c2: float | None = None
+    name = "logistic"
+    c1 = 0.5
+    c2 = 0.2
 
     def __call__(self, z):
-        return self.fn(z)
+        e = np.array(z, dtype=float)  # a copy, so z is never written
+        np.negative(e, out=e)
+        return _logistic_of_negated(e)[()]
 
     def interval_containment_ok(self, d, r):
-        if self.c1 is None or self.c2 is None:
-            return False
         h = d ** (-float(r))
         lo, hi = self.c1 - self.c2 * h, self.c1 + self.c2 * h
         if not (0.0 < lo < hi < 1.0):
             return False
-        # monotone link: image of [-h, h] is [fn(-h), fn(h)]
-        return float(self.fn(-h)) <= lo and float(self.fn(h)) >= hi
-
-
-def _logistic(z):
-    """1 / (1 + exp(-z)) on numpy's vectorized exp, overflow silenced.
-
-    Agrees with scipy.special.expit to a few ulp, and like it is exactly 0
-    below z = -709.78, where exp(-z) overflows.  A scalar z gives a numpy
-    float; an array z gives a new array, computed in one buffer.
-    """
-    if np.ndim(z) == 0:
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-float(z)))
-    return _logistic_of_negated(np.negative(z, dtype=float))
+        # monotone link: image of [-h, h] is [sigma(-h), sigma(h)]
+        return float(self(-h)) <= lo and float(self(h)) >= hi
 
 
 def _logistic_of_negated(e):
@@ -130,7 +119,7 @@ def _logistic_of_negated(e):
     return np.reciprocal(e, out=e)
 
 
-LOGISTIC = LinkFunction("logistic", _logistic, c1=0.5, c2=0.2)
+LOGISTIC = _LogisticLink()
 
 
 def feature_key(x):
@@ -194,11 +183,6 @@ class ParametricFamily:
     ball: ParamBall
     lipschitz: float
 
-    def value_batch(self, W, x):
-        """sigma(W @ x) for an (n, d) parameter array W: a new (n,) float array."""
-        # W @ -x is -(W @ x) bit for bit: one buffer a call
-        return _logistic_of_negated(W @ -np.asarray(x, dtype=float))
-
 
 def glm_family(d=1, R=1.0, s=2.0, lipschitz=1.0):
     """Logistic family x -> sigma(<w, x>) over the l_s ball of radius R in R^d.
@@ -210,7 +194,7 @@ def glm_family(d=1, R=1.0, s=2.0, lipschitz=1.0):
 
 
 class FiniteParamFamily:
-    """A parametric family restricted to a finite parameter set (a cover grid).
+    """The logistic family restricted to a finite parameter set (a cover grid).
 
     `params` is held as an (n, d) array in column-major order, so the
     product `params @ x` of every step streams down each column once.  The
@@ -218,17 +202,17 @@ class FiniteParamFamily:
     is copied once, and the family keeps only the copy.
     """
 
-    def __init__(self, params, parent):
+    def __init__(self, params):
         self.params = np.asfortranarray(np.atleast_2d(np.asarray(params, dtype=float)))
-        self.parent = parent
 
     @property
     def n_experts(self):
         return self.params.shape[0]
 
     def all_predictions(self, t, x):
-        # the link's contract keeps these in [0, 1]; no clip pass
-        return self.parent.value_batch(self.params, x)
+        # the link's contract keeps these in [0, 1]; no clip pass.  W @ -x is
+        # -(W @ x) bit for bit: one buffer a call
+        return _logistic_of_negated(self.params @ -np.asarray(x, dtype=float))
 
 
 class DsFamily:

@@ -10,16 +10,6 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "as_prob",
-    "as_label",
-    "log_loss",
-    "cumulative_loss",
-    "log_sum_exp",
-    "pointwise_regret",
-]
-
-
 def as_prob(value):
     """Validate a probability of the label being 1; reject values outside [0, 1]."""
     v = float(value)

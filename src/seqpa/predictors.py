@@ -232,12 +232,16 @@ def continuous_bayes(family, T, hessian_bound):
     The grid spacing is a tenth of the half-ball radius sqrt(d/CT), which
     keeps the discretization error of the continuous-prior mixture well
     under 0.1 nats.  `hessian_bound` is taken as given: the caller checks
-    it against the features (the harness does, as max ||x||^2 / 4).
-    Desk-scale guard: d <= 4.
+    it against the features (the harness does, as max ||x||^2 / 4).  The
+    grid is an l2 ball: any other ball, T < 1 or d > 4 raises ValueError.
     """
     if not isinstance(family, ParametricFamily):
         raise TypeError("continuous_bayes needs a parametric family")
-    d, R = family.ball.dimension, family.ball.radius
+    d, R, s = family.ball.dimension, family.ball.radius, family.ball.norm_order
+    if s != 2:
+        raise ValueError(f"continuous_bayes needs an l2 ball, got norm order {s}")
+    if T < 1:
+        raise ValueError(f"T must be a positive integer, got {T}")
     if d > 4:
         raise ValueError("continuous-prior grids are limited to d <= 4")
     C = float(hessian_bound)
@@ -247,7 +251,7 @@ def continuous_bayes(family, T, hessian_bound):
     R_star = R + rho
     per_axis = math.ceil(10.0 * math.sqrt(C * T / d) * R_star)
     W = ball_lattice(np.linspace(-R_star, R_star, per_axis), d, 2.0, R_star)
-    return MixturePredictor(FiniteParamFamily(W, family))
+    return MixturePredictor(FiniteParamFamily(W))
 
 
 class NmlPredictor:

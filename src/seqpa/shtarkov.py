@@ -109,10 +109,12 @@ def shtarkov_sum(oracle, T):
 
     Exchangeable oracles are grouped by the number of ones and run to very
     large T; generic oracles enumerate all 2^T sequences (T <= 22).
-    Raises ValueError for a negative T.
+    Raises ValueError for a T that is negative or not integral; an
+    integral float or numpy integer T is taken as the int it equals.
     """
-    if T < 0:
+    if not (T >= 0 and float(T).is_integer()):
         raise ValueError(f"T must be a nonnegative integer, got {T}")
+    T = int(T)
     if isinstance(oracle, ExchangeableOracle):
         k = np.arange(T + 1)
         return log_sum_exp(_log_binom(T, k) + oracle.log_sup_by_count(k, T))
@@ -235,10 +237,12 @@ def identification_bound(distributions):
     `distributions` is a (|P|, n_outcomes) row-stochastic matrix.  The
     exhaustive optimum enumerates every estimator map when |P|^n_outcomes
     is at most 10^6; otherwise it is None (reported, bound still valid).
-    A row with an entry outside [0, 1] or a sum other than 1 raises ValueError.
+    An empty matrix or a row off [0, 1] or not summing to 1 raises ValueError.
     """
     P = np.atleast_2d(np.asarray(distributions, dtype=float))
     m, n = P.shape
+    if P.size == 0:
+        raise ValueError(f"distributions is empty (shape {P.shape}): need a row and an outcome")
     if np.any((P < 0) | (P > 1)) or not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("rows must be probability distributions (entries in [0, 1], sum 1)")
     S = float(P.max(axis=0).sum())

@@ -4,6 +4,7 @@ import math
 import re
 import time
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -22,10 +23,10 @@ from seqpa.covering import (
     msoa_cover,
     msoa_run,
 )
-from seqpa.experts import (DsFamily, FiniteStaticFamily, best_in_hindsight, glm_family,
-                           prediction_matrix)
+from seqpa.experts import (DsFamily, FiniteStaticFamily, best_in_hindsight,
+                           build_hard_lipschitz_class, glm_family, prediction_matrix)
 from seqpa.harness import greedy_label_fn, run_protocol, worst_case_labels
-from seqpa.predictors import MixturePredictor
+from seqpa.predictors import MixturePredictor, continuous_bayes
 from seqpa.shtarkov import block_design_features
 
 
@@ -59,6 +60,15 @@ def test_discretize_rejects_values_off_the_unit_interval():
     (discretize, ([[0.5]], -0.1), "alpha must be a positive finite number, got -0.1"),
     (block_design_features, (0, 8), "d must be a positive integer, got 0"),
     (block_design_features, (-1, 8), "d must be a positive integer, got -1"),
+    (discretize, ([[0.5, 0.5]], 0.25, [(0.0,)]), "1 feature_keys for 2 table columns"),
+    (msoa_cover, ([[0.1, 0.9]], 0.25, 3, [(0.0,), (0.5,), (1.0,)]),
+     "3 feature_keys for 2 table columns"),
+    (msoa_cover, ([[0.1, 0.9]], 0.25, -1, [(0.0,), (1.0,)]),
+     "T must be a nonnegative integer, got -1"),
+    # an l2 grid misses an l_inf ball's corners (it reaches l2 norm 1.354 of sqrt(2) here)
+    (continuous_bayes, (glm_family(d=2, s=math.inf), 64, 0.25),
+     "continuous_bayes needs an l2 ball, got norm order inf"),
+    (continuous_bayes, (glm_family(d=1), 0, 0.25), "T must be a positive integer, got 0"),
 ])
 def test_bad_scale_or_dimension_raises_value_error(fn, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -77,7 +87,7 @@ def test_grid_cover_covers_family():
                      axis=1)
     for _ in range(50):
         w = rng.uniform(-1, 1, 1)
-        target = np.array([fam.value_batch(w[None, :], x)[0] for x in features])
+        target = 1.0 / (1.0 + np.exp(-(features @ w)))
         assert (np.abs(preds - target).max(axis=1) <= alpha + 1e-12).any()
 
 
@@ -107,6 +117,12 @@ def test_grid_cover_rejects_bad_alpha():
     fam = glm_family(d=1, R=1.0)
     with pytest.raises(ValueError):
         grid_cover(fam, 0.0)
+    # a family with a ball and a Lipschitz constant is not yet the logistic one
+    hard, _ = build_hard_lipschitz_class(d=1, T=64, R=1.0, L=1.0, alpha=0.1, seed=0)
+    look_alike = types.SimpleNamespace(ball=fam.ball, lipschitz=fam.lipschitz)
+    for other, name in ((hard, "HardLipschitzFamily"), (look_alike, "SimpleNamespace")):
+        with pytest.raises(TypeError, match=f"needs a ParametricFamily, got {name}$"):
+            grid_cover(other, 0.1)
 
 
 def test_fat_shattering_threshold_family():

@@ -438,6 +438,8 @@ def test_identification_bound_rejects_entries_off_the_unit_interval():
     # rows sum to 1, but the first is not a distribution
     with pytest.raises(ValueError, match="probability distributions"):
         identification_bound([[1.5, -0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"distributions is empty \(shape \(0, 2\)\)"):
+        identification_bound(np.zeros((0, 2)))
 
 
 def test_identification_bound_random_lower_bound():
@@ -650,5 +652,12 @@ def test_negative_horizon_and_empty_block_design_are_rejected():
             shtarkov_sum(oracle, -1)
     with pytest.raises(ValueError, match="T must be a nonnegative integer, got -1"):
         ds_lower_bound(-1, 1.0)
+    for T in (2.5, math.nan):
+        with pytest.raises(ValueError, match=f"^T must be a nonnegative integer, got {T}$"):
+            shtarkov_sum(ConstantBernoulliMLE(), T)
+    finite = FiniteMaxOracle(FiniteStaticFamily([[0.3], [0.6]]), np.zeros((3, 1)))
+    for T in (10, np.int64(10), 10.0):  # an integral T of any type keeps its value
+        assert shtarkov_sum(ConstantBernoulliMLE(), T) == 1.5390617303283205
+        assert shtarkov_sum(finite, T // 5) == shtarkov_sum(finite, 2)
     with pytest.raises(ValueError, match="d must be a positive integer, got 0"):
         block_shtarkov_lower(0, 8, LOGISTIC, 1.0)

@@ -1,6 +1,7 @@
 """The traced benchmark rebinds seqpa names listed in perfbench/tracing.py
-and its workloads read seqpa names in perfbench/workloads.py; a rename or
-deletion of one of them must fail here, not only there."""
+and its workloads read seqpa names in perfbench/workloads.py, passing some
+of them keyword arguments; a rename or deletion of one of those names or
+parameters must fail here, not only there."""
 
 import ast
 import importlib
@@ -23,16 +24,32 @@ def _load_tracing():
     return module
 
 
+def _seqpa_modules(tree):
+    """The names a source binds with `from seqpa import ...`."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "seqpa"
+            for alias in node.names}
+
+
 def _seqpa_reads(path):
     """(module, name) for every `<module>.<name>` read of a module the
     source imports with `from seqpa import ...`."""
     tree = ast.parse(path.read_text())
-    modules = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "seqpa"
-               for alias in node.names}
+    modules = _seqpa_modules(tree)
     return {(node.value.id, node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in modules}
+
+
+def _seqpa_keywords(path):
+    """(module, name, keyword) for every named argument of a `<module>.<name>(...)`
+    call to a module the source imports with `from seqpa import ...`."""
+    tree = ast.parse(path.read_text())
+    modules = _seqpa_modules(tree)
+    return {(node.func.value.id, node.func.attr, kw.arg) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+            for kw in node.keywords if kw.arg is not None}
 
 
 def _keys_read(node):
@@ -91,3 +108,16 @@ def test_every_argument_a_counter_reads_is_a_parameter():
         params = inspect.signature(getattr(owner, attr)).parameters
         absent = sorted(read - params.keys())
         assert not absent, f"{owner.__name__}.{attr} has no parameters {absent}"
+
+
+def test_every_keyword_perfbench_passes_is_a_parameter():
+    calls = _seqpa_keywords(WORKLOADS) | _seqpa_keywords(TRACING)
+    assert {("covering", "msoa_run", "cache"), ("shtarkov", "hard_class_certificate", "trials"),
+            ("covering", "DiscretizedFamily", "levels"),
+            ("predictors", "MixturePredictor", "truncation")} <= calls
+    absent = []
+    for mod, name, keyword in sorted(calls):
+        callee = getattr(importlib.import_module(f"seqpa.{mod}"), name)
+        if keyword not in inspect.signature(callee).parameters:
+            absent.append(f"{mod}.{name}({keyword}=...)")
+    assert not absent, f"perfbench passes keywords seqpa no longer takes: {absent}"
