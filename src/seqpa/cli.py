@@ -9,8 +9,6 @@ printed as `seqpa <cmd>: error: <message>` and exits 2.
 import argparse
 import sys
 
-import numpy as np
-
 from . import bounds, harness, shtarkov
 from .covering import grid_cover
 from .experts import LOGISTIC, glm_family
@@ -154,7 +152,6 @@ def main(argv=None):
     _add_cover(sub)
     _add_bench(sub)
     args = parser.parse_args(argv)
-    np.seterr(over="warn")
     handler = {"predict": _cmd_predict, "shtarkov": _cmd_shtarkov,
                "bound": _cmd_bound, "cover": _cmd_cover, "bench": _cmd_bench}
     try:

@@ -11,9 +11,11 @@ hold parameters only and evaluate the one link ``LOGISTIC`` themselves.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .losses import _as_labels
 
 MEMBERSHIP_SLACK = 1e-12
 # lattice_blocks walks axis^d in blocks of whole slowest-coordinate slices,
@@ -279,10 +281,11 @@ def best_in_hindsight(family, features, labels):
     cumulative log loss f over the ball (see `_best_logistic`), so regret
     computed against it never understates the true regret.  For an (S, T)
     array both come back with a leading axis of length S.  The first T
-    feature rows are used; fewer than T raise ValueError.
+    feature rows are used; fewer than T raise ValueError, as does a label
+    other than 0 or 1.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = np.asarray(labels)
+    labels = _as_labels(labels)
     if labels.size == 0 and labels.ndim == 1:
         return None, 0.0
     Y = np.atleast_2d(labels)
@@ -294,7 +297,7 @@ def best_in_hindsight(family, features, labels):
         P = prediction_matrix(family, features[:Y.shape[1]])
         steps = np.stack(log_likelihoods(P)).transpose(2, 0, 1)
         total = np.zeros((Y.shape[0], family.n_experts))
-        for y, step in zip((Y == 1).astype(np.intp).T, steps):
+        for y, step in zip(Y.astype(np.intp).T, steps):
             total += step[y]
         params = np.argmax(total, axis=1)
         best = -total[np.arange(len(params)), params]
@@ -409,20 +412,15 @@ def _best_logistic(X, Y, R):
 
 @dataclass
 class CodeBook:
-    """Binary code vectors with a verified minimum pairwise Hamming distance;
-    `min_hamming` defaults to the computed minimum."""
+    """Binary code vectors and their minimum pairwise Hamming distance,
+    computed from the vectors."""
 
     vectors: np.ndarray  # (M, T) uint8
-    min_hamming: int | None = None
+    min_hamming: int = field(init=False)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.uint8)
-        actual = _min_pairwise_hamming(self.vectors)
-        if self.min_hamming is None:
-            self.min_hamming = actual
-        elif actual < self.min_hamming:
-            raise ValueError(f"pairwise Hamming distance {actual} is below the "
-                             f"declared minimum {self.min_hamming}")
+        self.min_hamming = _min_pairwise_hamming(self.vectors)
 
 
 def _zero_positive_counts(table):

@@ -4,13 +4,12 @@ The online protocol is strictly sequential: the learner predicts from the
 feature prefix, then the adversary (label source) reveals the label.  The
 feature sequence is always fixed up front; adversarial search is over
 labels only, using either the exhaustive game tree (small horizons) or
-the greedy per-step heuristic.
+the greedy per-step heuristic.  A block-design cell needs d | T.
 """
 
 import configparser
 import hashlib
 import itertools
-import math
 import multiprocessing
 import os
 import time
@@ -26,20 +25,17 @@ from .covering import grid_cover
 from .experts import best_in_hindsight, glm_family
 from .losses import pointwise_regret
 from .predictors import MixturePredictor, Transcript, continuous_bayes, mixture_losses
-from .shtarkov import FiniteMaxOracle, block_design_features, leaf_log_sups
+from .shtarkov import FiniteMaxOracle, _leaf_labels, block_design_features, leaf_log_sups
 
 SCHEMA_VERSION = 1
 WORST_CASE_CAP = 18
 
 
 class ConstantPredictor:
-    """Always predicts the same value (the trivial T-bound baseline)."""
-
-    def __init__(self, value=0.5):
-        self.value = value
+    """Always predicts 1/2 (the trivial T-bound baseline)."""
 
     def step(self, x):
-        return self.value
+        return 0.5
 
     def update(self, y):
         pass
@@ -93,11 +89,9 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
     if not isinstance(predictor, MixturePredictor):
         raise TypeError(f"worst_case_labels needs MixturePredictor factories, got {predictor!r}")
     loss = mixture_losses(predictor.family, features, predictor.truncation)
-    best = -leaf_log_sups(FiniteMaxOracle(family, features), T)
-    with np.errstate(invalid="ignore"):
-        regret = np.where((loss == math.inf) & (best == math.inf), 0.0, loss - best)
+    regret = pointwise_regret(loss, -leaf_log_sups(FiniteMaxOracle(family, features), T))
     j = int(np.argmax(regret))
-    return [(j >> (T - 1 - t)) & 1 for t in range(T)], float(regret[j])
+    return _leaf_labels(j, j + 1, T)[0].tolist(), float(regret[j])
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +143,7 @@ def _build_features(cell, rng, T, d):
     if kind == "ball":
         return _ball_features(rng, T, d)
     if kind == "block":
-        Tt, feats = block_design_features(d, T)
-        if Tt != T:
-            raise ValueError(f"block design needs d | T (got T={T}, d={d})")
-        return feats
+        return block_design_features(d, T)
     raise ValueError(f"unknown feature design {kind!r}")
 
 
@@ -179,8 +170,9 @@ def run_experiment(cell, out_dir=None):
     """Run one experiment cell; returns (ReportRow, Transcript).
 
     The cell is a flat dict of strings (one point of the bench matrix).
-    A transcript CSV is written to `out_dir` when given.  Raises ValueError
-    for T or d below 1.
+    A transcript CSV (`Transcript.to_csv_string`) is written to `out_dir`
+    when given.  Raises ValueError for T or d below 1 and for a block
+    design whose d does not divide T.
     """
     start = time.monotonic()
     digest = _cell_digest(cell)
@@ -218,14 +210,14 @@ def run_experiment(cell, out_dir=None):
         bound = bounds.hessian_upper(T, d, R, C)
         allowance = 0.1
     elif algo == "constant":
-        predictor = ConstantPredictor(0.5)
+        predictor = ConstantPredictor()
         bound = float(T)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
 
     transcript = run_protocol(predictor, features, _build_label_fn(cell, rng))
     _, best = best_in_hindsight(family, features, transcript.labels)
-    regret = pointwise_regret(transcript, best)
+    regret = pointwise_regret(transcript.cumulative_loss, best)
     slack = bound - regret
     row = ReportRow(digest=digest, family=fam_kind, predictor=algo,
                     adversary=cell.get("adversary", "greedy"), T=T, d=d,
@@ -235,7 +227,7 @@ def run_experiment(cell, out_dir=None):
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        transcript.to_csv(out_dir / f"transcript_{digest}.csv")
+        (out_dir / f"transcript_{digest}.csv").write_text(transcript.to_csv_string(), newline="")
     return row, transcript
 
 

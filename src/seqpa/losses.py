@@ -3,7 +3,7 @@
 All losses are in nats (natural log).  +inf is a legitimate loss value: it
 shows up whenever a zero-probability prediction meets the opposite label,
 and the Shtarkov enumeration visits such outcomes on purpose, so nothing
-here raises on the degenerate cases.
+here raises on the degenerate cases, and regret counts inf - inf as 0.
 """
 
 import math
@@ -24,6 +24,16 @@ def as_label(value):
     if v not in (0, 1) or v != value:
         raise ValueError(f"label must be 0 or 1, got {value!r}")
     return v
+
+
+def _as_labels(values):
+    """`as_label` over an array: the labels as an array, or ValueError naming
+    the first one other than 0 or 1."""
+    labels = np.asarray(values)
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        raise ValueError(f"label must be 0 or 1, got {labels[bad][0].item()!r}")
+    return labels
 
 
 def log_loss(pred, label):
@@ -56,14 +66,12 @@ def log_sum_exp(values):
     return float(m + np.log(np.exp(v - m).sum()))
 
 
-def pointwise_regret(learner, best_loss):
-    """Learner cumulative loss minus the best-in-hindsight loss.
-
-    `learner` may be a Transcript (anything with a `cumulative_loss`
-    attribute) or a plain cumulative loss.  May be negative on sequences
-    that are not worst case.
+def pointwise_regret(loss, best_loss):
+    """Cumulative loss minus the best-in-hindsight loss, elementwise over
+    floats or arrays (a float for scalar inputs), with inf - inf = 0.  May
+    be negative on sequences that are not worst case.
     """
-    loss = getattr(learner, "cumulative_loss", learner)
-    if loss == math.inf and best_loss == math.inf:
-        return 0.0
-    return float(loss) - float(best_loss)
+    loss, best_loss = np.asarray(loss, dtype=float), np.asarray(best_loss, dtype=float)
+    with np.errstate(invalid="ignore"):
+        regret = np.where((loss == math.inf) & (best_loss == math.inf), 0.0, loss - best_loss)
+    return float(regret) if regret.ndim == 0 else regret

@@ -55,11 +55,6 @@ class Transcript:
         self.step_losses.append(loss)
         self.cumulative_loss += loss
 
-    def to_csv(self, path):
-        """Write `to_csv_string()` to the file at `path`."""
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_string())
-
     def to_csv_string(self):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

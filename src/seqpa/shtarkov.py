@@ -15,9 +15,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
-from .experts import (_zero_positive_counts, best_in_hindsight, ds_project, lattice_blocks,
-                      log_likelihoods, prediction_matrix)
-from .losses import as_label, log_sum_exp
+from .experts import (ROW_BLOCK, _zero_positive_counts, best_in_hindsight, ds_project,
+                      lattice_blocks, log_likelihoods, prediction_matrix)
+from .losses import _as_labels, as_label, log_sum_exp
 
 ENUMERATION_CAP = 22
 LEAF_BLOCK_BITS = 14  # label_tree_fold builds 2^14 leaves per row at a time
@@ -57,8 +57,8 @@ class ExchangeableOracle:
     """Base for oracles whose sup depends on labels only through the count of 1s."""
 
     def log_sup(self, labels):
-        labels = list(labels)
-        return float(self.log_sup_by_count(sum(labels), len(labels)))
+        labels = _as_labels(labels)
+        return float(self.log_sup_by_count(labels.sum(), len(labels)))
 
 
 class IntervalBernoulli(ExchangeableOracle):
@@ -192,12 +192,18 @@ def label_tree_fold(a0, a1, reduce):
     return out.ravel()
 
 
+def _leaf_labels(start, stop, T):
+    """Label sequences start..stop-1 in leaf order, as (stop - start, T) uint8
+    rows: row j holds the binary expansion of j, y_1 most significant."""
+    return ((np.arange(start, stop)[:, None] >> np.arange(T - 1, -1, -1)) & 1).astype(np.uint8)
+
+
 def leaf_log_sups(oracle, T):
     """ln sup probability of every label sequence, indexed like `GameValueTable`
     leaves: for a `FiniteMaxOracle`, a max-fold of a finite family's log
-    likelihoods (bit-identical to `log_sup`) or one batched logistic
-    `best_in_hindsight` solve (certified, within `CERTIFIED_GAP`); for an
-    exchangeable oracle, `log_sup_by_count` at each leaf's count of ones."""
+    likelihoods (bit-identical to `log_sup`) or logistic `best_in_hindsight`
+    solves of `ROW_BLOCK` label rows each (certified, within `CERTIFIED_GAP`);
+    for an exchangeable oracle, `log_sup_by_count` at each leaf's count of ones."""
     if isinstance(oracle, FiniteMaxOracle):
         features = oracle.features[:T]
         if len(features) < T:
@@ -205,9 +211,11 @@ def leaf_log_sups(oracle, T):
         if hasattr(oracle.family, "n_experts"):
             P = prediction_matrix(oracle.family, features)
             return label_tree_fold(*log_likelihoods(P), np.max)
-        # row j holds the binary expansion of j, the label_tree_fold leaf order
-        labels = (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
-        return -best_in_hindsight(oracle.family, features, labels.astype(np.uint8))[1]
+        # one solve per ROW_BLOCK label rows, the solver's own blocks
+        return np.concatenate([
+            -best_in_hindsight(oracle.family, features,
+                               _leaf_labels(i, min(i + ROW_BLOCK, 2 ** T), T))[1]
+            for i in range(0, 2 ** T, ROW_BLOCK)])
     if not isinstance(oracle, ExchangeableOracle):
         raise TypeError(f"no label-tree leaves for oracle {oracle!r}")
     counts = np.bitwise_count(np.arange(2 ** T))
@@ -263,20 +271,19 @@ def identification_bound(distributions):
 
 
 def block_design_features(d, T):
-    """Features in d blocks: block i repeats the i-th standard basis vector.
-
-    T is trimmed down to d * floor(T/d); returns (T_trimmed, features).
+    """(T, d) features in d blocks of T / d steps: block i repeats the i-th
+    standard basis vector.  Raises ValueError unless d >= 1 and T is a
+    positive multiple of d.
     """
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    if d > T:
-        raise ValueError(f"d={d} exceeds T={T}")
+    if T < 1 or T % d:
+        raise ValueError(f"block design needs d | T (got T={T}, d={d})")
     n = T // d
-    Tt = d * n
-    feats = np.zeros((Tt, d))
+    feats = np.zeros((T, d))
     for i in range(d):
         feats[i * n:(i + 1) * n, i] = 1.0
-    return Tt, feats
+    return feats
 
 
 def block_shtarkov_lower(d, T, link, s):

@@ -2,6 +2,7 @@ import hashlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqpa import bounds, harness, shtarkov
@@ -209,7 +210,17 @@ def test_single_valued_knobs_reject_other_values(argv, capsys):
      "seqpa bound: error: need T>=0, alpha in (0,1)"),
     (["bound", "--kind", "cover-size", "--T", "-3", "--alpha", "0.1", "--dfat", "1"],
      "seqpa bound: error: need T>=0, alpha in (0,1)"),
+    (["predict", "--features", "block", "--T", "9", "--d", "2"],
+     "seqpa predict: error: block design needs d | T (got T=9, d=2)"),
 ])
 def test_bad_sizes_and_missing_interval_are_reported(argv, line, capsys):
     assert main(argv) == 2
     assert _error_line(capsys) == line
+
+
+def test_main_leaves_the_numpy_error_state_alone(capsys):
+    with np.errstate(over="raise"):
+        before = np.geterr()
+        assert main(["bound", "--kind", "lipschitz-upper", "--T", "100", "--d", "1",
+                     "--R", "1", "--L", "1"]) == 0
+        assert np.geterr() == before

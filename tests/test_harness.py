@@ -34,7 +34,7 @@ from seqpa.shtarkov import FiniteMaxOracle, shtarkov_sum
 
 def test_constant_predictor_loss():
     features = np.zeros((5, 1))
-    tr = run_protocol(ConstantPredictor(0.5), features, greedy_label_fn())
+    tr = run_protocol(ConstantPredictor(), features, greedy_label_fn())
     assert tr.cumulative_loss == pytest.approx(5 * math.log(2))
 
 
@@ -83,7 +83,7 @@ def test_worst_case_regret_ladder(alpha):
     # the reported regret is the stepped mixture's regret on the returned labels
     tr = run_protocol(MixturePredictor(fam, truncation=alpha), features, fixed_label_fn(labels))
     _, best = best_in_hindsight(fam, features, labels)
-    assert regret == pytest.approx(pointwise_regret(tr, best), abs=1e-12)
+    assert regret == pytest.approx(pointwise_regret(tr.cumulative_loss, best), abs=1e-12)
 
 
 def test_worst_case_parametric_comparator_batched():
@@ -100,7 +100,7 @@ def test_worst_case_parametric_comparator_batched():
     tr = run_protocol(MixturePredictor(cover.family, truncation=alpha), features,
                       fixed_label_fn(labels))
     _, best = best_in_hindsight(fam, features, labels)
-    assert regret == pytest.approx(pointwise_regret(tr, best), abs=1e-12)
+    assert regret == pytest.approx(pointwise_regret(tr.cumulative_loss, best), abs=1e-12)
     # no sampled sequence has a larger regret under per-sequence solves
     loss = mixture_losses(cover.family, features, alpha)
     for j in rng.integers(0, 2 ** T, 64):
@@ -133,6 +133,20 @@ def test_run_experiment_smooth_bayes_cell(tmp_path):
     assert len(transcript.labels) == 16
     assert row.slack >= 0.0
     assert (tmp_path / f"transcript_{row.digest}.csv").exists()
+
+
+def test_run_experiment_transcript_csv_accepts_paths(tmp_path):
+    cell = dict(family="logistic", algorithm="smooth_bayes", T=6, d=2, seed=0)
+    for out_dir in (tmp_path / "path", str(tmp_path / "str")):
+        row, transcript = run_experiment(cell, out_dir=out_dir)
+        written = Path(out_dir, f"transcript_{row.digest}.csv").read_bytes()
+        assert written == transcript.to_csv_string().encode()
+
+
+def test_run_experiment_rejects_a_block_design_d_does_not_divide():
+    cell = dict(family="logistic", algorithm="smooth_bayes", T=9, d=2, features="block")
+    with pytest.raises(ValueError, match=r"^block design needs d \| T \(got T=9, d=2\)$"):
+        run_experiment(cell)
 
 
 def test_run_experiment_deterministic():
@@ -184,7 +198,7 @@ def test_run_experiment_constant_cell_has_the_trivial_bound():
     assert transcript.cumulative_loss == pytest.approx(T * math.log(2.0))
     assert row.bound == float(T) and row.allowance == 0.0 and row.ok
     _, best = best_in_hindsight(glm_family(d=2, R=1.0), transcript.features, transcript.labels)
-    assert row.regret == pointwise_regret(transcript, best)
+    assert row.regret == pointwise_regret(transcript.cumulative_loss, best)
 
 
 def _write_config(path):

@@ -85,3 +85,6 @@ def test_pointwise_regret_inf_minus_inf():
     # both sides infinite: regret defined as zero
     assert pointwise_regret(math.inf, math.inf) == 0.0
     assert pointwise_regret(3.0, 1.0) == pytest.approx(2.0)
+    # elementwise over arrays, with the same rule
+    regret = pointwise_regret(np.array([math.inf, 3.0, math.inf]), np.array([math.inf, 1.0, 2.0]))
+    assert np.array_equal(regret, [0.0, 2.0, math.inf])

@@ -436,16 +436,6 @@ def test_transcript_append_and_csv():
     assert lines[1].startswith("1,0.5,1,0.5,")
 
 
-def test_transcript_to_csv_accepts_paths(tmp_path):
-    tr = Transcript(features=[np.array([0.5]), np.array([-0.25])])
-    tr.append(0.5, 1)
-    tr.append(0.75, 0)
-    tr.to_csv(tmp_path / "path.csv")
-    tr.to_csv(str(tmp_path / "str.csv"))
-    assert (tmp_path / "path.csv").read_text() == tr.to_csv_string()
-    assert (tmp_path / "str.csv").read_text() == tr.to_csv_string()
-
-
 def test_continuous_bayes_respects_regret_bound_small():
     T, d, R, C = 16, 1, 1.0, 0.25
     fam = glm_family(d=d, R=R)

@@ -258,6 +258,57 @@ def test_logistic_leaves_and_nml_equalizer(d):
         assert abs(cumulative_loss(nml.run(y), y) + sup - table.root) <= 1e-9
 
 
+def _dense_logistic_leaves(oracle, T):
+    """The logistic leaves from one solve over all 2^T label rows at once."""
+    labels = (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
+    return -best_in_hindsight(oracle.family, oracle.features[:T], labels.astype(np.uint8))[1]
+
+
+@pytest.mark.parametrize("T", [0, 1, 5, 15])
+def test_logistic_leaves_in_row_blocks_equal_the_dense_form(T, monkeypatch):
+    features = _ball_features(np.random.default_rng(T), T, 2)
+    oracle = FiniteMaxOracle(glm_family(d=2, R=1.0), features)
+    # three blocks, the last one ragged from T = 5 on, and the solver's own
+    # blocks the same size
+    for module in (shtarkov, experts):
+        monkeypatch.setattr(module, "ROW_BLOCK", 2 ** T // 3 + 1)
+    assert np.array_equal(leaf_log_sups(oracle, T), _dense_logistic_leaves(oracle, T))
+
+
+def test_logistic_leaves_memory_is_one_row_block():
+    # all 2^16 label rows at once took 21 MiB here (two int64 copies of the
+    # rows beside the solve); one ROW_BLOCK of rows at a time takes 12 MiB
+    T = 16
+    features = _ball_features(np.random.default_rng(0), T, 1)
+    oracle = FiniteMaxOracle(glm_family(d=1, R=1.0), features)
+    tracemalloc.start()
+    try:
+        leaf_log_sups(oracle, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+_FINITE = FiniteStaticFamily([[0.3], [0.9]])
+
+
+@pytest.mark.parametrize("log_sup", [
+    lambda y: -best_in_hindsight(_FINITE, np.zeros((2, 1)), y)[1],
+    lambda y: -best_in_hindsight(glm_family(), np.full((2, 1), 0.5), y)[1],
+    lambda y: FiniteMaxOracle(_FINITE, np.zeros((2, 1))).log_sup(y),
+    lambda y: IntervalBernoulli(0.2, 0.8).log_sup(y),
+    lambda y: ConstantBernoulliMLE().log_sup(y),
+], ids=["finite", "logistic", "finite-oracle", "interval", "constant-mle"])
+def test_labels_other_than_0_or_1_are_rejected(log_sup):
+    for labels, bad in (([2, 0], "2"), ([0.5, 0], "0.5"), ([0, -1], "-1"),
+                        ([math.nan, 1], "nan"), ([[1, 0], [0, 3]], "3")):
+        with pytest.raises(ValueError, match=f"^label must be 0 or 1, got {bad}$"):
+            log_sup(labels)
+    # 0 and 1 of any numeric type are labels
+    assert log_sup([1, 0]) == log_sup([1.0, 0.0]) == log_sup(np.array([True, False]))
+
+
 @pytest.mark.parametrize("family", [FiniteStaticFamily(np.array([[0.25], [0.75]])),
                                     glm_family(d=1, R=1.0)])
 def test_fewer_features_than_labels_is_an_error(family):
@@ -382,11 +433,14 @@ def test_ds_sup_verify_rejects_non_binary_labels(labels):
 
 
 def test_block_design_features_shape():
-    T, X = block_design_features(3, 20)
-    assert T == 18  # trimmed to a multiple of d
+    X = block_design_features(3, 18)
     assert X.shape == (18, 3)
-    # each block uses a single basis vector
-    np.testing.assert_allclose(X[:6], np.tile([1.0, 0, 0], (6, 1)))
+    # each block of T / d steps uses a single basis vector
+    np.testing.assert_array_equal(X, np.repeat(np.eye(3), 6, axis=0))
+    for d, T in ((3, 20), (3, 2), (2, 0)):  # d not dividing T, d > T, T = 0
+        with pytest.raises(ValueError,
+                           match=rf"^block design needs d \| T \(got T={T}, d={d}\)$"):
+            block_design_features(d, T)
 
 
 def test_block_shtarkov_lower_monotone_in_T():
@@ -530,7 +584,7 @@ def test_hard_class_certificate_matches_per_pair_reference():
         if min_h < T / 4:
             continue
         fam = _codebook_family(vectors, float(rng.uniform(0.05, 0.9)))
-        cb = CodeBook(vectors, min_h)
+        cb = CodeBook(vectors)
         trials, seed = int(rng.integers(50, 400)), int(rng.integers(1000))
         report = hard_class_certificate(fam, cb, trials=trials, seed=seed)
         reference = _reference_certificate(fam, cb, trials, seed)
@@ -544,7 +598,7 @@ def _random_codebook(rng, M, T):
         vectors = rng.integers(0, 2, size=(M, T)).astype(np.uint8)
         min_h = _reference_min_hamming(vectors)
         if min_h >= T / 4:
-            return CodeBook(vectors, min_h)
+            return CodeBook(vectors)
 
 
 def test_hard_class_certificate_blocks_equal_one_dense_draw(monkeypatch):
@@ -621,7 +675,7 @@ def test_hard_class_certificate_marks_the_exposed_source():
     T, alpha, trials = 8, 0.5, 20_000
     vectors = np.zeros((2, T), dtype=np.uint8)
     vectors[0, :2] = vectors[1, 2:5] = 1
-    report = hard_class_certificate(_codebook_family(vectors, alpha), CodeBook(vectors, 5),
+    report = hard_class_certificate(_codebook_family(vectors, alpha), CodeBook(vectors),
                                     trials=trials, seed=0)
     exact = (1 - alpha) ** 3
     assert abs(report.mc_error - exact) <= 4 * math.sqrt(exact * (1 - exact) / (trials // 2))
