@@ -81,7 +81,7 @@ def _cmd_shtarkov(args):
         verdict = "ok" if ln_s >= env else "below-envelope"
     else:  # block-glm
         ln_s = shtarkov.block_shtarkov_lower(args.d, args.T, LOGISTIC, args.s)
-        env = bounds.glm_lower(args.d * (args.T // args.d), args.d, args.s)
+        env = bounds.glm_lower(args.T, args.d, args.s)
         formula = f"{env:.12g}"
         verdict = "ok" if ln_s >= env else "below-pure-leading-term"
     print("oracle,T,d,s,ln_S,formula_bound,verdict")

@@ -270,6 +270,36 @@ def log_likelihoods(P):
         return np.log1p(-P), np.log(P)
 
 
+def count_log_likelihoods(a0, a1):
+    """The log likelihoods (a0, a1) = `log_likelihoods(P)` of a prediction
+    matrix, grouped by distinct column: (group, terms).
+
+    Steps whose (a0, a1) columns are equal form one group; groups are
+    numbered in order of first appearance and group[t] is step t's.  For a
+    group of N steps that predict p, terms[a] is the (n, N + 1) table of
+    every row's log probability of k ones among them,
+    k ln p + (N - k) ln(1 - p).  At k = 0 and k = N the log whose count is 0
+    is zeroed before its product, so 0 * (-inf) never arises and those
+    entries are N ln(1 - p) and N ln p; at N = 1 the table is
+    (ln(1 - p), ln p) itself.
+    """
+    ids, first, group = {}, [], []
+    for t, (c0, c1) in enumerate(zip(a0.T, a1.T)):
+        group.append(ids.setdefault(c0.tobytes() + c1.tobytes(), len(first)))
+        if group[-1] == len(first):
+            first.append(t)
+    # every group's table side by side: entry j holds k[j] ones among the
+    # N[j] steps of column col[j]
+    sizes = np.bincount(group, minlength=len(first))
+    ends = np.cumsum(sizes + 1)
+    col = np.repeat(np.array(first, dtype=np.intp), sizes + 1)
+    N = np.repeat(sizes, sizes + 1)
+    k = np.arange(len(col)) - np.repeat(ends - sizes - 1, sizes + 1)
+    table = (k * np.where(k == 0, 0.0, a1[:, col])
+             + (N - k) * np.where(k == N, 0.0, a0[:, col]))
+    return np.array(group, dtype=np.intp), np.split(table, ends[:-1], axis=1)[:len(first)]
+
+
 def best_in_hindsight(family, features, labels):
     """Best loss in hindsight: exact for finite families, certified for the
     logistic family on an l2 ball.
@@ -292,13 +322,17 @@ def best_in_hindsight(family, features, labels):
     if Y.shape[1] > len(features):
         raise ValueError(f"{Y.shape[1]} labels but only {len(features)} feature rows")
     if hasattr(family, "n_experts"):
-        # steps[t][y]: every expert's log probability of label y at step t;
-        # total[s, i]: expert i's log probability of sequence s
+        # counts[a, s]: sequence s's ones in column group a; total[s, i]:
+        # expert i's log probability of sequence s, summed over the groups in
+        # order, as the label-tree fold sums it
         P = prediction_matrix(family, features[:Y.shape[1]])
-        steps = np.stack(log_likelihoods(P)).transpose(2, 0, 1)
+        group, terms = count_log_likelihoods(*log_likelihoods(P))
+        counts = np.zeros((len(terms), Y.shape[0]), dtype=np.intp)
+        for a, y in zip(group, Y.astype(np.intp).T):
+            counts[a] += y
         total = np.zeros((Y.shape[0], family.n_experts))
-        for y, step in zip(Y.astype(np.intp).T, steps):
-            total += step[y]
+        for term, k in zip(terms, counts):
+            total += term.T[k]
         params = np.argmax(total, axis=1)
         best = -total[np.arange(len(params)), params]
         return (int(params[0]), float(best[0])) if labels.ndim == 1 else (params, best)

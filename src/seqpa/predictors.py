@@ -213,7 +213,8 @@ def mixture_losses(family, features, truncation=None):
     """Loss of a fresh `MixturePredictor(family, truncation)` on every label
     sequence, indexed like `GameValueTable` leaves.  By the chain rule it is
     ln n - ln sum_i prod_t q_it, q_it the (truncated) probability expert i
-    gave y_t, so one label-tree fold scores every sequence."""
+    gave y_t, so one label-tree fold scores every sequence; it sums each
+    expert's log likelihood per column group, as `leaf_log_sups` does."""
     P = prediction_matrix(family, features)
     if truncation is not None:
         P = smooth_truncate(P, truncation)
@@ -224,9 +225,13 @@ def mixture_losses(family, features, truncation=None):
 def continuous_bayes(family, T, hessian_bound):
     """Bayesian mixture over a uniform grid on the enlarged parameter ball.
 
-    The grid spacing is a tenth of the half-ball radius sqrt(d/CT), which
-    keeps the discretization error of the continuous-prior mixture well
-    under 0.1 nats.  `hessian_bound` is taken as given: the caller checks
+    The grid spacing is a tenth of the half-ball radius sqrt(d/CT).  Its
+    discretization error is measured, not certified: against a lattice 4x
+    finer per axis on the same ball, over every count table of the
+    {e1, e2} design at d = 2, C = 1/4, the grid's ln mass was at worst
+    0.051 nats (T = 16) and 0.142 nats (T = 32) below the finer lattice's,
+    on tables that put every label of a symbol at one value, and at most
+    0.017 above.  `hessian_bound` is taken as given: the caller checks
     it against the features (the harness does, as max ||x||^2 / 4).  The
     grid is an l2 ball: any other ball, T < 1 or d > 4 raises ValueError.
     """

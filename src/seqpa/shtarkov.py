@@ -3,8 +3,15 @@
 Shtarkov sums by full enumeration (small horizons) or binomial grouping
 (exchangeable families, large horizons), game values by backward
 induction, the source-identification bound, and the block-design and
-power-constrained lower-bound constructions.  `label_tree_fold` walks all
-2^T label sequences.
+power-constrained lower-bound constructions.
+
+All 2^T label sequences are handled on a count grid (the method of
+types): a finite family's steps are grouped by distinct prediction column,
+and a sequence's likelihood depends only on its count of ones in each
+group.  `count_fold` folds the family over that grid, `minimax_value`
+runs backward induction on it, and both read each label prefix's value at
+its counts.  An exchangeable oracle is the one-group case; when every
+column is distinct the grid is the leaf array itself.
 """
 
 import itertools
@@ -15,8 +22,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
-from .experts import (ROW_BLOCK, _zero_positive_counts, best_in_hindsight, ds_project,
-                      lattice_blocks, log_likelihoods, prediction_matrix)
+from .experts import (ROW_BLOCK, _zero_positive_counts, best_in_hindsight,
+                      count_log_likelihoods, ds_project, lattice_blocks, log_likelihoods,
+                      prediction_matrix)
 from .losses import _as_labels, as_label, log_sum_exp
 
 ENUMERATION_CAP = 22
@@ -131,8 +139,10 @@ class GameValueTable:
 
     `levels[t]` holds one value per prefix of length t, indexed by the
     prefix read as a binary number (first label most significant).  Every
-    internal value is the log-sum-exp of its two children; leaves are the
-    family's log sup probabilities; the root equals ln S_T.
+    internal value is `np.logaddexp` of its two children; leaves are the
+    family's log sup probabilities; the root equals ln S_T.  `minimax_value`
+    computes each distinct value once, on the count grid, and gathers it
+    into every prefix that shares its counts.
     """
 
     levels: list
@@ -150,46 +160,89 @@ class GameValueTable:
         return float(self.levels[len(label_prefix)][idx])
 
 
-def label_tree_fold(a0, a1, reduce):
-    """Fold per-step contributions over all 2^T label sequences.
-
-    `a0`, `a1` are (n, T): row i's term at step t for y_t = 0 or 1.  Entry j
-    of the result is reduce(row sums, axis=0) along the sequence whose
-    binary expansion is j (y_1 most significant), summed left to right in
-    t.  Blocks of 2^LEAF_BLOCK_BITS leaves per row share a label prefix, so
-    memory does not grow with n * 2^T: a block's working array holds
-    n * 2^min(T, LEAF_BLOCK_BITS) float64 values, and a fold whose block (or
-    2^T output) is over FOLD_ELEMENT_CAP raises ValueError before it allocates.
-
-    Layout rule: no inner axis of length 2.  Each label step writes both
-    children of the (n, m) row-by-prefix sums with two full-length adds into
-    an (n, m, 2) array, read as (n, 2m).  A broadcast into a trailing axis
-    of length 2 makes numpy run its inner loop once per two elements,
-    several times slower for the same additions in the same order.
-    """
-    a0 = np.asarray(a0, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    n, T = a0.shape
-    # a block's levels and, for T > 2 * LEAF_BLOCK_BITS, the output are the largest
-    block = max(n * 2 ** min(T, LEAF_BLOCK_BITS), 2 ** T)
+def _check_fold(n, T, block):
     if block > FOLD_ELEMENT_CAP:
         raise ValueError(f"label_tree_fold of n={n} rows at T={T} needs {8 * block} bytes "
                          f"per working array, over the {8 * FOLD_ELEMENT_CAP}-byte cap")
 
-    def extend(acc, steps):
-        for t in steps:
-            children = np.empty((n, acc.shape[1], 2))
-            np.add(acc, a0[:, t, None], out=children[:, :, 0])
-            np.add(acc, a1[:, t, None], out=children[:, :, 1])
+
+def count_fold(a0, a1, reduce):
+    """Fold a finite family's log likelihoods over all count vectors of its
+    column groups: (grid, group).
+
+    `a0`, `a1` are (n, T): row i's log probability of y_t = 0 or 1 at step
+    t, as `log_likelihoods` gives them.  The steps are grouped by distinct
+    column (`count_log_likelihoods`), group[t] being step t's; group a has
+    N_a steps.  grid[k] is reduce(row sums, axis=0) over the rows' log
+    likelihoods of any label sequence with k_a ones in group a, summed over
+    the groups in order, so grid has shape (N_1 + 1, ..., N_m + 1).  When
+    every column is distinct, grid is the leaf array of all 2^T sequences
+    (y_1 most significant) with the terms summed left to right in t.
+
+    Blocks of at most 2^LEAF_BLOCK_BITS cells (the trailing groups' radices
+    multiplied; at least one group) per row share a head of counts, so
+    memory does not grow with n times the grid: a fold whose block, head
+    array or grid is over FOLD_ELEMENT_CAP raises ValueError.
+
+    Layout rule: no short inner axis.  Each group writes the children of
+    the (n, m) row-by-head sums with N_a + 1 full-length adds into an
+    (n, m, N_a + 1) array, read as (n, m (N_a + 1)).  A broadcast into a
+    trailing axis of length 2 makes numpy run its inner loop once per two
+    elements, several times slower for the same additions in the same order.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    a1 = np.asarray(a1, dtype=float)
+    n, T = a0.shape
+    group, terms = count_log_likelihoods(a0, a1)
+    radices = [term.shape[1] for term in terms]
+    size = math.prod(radices)
+    split, tail = len(terms), 1
+    while split and (tail == 1 or tail * radices[split - 1] <= 2 ** LEAF_BLOCK_BITS):
+        split -= 1
+        tail *= radices[split]
+    _check_fold(n, T, max(n * tail, n * (size // tail), size))
+
+    def extend(acc, terms):
+        for term in terms:
+            children = np.empty((n, acc.shape[1], term.shape[1]))
+            for k in range(term.shape[1]):
+                np.add(acc, term[:, k, None], out=children[:, :, k])
             acc = children.reshape(n, -1)
         return acc
 
-    head = max(T - LEAF_BLOCK_BITS, 0)
-    prefixes = extend(np.zeros((n, 1)), range(head))
-    out = np.empty((prefixes.shape[1], 2 ** (T - head)))
-    for p, prefix in enumerate(prefixes.T):
-        out[p] = reduce(extend(prefix[:, None], range(head, T)), axis=0)
-    return out.ravel()
+    heads = extend(np.zeros((n, 1)), terms[:split])
+    out = np.empty((heads.shape[1], tail))
+    for p, head in enumerate(heads.T):
+        out[p] = reduce(extend(head[:, None], terms[split:]), axis=0)
+    return out.reshape(radices), group
+
+
+def _prefix_cells(grid, group):
+    """The count-grid cell of every label prefix over the steps of `group`,
+    in leaf order (y_1 most significant).  Prefix y's cell is the one at its
+    counts, sum_s y_s stride[group[s]]: a strided view of the grid with one
+    axis of length 2 per step, axis s stepping by stride[group[s]], read in C
+    order.  When the steps' groups are distinct and in order, that view is
+    the grid itself and is returned without a copy."""
+    view = np.lib.stride_tricks.as_strided(grid, shape=(2,) * len(group),
+                                           strides=[grid.strides[a] for a in group])
+    return view.reshape(-1)
+
+
+def label_tree_fold(a0, a1, reduce):
+    """Fold per-step log likelihoods over all 2^T label sequences.
+
+    `a0`, `a1` are (n, T): row i's term at step t for y_t = 0 or 1.  Entry j
+    of the result is reduce(row sums, axis=0) along the sequence whose
+    binary expansion is j (y_1 most significant): `count_fold`'s grid cell
+    of that sequence's counts, so the terms are summed per column group.
+    Before it allocates, a fold whose 2^T output, or n * 2^min(T,
+    LEAF_BLOCK_BITS), is over FOLD_ELEMENT_CAP raises ValueError;
+    `count_fold` then checks its own arrays.
+    """
+    n, T = np.shape(a0)
+    _check_fold(n, T, max(n * 2 ** min(T, LEAF_BLOCK_BITS), 2 ** T))
+    return _prefix_cells(*count_fold(a0, a1, reduce))
 
 
 def _leaf_labels(start, stop, T):
@@ -198,39 +251,66 @@ def _leaf_labels(start, stop, T):
     return ((np.arange(start, stop)[:, None] >> np.arange(T - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def leaf_log_sups(oracle, T):
-    """ln sup probability of every label sequence, indexed like `GameValueTable`
-    leaves: for a `FiniteMaxOracle`, a max-fold of a finite family's log
-    likelihoods (bit-identical to `log_sup`) or logistic `best_in_hindsight`
-    solves of `ROW_BLOCK` label rows each (certified, within `CERTIFIED_GAP`);
-    for an exchangeable oracle, `log_sup_by_count` at each leaf's count of ones."""
+def _count_grid(oracle, T):
+    """The `leaf_log_sups` leaves as (grid, group): a count grid over column
+    groups and each step's group, as `count_fold` returns them.  A finite
+    family's grid is its max-fold; an exchangeable oracle is one group of T
+    steps; the logistic family keeps one solve per sequence, so its grid
+    has one group per step and is the leaf array."""
     if isinstance(oracle, FiniteMaxOracle):
         features = oracle.features[:T]
         if len(features) < T:
             raise ValueError(f"T={T} labels but only {len(features)} feature rows")
         if hasattr(oracle.family, "n_experts"):
             P = prediction_matrix(oracle.family, features)
-            return label_tree_fold(*log_likelihoods(P), np.max)
+            return count_fold(*log_likelihoods(P), np.max)
         # one solve per ROW_BLOCK label rows, the solver's own blocks
-        return np.concatenate([
+        leaves = np.concatenate([
             -best_in_hindsight(oracle.family, features,
                                _leaf_labels(i, min(i + ROW_BLOCK, 2 ** T), T))[1]
             for i in range(0, 2 ** T, ROW_BLOCK)])
+        return leaves.reshape((2,) * T), np.arange(T)
     if not isinstance(oracle, ExchangeableOracle):
         raise TypeError(f"no label-tree leaves for oracle {oracle!r}")
-    counts = np.bitwise_count(np.arange(2 ** T))
-    return np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)[counts]
+    grid = np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)
+    return grid, np.zeros(T, dtype=np.intp)
+
+
+def leaf_log_sups(oracle, T):
+    """ln sup probability of every label sequence, indexed like `GameValueTable`
+    leaves: for a `FiniteMaxOracle`, a max-fold of a finite family's log
+    likelihoods over its count grid (`count_fold`; bit-identical to
+    `log_sup`) or logistic `best_in_hindsight` solves of `ROW_BLOCK` label
+    rows each (certified, within `CERTIFIED_GAP`); for an exchangeable
+    oracle, `log_sup_by_count` at each leaf's count of ones.  2^T leaves
+    over FOLD_ELEMENT_CAP raise ValueError."""
+    if 2 ** T > FOLD_ELEMENT_CAP:
+        raise ValueError(f"2^{T} leaves need {8 * 2 ** T} bytes, over the "
+                         f"{8 * FOLD_ELEMENT_CAP}-byte cap")
+    return _prefix_cells(*_count_grid(oracle, T))
 
 
 def minimax_value(oracle, T):
     """Exact fixed-design game values over the `leaf_log_sups` leaves of a
-    `FiniteMaxOracle` or an exchangeable oracle; the root realizes ln S_T."""
+    `FiniteMaxOracle` or an exchangeable oracle; the root realizes ln S_T.
+
+    Backward induction runs on the count grid: the level-t grid holds one
+    value per count vector a length-t prefix can reach, and
+    V_t(k) = logaddexp(V_{t+1}(k), V_{t+1}(k + e_{group[t]})) builds it
+    from the level-(t + 1) grid, one shorter along step t's group.  Each
+    level is read into its 2^t layout as soon as it is built
+    (`_prefix_cells`), so every value is `np.logaddexp` of its two
+    children's doubles.  When every column is distinct, each grid is its
+    level and the values are those of pairwise logaddexp over the leaves.
+    """
     if T > ENUMERATION_CAP:
         raise ValueError(f"T={T} exceeds the enumeration cap {ENUMERATION_CAP}")
-    levels = [leaf_log_sups(oracle, T)]
-    for _ in range(T):
-        cur = levels[-1]
-        levels.append(np.logaddexp(cur[0::2], cur[1::2]))
+    grid, group = _count_grid(oracle, T)
+    levels = [_prefix_cells(grid, group)]
+    for t in range(T - 1, -1, -1):
+        axis = (slice(None),) * group[t]
+        grid = np.logaddexp(grid[axis + (slice(-1),)], grid[axis + (slice(1, None),)])
+        levels.append(_prefix_cells(grid, group[:t]))
     levels.reverse()
     return GameValueTable(levels, T)
 
@@ -270,16 +350,22 @@ def identification_bound(distributions):
 # Block-design lower bound
 
 
+def _block_length(d, T):
+    """T / d, the length of each block of the d-block design of T steps;
+    ValueError unless d >= 1 and T is a positive multiple of d."""
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
+    if T < 1 or T % d:
+        raise ValueError(f"block design needs d | T (got T={T}, d={d})")
+    return T // d
+
+
 def block_design_features(d, T):
     """(T, d) features in d blocks of T / d steps: block i repeats the i-th
     standard basis vector.  Raises ValueError unless d >= 1 and T is a
     positive multiple of d.
     """
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    if T < 1 or T % d:
-        raise ValueError(f"block design needs d | T (got T={T}, d={d})")
-    n = T // d
+    n = _block_length(d, T)
     feats = np.zeros((T, d))
     for i in range(d):
         feats[i * n:(i + 1) * n, i] = 1.0
@@ -290,15 +376,15 @@ def block_shtarkov_lower(d, T, link, s):
     """Certified lower bound on ln S_T for a generalized linear family
     over the block feature design: d times the per-block restricted sum.
 
-    Rejects d below 1 and links whose interval containment fails at this d.
+    Rejects d below 1, a T that is not a positive multiple of d (as
+    `block_design_features` does) and links whose interval containment
+    fails at this d.
     """
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    n = _block_length(d, T)
     r = 1.0 / float(s)
     if not link.interval_containment_ok(d, r):
         raise ValueError(f"link {link.name} fails interval containment at d={d}, r={r}")
-    n = T // d
-    if n < 1 or n > 10 ** 5:
+    if n > 10 ** 5:
         raise ValueError(f"per-block length {n} outside [1, 1e5]")
     h = d ** (-r)
     return d * shtarkov_sum(IntervalBernoulli(link.c1 - link.c2 * h, link.c1 + link.c2 * h), n)

@@ -224,3 +224,9 @@ def test_main_leaves_the_numpy_error_state_alone(capsys):
         assert main(["bound", "--kind", "lipschitz-upper", "--T", "100", "--d", "1",
                      "--R", "1", "--L", "1"]) == 0
         assert np.geterr() == before
+
+
+def test_block_glm_rejects_a_horizon_d_does_not_divide(capsys):
+    # a T that d does not divide is an error, not the row of d * floor(T / d)
+    assert main(["shtarkov", "--oracle", "block-glm", "--T", "41", "--d", "2", "--s", "2"]) == 2
+    assert _error_line(capsys) == "seqpa shtarkov: error: block design needs d | T (got T=41, d=2)"

@@ -1,0 +1,209 @@
+"""The count-grid engine: leaves and game values of all 2^T label sequences,
+folded over a design's distinct prediction columns."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp
+
+from seqpa import shtarkov
+from seqpa.experts import (DsFamily, FiniteParamFamily, FiniteStaticFamily, best_in_hindsight,
+                           count_log_likelihoods, glm_family, log_likelihoods,
+                           prediction_matrix)
+from seqpa.harness import _ball_features
+from seqpa.predictors import mixture_losses
+from seqpa.shtarkov import (LEAF_BLOCK_BITS, ConstantBernoulliMLE, DsClosedForm, FiniteMaxOracle,
+                            IntervalBernoulli, leaf_log_sups, minimax_value)
+
+
+def _labels(T):
+    return (np.arange(2 ** T)[:, None] >> np.arange(T - 1, -1, -1)) & 1
+
+
+def _pairwise_levels(leaves, T):
+    """Game values by one np.logaddexp of each prefix's two children."""
+    levels = [leaves]
+    for _ in range(T):
+        levels.append(np.logaddexp(levels[-1][0::2], levels[-1][1::2]))
+    return levels[::-1]
+
+
+def _brute_force(P, reduce):
+    """reduce over rows of each sequence's log likelihood, summed over t in
+    order, one term per step (no count products)."""
+    a0, a1 = log_likelihoods(P)
+    n, T = P.shape
+    leaf = np.arange(2 ** T)
+    total = np.zeros((n, 2 ** T))
+    for t in range(T):
+        y = (leaf >> (T - 1 - t)) & 1
+        total += np.where(y == 1, a1[:, t, None], a0[:, t, None])
+    return reduce(total, axis=0)
+
+
+def _error(levels, reference):
+    """Largest |difference| over all levels; inf unless the shapes and the
+    infinite entries (zero-mass prefixes) agree."""
+    worst = 0.0
+    for got, want in zip(levels, reference, strict=True):
+        finite = np.isfinite(want)
+        if (got.shape != want.shape or not np.array_equal(np.isfinite(got), finite)
+                or not np.array_equal(got[~finite], want[~finite])):
+            return math.inf
+        worst = max(worst, float(np.abs(got[finite] - want[finite]).max(initial=0.0)))
+    return worst
+
+
+def _repeated_column_oracle(rng, n, K, T):
+    """A finite family over K feature keys on T steps: columns repeat.  Expert
+    0 is step 0's and no expert predicts 1 on it, so every sequence that
+    starts with a 1 has zero mass."""
+    table = rng.uniform(0.02, 0.98, (n, K))
+    table[rng.uniform(size=(n, K)) < 0.25] = 0.0
+    table[rng.uniform(size=(n, K)) < 0.15] = 1.0
+    table[:, 0] = 0.0
+    fam = FiniteStaticFamily(table, feature_keys=[(float(j),) for j in range(K)])
+    features = rng.integers(0, K, (T, 1)).astype(float)
+    features[:1] = 0.0
+    return FiniteMaxOracle(fam, features)
+
+
+def _ds_oracle(rng, n, T):
+    """A time-indexed DsFamily (s = 1) whose columns repeat: rows scaled to
+    sum 1 keep copied columns equal."""
+    V = rng.uniform(0.05, 1.0, (n, T))
+    V[:, 1::3] = V[:, :1]
+    V[0, 2] = 0.0
+    return FiniteMaxOracle(DsFamily(V / V.sum(axis=1, keepdims=True), 1.0), np.zeros((T, 1)))
+
+
+def _engine_error(oracle, T):
+    P = prediction_matrix(oracle.family, oracle.features[:T])
+    reference = _pairwise_levels(_brute_force(P, np.max), T)
+    return _error(minimax_value(oracle, T).levels, reference)
+
+
+@pytest.mark.parametrize("T", [0, 1, 7, 20])
+def test_repeated_columns_match_brute_force(T):
+    rng = np.random.default_rng(T)
+    for _ in range(3 if T < 20 else 1):
+        oracle = _repeated_column_oracle(rng, 3, 3, T)
+        assert _engine_error(oracle, T) <= 1e-12
+        leaves = leaf_log_sups(oracle, T)
+        assert np.isneginf(leaves[2 ** T // 2:]).all() or T == 0
+        # the mixture side folds the same count form
+        P = prediction_matrix(oracle.family, oracle.features)
+        want = math.log(len(P)) - _brute_force(P, logsumexp)
+        assert _error([mixture_losses(oracle.family, oracle.features)], [want]) <= 1e-12
+
+
+def test_time_indexed_family_matches_brute_force_and_its_hindsight():
+    T = 12
+    oracle = _ds_oracle(np.random.default_rng(4), 4, T)
+    grid, group = shtarkov.count_fold(*log_likelihoods(
+        prediction_matrix(oracle.family, oracle.features)), np.max)
+    assert grid.ndim < T and len(group) == T
+    assert _engine_error(oracle, T) <= 1e-12
+    # one likelihood: the leaves are the hindsight comparator to the bit
+    leaves = leaf_log_sups(oracle, T)
+    assert np.array_equal(leaves, -best_in_hindsight(oracle.family, oracle.features, _labels(T))[1])
+    for j in range(0, 2 ** T, 97):
+        assert leaves[j] == oracle.log_sup(_labels(T)[j])
+
+
+def _parent_fold(a0, a1, reduce):
+    """The per-step label-tree fold the count grid replaced: every sequence's
+    terms summed left to right in t, in prefix blocks."""
+    n, T = a0.shape
+
+    def extend(acc, steps):
+        for t in steps:
+            children = np.empty((n, acc.shape[1], 2))
+            np.add(acc, a0[:, t, None], out=children[:, :, 0])
+            np.add(acc, a1[:, t, None], out=children[:, :, 1])
+            acc = children.reshape(n, -1)
+        return acc
+
+    head = max(T - LEAF_BLOCK_BITS, 0)
+    prefixes = extend(np.zeros((n, 1)), range(head))
+    out = np.empty((prefixes.shape[1], 2 ** (T - head)))
+    for p, prefix in enumerate(prefixes.T):
+        out[p] = reduce(extend(prefix[:, None], range(head, T)), axis=0)
+    return out.ravel()
+
+
+def _levels_equal(levels, reference):
+    return len(levels) == len(reference) and all(
+        np.array_equal(got, want) for got, want in zip(levels, reference))
+
+
+@pytest.mark.parametrize("T", [0, 1, 9, LEAF_BLOCK_BITS + 2])
+def test_all_distinct_designs_are_bit_identical_to_the_per_step_fold(T):
+    rng = np.random.default_rng(100 + T)
+    table = rng.uniform(0.02, 0.98, (5, T))
+    table[rng.uniform(size=(5, T)) < 0.2] = 0.0
+    table[0] = 1.0
+    fam = FiniteStaticFamily(table, feature_keys=[(float(j),) for j in range(T)])
+    features = np.arange(T, dtype=float)[:, None]
+    oracle = FiniteMaxOracle(fam, features)
+    a0, a1 = log_likelihoods(prediction_matrix(fam, features))
+    assert shtarkov.count_fold(a0, a1, np.max)[0].shape == (2,) * T
+    leaves = _parent_fold(a0, a1, np.max)
+    assert np.array_equal(leaf_log_sups(oracle, T), leaves)
+    assert _levels_equal(minimax_value(oracle, T).levels, _pairwise_levels(leaves, T))
+    for alpha in (None, 0.05):
+        P = prediction_matrix(fam, features) if alpha is None else \
+            (prediction_matrix(fam, features) + alpha) / (1 + 2 * alpha)
+        want = math.log(len(P)) - _parent_fold(*log_likelihoods(P), logsumexp)
+        assert np.array_equal(mixture_losses(fam, features, alpha), want)
+
+
+def test_continuous_features_are_bit_identical_to_the_per_step_fold():
+    # a logistic cover on ball features: every column distinct
+    T = 10
+    features = _ball_features(np.random.default_rng(5), T, 2)
+    fam = FiniteParamFamily(np.random.default_rng(6).uniform(-1, 1, (40, 2)))
+    a0, a1 = log_likelihoods(prediction_matrix(fam, features))
+    leaves = _parent_fold(a0, a1, np.max)
+    assert _levels_equal(minimax_value(FiniteMaxOracle(fam, features), T).levels,
+                         _pairwise_levels(leaves, T))
+    assert np.array_equal(mixture_losses(fam, features), math.log(40) - _parent_fold(a0, a1, logsumexp))
+    # the logistic family keeps its per-sequence solves: one group per step
+    oracle = FiniteMaxOracle(glm_family(d=2, R=1.0), features[:6])
+    assert _levels_equal(minimax_value(oracle, 6).levels,
+                         _pairwise_levels(leaf_log_sups(oracle, 6), 6))
+
+
+@pytest.mark.parametrize("oracle", [ConstantBernoulliMLE(), IntervalBernoulli(0.2, 0.7),
+                                    DsClosedForm(2.0)], ids=["mle", "interval", "ds"])
+@pytest.mark.parametrize("T", [0, 1, 5, 16])
+def test_exchangeable_oracles_are_bit_identical_to_per_leaf_counts(oracle, T):
+    counts = np.bitwise_count(np.arange(2 ** T))
+    leaves = np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)[counts]
+    assert np.array_equal(leaf_log_sups(oracle, T), leaves)
+    assert _levels_equal(minimax_value(oracle, T).levels, _pairwise_levels(leaves, T))
+
+
+def _fortran_strides(grid, group):
+    """Mutant: prefix cells read with the grid's strides in reverse group
+    order (Fortran order), still inside the grid."""
+    strides = np.empty(grid.shape, order="F").strides
+    view = np.lib.stride_tricks.as_strided(grid, shape=(2,) * len(group),
+                                           strides=[strides[a] for a in group])
+    return view.reshape(-1)
+
+
+def _ones_term_everywhere(a0, a1):
+    """Mutant: N ln p at every count k, the all-ones term."""
+    group, terms = count_log_likelihoods(a0, a1)
+    return group, [np.repeat(term[:, -1:], term.shape[1], axis=1) for term in terms]
+
+
+@pytest.mark.parametrize("name, mutant", [("_prefix_cells", _fortran_strides),
+                                          ("count_log_likelihoods", _ones_term_everywhere)])
+def test_brute_force_comparison_catches_a_broken_engine(name, mutant, monkeypatch):
+    oracle = _repeated_column_oracle(np.random.default_rng(8), 3, 3, 9)
+    assert _engine_error(oracle, 9) <= 1e-12
+    monkeypatch.setattr(shtarkov, name, mutant)
+    assert _engine_error(oracle, 9) > 1e-6

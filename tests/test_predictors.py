@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqpa.covering import grid_cover
-from seqpa.experts import DsFamily, FiniteStaticFamily, ds_project, glm_family
+from seqpa.experts import (DsFamily, FiniteParamFamily, FiniteStaticFamily, ball_lattice,
+                           ds_project, glm_family, log_likelihoods, prediction_matrix)
 from seqpa.losses import as_label, cumulative_loss, log_loss
 from seqpa.predictors import (
     _Q_MIN,
@@ -21,7 +22,7 @@ from seqpa.predictors import (
     nml_predict,
     smooth_truncate,
 )
-from seqpa.shtarkov import FiniteMaxOracle, minimax_value
+from seqpa.shtarkov import FiniteMaxOracle, count_fold, minimax_value
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),
@@ -454,6 +455,39 @@ def test_continuous_bayes_respects_regret_bound_small():
     _, best = best_in_hindsight(fam, features, labels)
     bound = (d / 2) * math.log(2 * C * R * R * T / d + 2) + d / 2 + math.log(2)
     assert total - best <= bound + 0.1
+
+
+def _log_sum_exp_rows(x, axis):
+    # the entries here are finite: shift by the column max, sum, shift back
+    top = x.max(axis=axis)
+    return np.log(np.exp(x - top).sum(axis=axis)) + top
+
+
+def test_continuous_bayes_grid_error_against_a_4x_finer_lattice():
+    # ln mixture mass of continuous_bayes's grid minus that of a lattice 4x
+    # finer per axis on the same enlarged ball, over every count table of the
+    # {e1, e2} design at d = 2, C = 1/4 (the label counts of each symbol,
+    # folded by the count-grid engine): the measured extremes, pinned
+    C = 0.25
+    fam = glm_family(d=2, R=1.0)
+    measured = {}
+    for T in (16, 32):
+        W = continuous_bayes(fam, T, C).family.params
+        R_star = 1.0 + math.sqrt(2 / (C * T))
+        per_axis = math.ceil(10.0 * math.sqrt(C * T / 2) * R_star)
+        assert np.array_equal(W, ball_lattice(np.linspace(-R_star, R_star, per_axis), 2, 2.0, R_star))
+        finer = ball_lattice(np.linspace(-R_star, R_star, 4 * (per_axis - 1) + 1), 2, 2.0, R_star)
+        lo, hi = math.inf, -math.inf
+        for n1 in range(T + 1):
+            X = np.repeat(np.eye(2), [n1, T - n1], axis=0)
+            mass = [count_fold(*log_likelihoods(prediction_matrix(FiniteParamFamily(M), X)),
+                               _log_sum_exp_rows)[0] - math.log(len(M)) for M in (W, finer)]
+            lo, hi = min(lo, (mass[0] - mass[1]).min()), max(hi, (mass[0] - mass[1]).max())
+        measured[T] = (len(W), len(finer), lo, hi)
+    assert measured[16] == pytest.approx((441, 7213, -0.050511802948, 0.017480128792), abs=1e-9)
+    assert measured[32] == pytest.approx((648, 10557, -0.141717047557, 0.016800742633), abs=1e-9)
+    # above the 0.1-nat allowance that criterion 5 and the bench give this error
+    assert -measured[32][2] > 0.1 > -measured[16][2]
 
 
 def test_nml_equalizer_small():

@@ -715,3 +715,10 @@ def test_negative_horizon_and_empty_block_design_are_rejected():
         assert shtarkov_sum(finite, T // 5) == shtarkov_sum(finite, 2)
     with pytest.raises(ValueError, match="d must be a positive integer, got 0"):
         block_shtarkov_lower(0, 8, LOGISTIC, 1.0)
+
+
+def test_block_shtarkov_lower_rejects_a_horizon_d_does_not_divide():
+    # the block_design_features error, not a silent trim to d * floor(T / d)
+    for T in (41, 1, 0):
+        with pytest.raises(ValueError, match=rf"^block design needs d \| T \(got T={T}, d=2\)$"):
+            block_shtarkov_lower(2, T, LOGISTIC, 2.0)
