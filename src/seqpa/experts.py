@@ -270,34 +270,36 @@ def log_likelihoods(P):
         return np.log1p(-P), np.log(P)
 
 
-def count_log_likelihoods(a0, a1):
-    """The log likelihoods (a0, a1) = `log_likelihoods(P)` of a prediction
-    matrix, grouped by distinct column: (group, terms).
+def column_groups(a0, a1):
+    """Each step's group: steps whose (a0, a1) columns are equal bit for bit
+    share one, numbered in order of first appearance."""
+    ids = {}
+    return np.array([ids.setdefault((c0.tobytes(), c1.tobytes()), len(ids))
+                     for c0, c1 in zip(a0.T, a1.T)], dtype=np.intp)
 
-    Steps whose (a0, a1) columns are equal form one group; groups are
-    numbered in order of first appearance and group[t] is step t's.  For a
-    group of N steps that predict p, terms[a] is the (n, N + 1) table of
-    every row's log probability of k ones among them,
+
+def count_log_likelihoods(a0, a1, group):
+    """The log likelihoods (a0, a1) = `log_likelihoods(P)` of a prediction
+    matrix, summed per column group (`column_groups`, group[t] being step
+    t's): terms.
+
+    For a group of N steps that predict p, terms[a] is the (n, N + 1) table
+    of every row's log probability of k ones among them,
     k ln p + (N - k) ln(1 - p).  At k = 0 and k = N the log whose count is 0
     is zeroed before its product, so 0 * (-inf) never arises and those
     entries are N ln(1 - p) and N ln p; at N = 1 the table is
     (ln(1 - p), ln p) itself.
     """
-    ids, first, group = {}, [], []
-    for t, (c0, c1) in enumerate(zip(a0.T, a1.T)):
-        group.append(ids.setdefault(c0.tobytes() + c1.tobytes(), len(first)))
-        if group[-1] == len(first):
-            first.append(t)
     # every group's table side by side: entry j holds k[j] ones among the
     # N[j] steps of column col[j]
-    sizes = np.bincount(group, minlength=len(first))
+    sizes = np.bincount(group)
     ends = np.cumsum(sizes + 1)
-    col = np.repeat(np.array(first, dtype=np.intp), sizes + 1)
+    col = np.repeat(np.unique(group, return_index=True)[1], sizes + 1)
     N = np.repeat(sizes, sizes + 1)
     k = np.arange(len(col)) - np.repeat(ends - sizes - 1, sizes + 1)
     table = (k * np.where(k == 0, 0.0, a1[:, col])
              + (N - k) * np.where(k == N, 0.0, a0[:, col]))
-    return np.array(group, dtype=np.intp), np.split(table, ends[:-1], axis=1)[:len(first)]
+    return np.split(table, ends[:-1], axis=1)[:len(sizes)]
 
 
 def best_in_hindsight(family, features, labels):
@@ -324,9 +326,10 @@ def best_in_hindsight(family, features, labels):
     if hasattr(family, "n_experts"):
         # counts[a, s]: sequence s's ones in column group a; total[s, i]:
         # expert i's log probability of sequence s, summed over the groups in
-        # order, as the label-tree fold sums it
-        P = prediction_matrix(family, features[:Y.shape[1]])
-        group, terms = count_log_likelihoods(*log_likelihoods(P))
+        # order, as `count_fold` sums it
+        a0, a1 = log_likelihoods(prediction_matrix(family, features[:Y.shape[1]]))
+        group = column_groups(a0, a1)
+        terms = count_log_likelihoods(a0, a1, group)
         counts = np.zeros((len(terms), Y.shape[0]), dtype=np.intp)
         for a, y in zip(group, Y.astype(np.intp).T):
             counts[a] += y

@@ -25,7 +25,7 @@ from .covering import grid_cover
 from .experts import best_in_hindsight, glm_family
 from .losses import pointwise_regret
 from .predictors import MixturePredictor, Transcript, continuous_bayes, mixture_losses
-from .shtarkov import FiniteMaxOracle, _leaf_labels, block_design_features, leaf_log_sups
+from .shtarkov import FiniteMaxOracle, block_design_features, leaf_log_sups
 
 SCHEMA_VERSION = 1
 WORST_CASE_CAP = 18
@@ -91,7 +91,7 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
     loss = mixture_losses(predictor.family, features, predictor.truncation)
     regret = pointwise_regret(loss, -leaf_log_sups(FiniteMaxOracle(family, features), T))
     j = int(np.argmax(regret))
-    return _leaf_labels(j, j + 1, T)[0].tolist(), float(regret[j])
+    return [(j >> (T - 1 - t)) & 1 for t in range(T)], float(regret[j])
 
 
 # ---------------------------------------------------------------------------

@@ -213,12 +213,12 @@ def mixture_losses(family, features, truncation=None):
     """Loss of a fresh `MixturePredictor(family, truncation)` on every label
     sequence, indexed like `GameValueTable` leaves.  By the chain rule it is
     ln n - ln sum_i prod_t q_it, q_it the (truncated) probability expert i
-    gave y_t, so one label-tree fold scores every sequence; it sums each
-    expert's log likelihood per column group, as `leaf_log_sups` does."""
+    gave y_t, so one logsumexp `count_fold`, read at each sequence's counts
+    by `prefix_cells` as the Shtarkov leaves are, scores every sequence."""
     P = prediction_matrix(family, features)
     if truncation is not None:
         P = smooth_truncate(P, truncation)
-    log_mass = shtarkov.label_tree_fold(*log_likelihoods(P), logsumexp)
+    log_mass = shtarkov.prefix_cells(*shtarkov.count_fold(*log_likelihoods(P), logsumexp))
     return math.log(P.shape[0]) - log_mass
 
 

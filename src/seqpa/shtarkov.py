@@ -9,9 +9,13 @@ All 2^T label sequences are handled on a count grid (the method of
 types): a finite family's steps are grouped by distinct prediction column,
 and a sequence's likelihood depends only on its count of ones in each
 group.  `count_fold` folds the family over that grid, `minimax_value`
-runs backward induction on it, and both read each label prefix's value at
-its counts.  An exchangeable oracle is the one-group case; when every
-column is distinct the grid is the leaf array itself.
+runs backward induction on it, and `prefix_cells` reads each label
+prefix's value at its counts.  An exchangeable oracle is the one-group
+case; when every column is distinct the grid is the leaf array itself.
+
+`count_fold` refuses a block, head array or grid over `FOLD_ELEMENT_CAP`
+float64 values, and 2^T leaves over it are refused before anything of size
+2^T is built.  Every entry point reads T through `_horizon`.
 """
 
 import itertools
@@ -22,16 +26,16 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
-from .experts import (ROW_BLOCK, _zero_positive_counts, best_in_hindsight,
+from .experts import (ROW_BLOCK, _zero_positive_counts, best_in_hindsight, column_groups,
                       count_log_likelihoods, ds_project, lattice_blocks, log_likelihoods,
                       prediction_matrix)
 from .losses import _as_labels, as_label, log_sum_exp
 
 ENUMERATION_CAP = 22
-LEAF_BLOCK_BITS = 14  # label_tree_fold builds 2^14 leaves per row at a time
-# Largest label_tree_fold working array, in float64 elements: 2^26 is 512 MiB.
-# A fold holds about three such arrays at once (the last label level, the next
-# one and a temporary of the reduce), about 1.5 GiB, well inside an 8 GiB machine.
+LEAF_BLOCK_BITS = 14  # count_fold reduces blocks of at most 2^14 grid cells per row
+# Largest label-tree array, in float64 elements: 2^26 is 512 MiB.  Under tracemalloc
+# a count_fold peaked at 1.0-3.0x its largest bounded array with np.max and 1.1-7.2x
+# with scipy's logsumexp (its temporaries): near 3.6 GiB for a logsumexp fold at the cap.
 FOLD_ELEMENT_CAP = 2 ** 26
 # hard_class_certificate draws each source's samples in row blocks of about
 # 2^17 float64 values (1 MiB)
@@ -112,17 +116,27 @@ class DsClosedForm(ExchangeableOracle):
         return out
 
 
+def _horizon(T):
+    """T as an int; ValueError unless it is a nonnegative integer of any type."""
+    if not (T >= 0 and float(T).is_integer()):
+        raise ValueError(f"T must be a nonnegative integer, got {T}")
+    return int(T)
+
+
+def _check_leaves(T):
+    if 2 ** T > FOLD_ELEMENT_CAP:
+        raise ValueError(f"2^{T} leaves need {8 * 2 ** T} bytes, over the "
+                         f"{8 * FOLD_ELEMENT_CAP}-byte cap")
+
+
 def shtarkov_sum(oracle, T):
     """ln S_T = ln sum over label sequences of the family's sup probability.
 
     Exchangeable oracles are grouped by the number of ones and run to very
     large T; generic oracles enumerate all 2^T sequences (T <= 22).
-    Raises ValueError for a T that is negative or not integral; an
-    integral float or numpy integer T is taken as the int it equals.
+    Raises ValueError for a T that is negative or not integral.
     """
-    if not (T >= 0 and float(T).is_integer()):
-        raise ValueError(f"T must be a nonnegative integer, got {T}")
-    T = int(T)
+    T = _horizon(T)
     if isinstance(oracle, ExchangeableOracle):
         k = np.arange(T + 1)
         return log_sum_exp(_log_binom(T, k) + oracle.log_sup_by_count(k, T))
@@ -153,17 +167,15 @@ class GameValueTable:
         return float(self.levels[0][0])
 
     def value(self, label_prefix):
-        # kept for the label_tree benchmark's leaf check and the NML test reference
+        """One prefix's value (the label_tree benchmark's leaf check); ValueError
+        for a label other than 0 or 1 or a prefix past the horizon."""
+        t = len(label_prefix)
+        if t > self.horizon:
+            raise ValueError(f"prefix of {t} labels is past the horizon {self.horizon}")
         idx = 0
         for y in label_prefix:
-            idx = idx * 2 + int(y)
-        return float(self.levels[len(label_prefix)][idx])
-
-
-def _check_fold(n, T, block):
-    if block > FOLD_ELEMENT_CAP:
-        raise ValueError(f"label_tree_fold of n={n} rows at T={T} needs {8 * block} bytes "
-                         f"per working array, over the {8 * FOLD_ELEMENT_CAP}-byte cap")
+            idx = idx * 2 + as_label(y)
+        return float(self.levels[t][idx])
 
 
 def count_fold(a0, a1, reduce):
@@ -172,7 +184,7 @@ def count_fold(a0, a1, reduce):
 
     `a0`, `a1` are (n, T): row i's log probability of y_t = 0 or 1 at step
     t, as `log_likelihoods` gives them.  The steps are grouped by distinct
-    column (`count_log_likelihoods`), group[t] being step t's; group a has
+    column (`column_groups`), group[t] being step t's; group a has
     N_a steps.  grid[k] is reduce(row sums, axis=0) over the rows' log
     likelihoods of any label sequence with k_a ones in group a, summed over
     the groups in order, so grid has shape (N_1 + 1, ..., N_m + 1).  When
@@ -182,7 +194,8 @@ def count_fold(a0, a1, reduce):
     Blocks of at most 2^LEAF_BLOCK_BITS cells (the trailing groups' radices
     multiplied; at least one group) per row share a head of counts, so
     memory does not grow with n times the grid: a fold whose block, head
-    array or grid is over FOLD_ELEMENT_CAP raises ValueError.
+    array or grid is over FOLD_ELEMENT_CAP raises ValueError naming it
+    before it allocates any of them.
 
     Layout rule: no short inner axis.  Each group writes the children of
     the (n, m) row-by-head sums with N_a + 1 full-length adds into an
@@ -190,17 +203,20 @@ def count_fold(a0, a1, reduce):
     trailing axis of length 2 makes numpy run its inner loop once per two
     elements, several times slower for the same additions in the same order.
     """
-    a0 = np.asarray(a0, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
+    a0, a1 = np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
     n, T = a0.shape
-    group, terms = count_log_likelihoods(a0, a1)
-    radices = [term.shape[1] for term in terms]
+    group = column_groups(a0, a1)
+    radices = (np.bincount(group) + 1).tolist()
     size = math.prod(radices)
-    split, tail = len(terms), 1
+    split, tail = len(radices), 1
     while split and (tail == 1 or tail * radices[split - 1] <= 2 ** LEAF_BLOCK_BITS):
         split -= 1
         tail *= radices[split]
-    _check_fold(n, T, max(n * tail, n * (size // tail), size))
+    for name, elements in ("block", n * tail), ("head array", n * size // tail), ("grid", size):
+        if elements > FOLD_ELEMENT_CAP:
+            raise ValueError(f"count_fold of n={n} rows at T={T} needs {8 * elements} bytes "
+                             f"for its {name}, over the {8 * FOLD_ELEMENT_CAP}-byte cap")
+    terms = count_log_likelihoods(a0, a1, group)
 
     def extend(acc, terms):
         for term in terms:
@@ -217,38 +233,17 @@ def count_fold(a0, a1, reduce):
     return out.reshape(radices), group
 
 
-def _prefix_cells(grid, group):
-    """The count-grid cell of every label prefix over the steps of `group`,
-    in leaf order (y_1 most significant).  Prefix y's cell is the one at its
-    counts, sum_s y_s stride[group[s]]: a strided view of the grid with one
-    axis of length 2 per step, axis s stepping by stride[group[s]], read in C
-    order.  When the steps' groups are distinct and in order, that view is
-    the grid itself and is returned without a copy."""
+def prefix_cells(grid, group):
+    """The cell of `count_fold`'s (grid, group) at every label prefix over the
+    steps of `group`, in leaf order (y_1 most significant): prefix y's cell is
+    at its counts, sum_s y_s stride[group[s]], so the cells are a strided view
+    of the grid with one axis of length 2 per step, read in C order (the grid
+    itself, not a copy, when the groups are distinct and in order).  2^T
+    cells over FOLD_ELEMENT_CAP raise ValueError."""
+    _check_leaves(len(group))
     view = np.lib.stride_tricks.as_strided(grid, shape=(2,) * len(group),
                                            strides=[grid.strides[a] for a in group])
     return view.reshape(-1)
-
-
-def label_tree_fold(a0, a1, reduce):
-    """Fold per-step log likelihoods over all 2^T label sequences.
-
-    `a0`, `a1` are (n, T): row i's term at step t for y_t = 0 or 1.  Entry j
-    of the result is reduce(row sums, axis=0) along the sequence whose
-    binary expansion is j (y_1 most significant): `count_fold`'s grid cell
-    of that sequence's counts, so the terms are summed per column group.
-    Before it allocates, a fold whose 2^T output, or n * 2^min(T,
-    LEAF_BLOCK_BITS), is over FOLD_ELEMENT_CAP raises ValueError;
-    `count_fold` then checks its own arrays.
-    """
-    n, T = np.shape(a0)
-    _check_fold(n, T, max(n * 2 ** min(T, LEAF_BLOCK_BITS), 2 ** T))
-    return _prefix_cells(*count_fold(a0, a1, reduce))
-
-
-def _leaf_labels(start, stop, T):
-    """Label sequences start..stop-1 in leaf order, as (stop - start, T) uint8
-    rows: row j holds the binary expansion of j, y_1 most significant."""
-    return ((np.arange(start, stop)[:, None] >> np.arange(T - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 def _count_grid(oracle, T):
@@ -257,6 +252,7 @@ def _count_grid(oracle, T):
     family's grid is its max-fold; an exchangeable oracle is one group of T
     steps; the logistic family keeps one solve per sequence, so its grid
     has one group per step and is the leaf array."""
+    _check_leaves(T)
     if isinstance(oracle, FiniteMaxOracle):
         features = oracle.features[:T]
         if len(features) < T:
@@ -264,10 +260,12 @@ def _count_grid(oracle, T):
         if hasattr(oracle.family, "n_experts"):
             P = prediction_matrix(oracle.family, features)
             return count_fold(*log_likelihoods(P), np.max)
-        # one solve per ROW_BLOCK label rows, the solver's own blocks
-        leaves = np.concatenate([
-            -best_in_hindsight(oracle.family, features,
-                               _leaf_labels(i, min(i + ROW_BLOCK, 2 ** T), T))[1]
+        # one solve per ROW_BLOCK label rows, the solver's own blocks; label
+        # row j is the binary expansion of j, y_1 most significant
+        bits = np.arange(T - 1, -1, -1)
+        leaves = np.concatenate([-best_in_hindsight(
+            oracle.family, features,
+            (np.arange(i, min(i + ROW_BLOCK, 2 ** T))[:, None] >> bits & 1).astype(np.uint8))[1]
             for i in range(0, 2 ** T, ROW_BLOCK)])
         return leaves.reshape((2,) * T), np.arange(T)
     if not isinstance(oracle, ExchangeableOracle):
@@ -284,10 +282,7 @@ def leaf_log_sups(oracle, T):
     rows each (certified, within `CERTIFIED_GAP`); for an exchangeable
     oracle, `log_sup_by_count` at each leaf's count of ones.  2^T leaves
     over FOLD_ELEMENT_CAP raise ValueError."""
-    if 2 ** T > FOLD_ELEMENT_CAP:
-        raise ValueError(f"2^{T} leaves need {8 * 2 ** T} bytes, over the "
-                         f"{8 * FOLD_ELEMENT_CAP}-byte cap")
-    return _prefix_cells(*_count_grid(oracle, T))
+    return prefix_cells(*_count_grid(oracle, _horizon(T)))
 
 
 def minimax_value(oracle, T):
@@ -299,18 +294,19 @@ def minimax_value(oracle, T):
     V_t(k) = logaddexp(V_{t+1}(k), V_{t+1}(k + e_{group[t]})) builds it
     from the level-(t + 1) grid, one shorter along step t's group.  Each
     level is read into its 2^t layout as soon as it is built
-    (`_prefix_cells`), so every value is `np.logaddexp` of its two
+    (`prefix_cells`), so every value is `np.logaddexp` of its two
     children's doubles.  When every column is distinct, each grid is its
     level and the values are those of pairwise logaddexp over the leaves.
     """
+    T = _horizon(T)
     if T > ENUMERATION_CAP:
         raise ValueError(f"T={T} exceeds the enumeration cap {ENUMERATION_CAP}")
     grid, group = _count_grid(oracle, T)
-    levels = [_prefix_cells(grid, group)]
+    levels = [prefix_cells(grid, group)]
     for t in range(T - 1, -1, -1):
         axis = (slice(None),) * group[t]
         grid = np.logaddexp(grid[axis + (slice(-1),)], grid[axis + (slice(1, None),)])
-        levels.append(_prefix_cells(grid, group[:t]))
+        levels.append(prefix_cells(grid, group[:t]))
     levels.reverse()
     return GameValueTable(levels, T)
 

@@ -29,11 +29,12 @@ def _pairwise_levels(leaves, T):
     return levels[::-1]
 
 
-def _brute_force(P, reduce):
-    """reduce over rows of each sequence's log likelihood, summed over t in
-    order, one term per step (no count products)."""
-    a0, a1 = log_likelihoods(P)
-    n, T = P.shape
+def per_step_fold(a0, a1, reduce):
+    """The per-step label-tree fold the count grid replaced, the one such
+    reference (test_shtarkov.py imports it): reduce over rows of each
+    sequence's log likelihood, its terms summed left to right in t, one term
+    per step (no count products), in leaf order."""
+    n, T = a0.shape
     leaf = np.arange(2 ** T)
     total = np.zeros((n, 2 ** T))
     for t in range(T):
@@ -80,7 +81,7 @@ def _ds_oracle(rng, n, T):
 
 def _engine_error(oracle, T):
     P = prediction_matrix(oracle.family, oracle.features[:T])
-    reference = _pairwise_levels(_brute_force(P, np.max), T)
+    reference = _pairwise_levels(per_step_fold(*log_likelihoods(P), np.max), T)
     return _error(minimax_value(oracle, T).levels, reference)
 
 
@@ -94,7 +95,7 @@ def test_repeated_columns_match_brute_force(T):
         assert np.isneginf(leaves[2 ** T // 2:]).all() or T == 0
         # the mixture side folds the same count form
         P = prediction_matrix(oracle.family, oracle.features)
-        want = math.log(len(P)) - _brute_force(P, logsumexp)
+        want = math.log(len(P)) - per_step_fold(*log_likelihoods(P), logsumexp)
         assert _error([mixture_losses(oracle.family, oracle.features)], [want]) <= 1e-12
 
 
@@ -110,27 +111,6 @@ def test_time_indexed_family_matches_brute_force_and_its_hindsight():
     assert np.array_equal(leaves, -best_in_hindsight(oracle.family, oracle.features, _labels(T))[1])
     for j in range(0, 2 ** T, 97):
         assert leaves[j] == oracle.log_sup(_labels(T)[j])
-
-
-def _parent_fold(a0, a1, reduce):
-    """The per-step label-tree fold the count grid replaced: every sequence's
-    terms summed left to right in t, in prefix blocks."""
-    n, T = a0.shape
-
-    def extend(acc, steps):
-        for t in steps:
-            children = np.empty((n, acc.shape[1], 2))
-            np.add(acc, a0[:, t, None], out=children[:, :, 0])
-            np.add(acc, a1[:, t, None], out=children[:, :, 1])
-            acc = children.reshape(n, -1)
-        return acc
-
-    head = max(T - LEAF_BLOCK_BITS, 0)
-    prefixes = extend(np.zeros((n, 1)), range(head))
-    out = np.empty((prefixes.shape[1], 2 ** (T - head)))
-    for p, prefix in enumerate(prefixes.T):
-        out[p] = reduce(extend(prefix[:, None], range(head, T)), axis=0)
-    return out.ravel()
 
 
 def _levels_equal(levels, reference):
@@ -149,13 +129,13 @@ def test_all_distinct_designs_are_bit_identical_to_the_per_step_fold(T):
     oracle = FiniteMaxOracle(fam, features)
     a0, a1 = log_likelihoods(prediction_matrix(fam, features))
     assert shtarkov.count_fold(a0, a1, np.max)[0].shape == (2,) * T
-    leaves = _parent_fold(a0, a1, np.max)
+    leaves = per_step_fold(a0, a1, np.max)
     assert np.array_equal(leaf_log_sups(oracle, T), leaves)
     assert _levels_equal(minimax_value(oracle, T).levels, _pairwise_levels(leaves, T))
     for alpha in (None, 0.05):
         P = prediction_matrix(fam, features) if alpha is None else \
             (prediction_matrix(fam, features) + alpha) / (1 + 2 * alpha)
-        want = math.log(len(P)) - _parent_fold(*log_likelihoods(P), logsumexp)
+        want = math.log(len(P)) - per_step_fold(*log_likelihoods(P), logsumexp)
         assert np.array_equal(mixture_losses(fam, features, alpha), want)
 
 
@@ -165,10 +145,10 @@ def test_continuous_features_are_bit_identical_to_the_per_step_fold():
     features = _ball_features(np.random.default_rng(5), T, 2)
     fam = FiniteParamFamily(np.random.default_rng(6).uniform(-1, 1, (40, 2)))
     a0, a1 = log_likelihoods(prediction_matrix(fam, features))
-    leaves = _parent_fold(a0, a1, np.max)
+    leaves = per_step_fold(a0, a1, np.max)
     assert _levels_equal(minimax_value(FiniteMaxOracle(fam, features), T).levels,
                          _pairwise_levels(leaves, T))
-    assert np.array_equal(mixture_losses(fam, features), math.log(40) - _parent_fold(a0, a1, logsumexp))
+    assert np.array_equal(mixture_losses(fam, features), math.log(40) - per_step_fold(a0, a1, logsumexp))
     # the logistic family keeps its per-sequence solves: one group per step
     oracle = FiniteMaxOracle(glm_family(d=2, R=1.0), features[:6])
     assert _levels_equal(minimax_value(oracle, 6).levels,
@@ -194,13 +174,13 @@ def _fortran_strides(grid, group):
     return view.reshape(-1)
 
 
-def _ones_term_everywhere(a0, a1):
+def _ones_term_everywhere(a0, a1, group):
     """Mutant: N ln p at every count k, the all-ones term."""
-    group, terms = count_log_likelihoods(a0, a1)
-    return group, [np.repeat(term[:, -1:], term.shape[1], axis=1) for term in terms]
+    terms = count_log_likelihoods(a0, a1, group)
+    return [np.repeat(term[:, -1:], term.shape[1], axis=1) for term in terms]
 
 
-@pytest.mark.parametrize("name, mutant", [("_prefix_cells", _fortran_strides),
+@pytest.mark.parametrize("name, mutant", [("prefix_cells", _fortran_strides),
                                           ("count_log_likelihoods", _ones_term_everywhere)])
 def test_brute_force_comparison_catches_a_broken_engine(name, mutant, monkeypatch):
     oracle = _repeated_column_oracle(np.random.default_rng(8), 3, 3, 9)

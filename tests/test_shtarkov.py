@@ -40,6 +40,7 @@ from seqpa.shtarkov import (
     shtarkov_sum,
 )
 from seqpa.experts import LOGISTIC
+from test_count_grid import per_step_fold
 
 
 def brute_force_log_shtarkov(oracle, T, features=None):
@@ -90,6 +91,17 @@ def test_minimax_value_root_equals_shtarkov():
     assert table.root == pytest.approx(brute_force_log_shtarkov(oracle, T), abs=1e-10)
 
 
+def test_game_value_rejects_bad_labels_and_prefixes_past_the_horizon():
+    table = minimax_value(ConstantBernoulliMLE(), 3)
+    assert table.value([]) == table.root
+    assert table.value([1, 0]) == table.levels[2][2] == table.value(np.array([True, False]))
+    for prefix, bad in (([0, 2], "2"), ([0.5], "0.5"), ([-1], "-1")):
+        with pytest.raises(ValueError, match=f"^label must be 0 or 1, got {bad}$"):
+            table.value(prefix)
+    with pytest.raises(ValueError, match="^prefix of 4 labels is past the horizon 3$"):
+        table.value([0, 1, 0, 1])
+
+
 def test_game_table_recursion_invariant():
     fam = FiniteStaticFamily(np.array([[0.3], [0.6]]))
     T = 4
@@ -135,24 +147,6 @@ def test_blocked_leaves_equal_single_block(which, monkeypatch):
     np.testing.assert_array_equal(minimax_value(oracle, T).levels[-1], whole)
 
 
-def _reference_fold(a0, a1, reduce):
-    """The broadcast label-tree fold that the two-add `extend` replaced."""
-    pairs = np.stack([a0, a1], axis=2)
-    n, T, _ = pairs.shape
-
-    def extend(acc, steps):
-        for t in steps:
-            acc = (acc[:, :, None] + pairs[:, None, t, :]).reshape(n, -1)
-        return acc
-
-    head = max(T - shtarkov.LEAF_BLOCK_BITS, 0)
-    prefixes = extend(np.zeros((n, 1)), range(head))
-    out = np.empty((prefixes.shape[1], 2 ** (T - head)))
-    for p, prefix in enumerate(prefixes.T):
-        out[p] = reduce(extend(prefix[:, None], range(head, T)), axis=0)
-    return out.ravel()
-
-
 def _fold_terms(n, T, seed):
     # exact 0 and 1 probabilities, so both logs hold -inf entries
     rng = np.random.default_rng(seed)
@@ -164,13 +158,18 @@ def _fold_terms(n, T, seed):
         return np.log1p(-P), np.log(P)
 
 
+def _leaves(a0, a1, reduce):
+    """Every sequence's fold: `count_fold` read by the public leaf reader."""
+    return shtarkov.prefix_cells(*shtarkov.count_fold(a0, a1, reduce))
+
+
 @pytest.mark.parametrize("reduce", [np.max, logsumexp])
 @pytest.mark.parametrize("T", [0, 1, 5, LEAF_BLOCK_BITS + 2])
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_fold_bit_identical_to_broadcast_reference(n, T, reduce):
     a0, a1 = _fold_terms(n, T, seed=n * 100 + T)
     with np.errstate(invalid="ignore"):
-        got, want = shtarkov.label_tree_fold(a0, a1, reduce), _reference_fold(a0, a1, reduce)
+        got, want = _leaves(a0, a1, reduce), per_step_fold(a0, a1, reduce)
     assert got.shape == (2 ** T,)
     assert np.array_equal(got, want)
 
@@ -182,39 +181,100 @@ def test_fold_bit_identical_over_prefix_blocks(reduce, monkeypatch):
     for n in (1, 3, 8):
         a0, a1 = _fold_terms(n, 7, seed=n)
         with np.errstate(invalid="ignore"):
-            assert np.array_equal(shtarkov.label_tree_fold(a0, a1, reduce),
-                                  _reference_fold(a0, a1, reduce))
+            assert np.array_equal(_leaves(a0, a1, reduce), per_step_fold(a0, a1, reduce))
+
+
+def _distinct_terms(n, T):
+    """(a0, a1) whose T columns are all distinct: the count grid is the 2^T leaves."""
+    return np.zeros((n, T)), np.tile(-np.arange(T, dtype=float), (n, 1))
 
 
 def test_fold_size_check_boundary(monkeypatch):
+    # count_fold bounds its (n, block) array, its (n, heads) head array and
+    # its grid, each at the cap: 3-bit blocks and a 64-element cap
     monkeypatch.setattr(shtarkov, "LEAF_BLOCK_BITS", 3)
     monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 64)
-    fold = shtarkov.label_tree_fold
-    assert fold(np.zeros((8, 5)), np.ones((8, 5)), np.max).shape == (32,)  # 8 * 2^3 = 64
-    with pytest.raises(ValueError, match=r"n=9 rows at T=5 needs 576 bytes"):
-        fold(np.zeros((9, 5)), np.ones((9, 5)), np.max)
-    assert fold(np.zeros((1, 6)), np.ones((1, 6)), np.max).shape == (64,)
-    with pytest.raises(ValueError, match=r"n=1 rows at T=7 needs 1024 bytes"):
-        fold(np.zeros((1, 7)), np.ones((1, 7)), np.max)  # the 2^T output is over
+    fold = shtarkov.count_fold
+    assert fold(*_distinct_terms(8, 5), np.max)[0].shape == (2,) * 5  # block 8 * 2^3
+    with pytest.raises(ValueError, match=r"^count_fold of n=9 rows at T=5 needs 576 bytes "
+                       r"for its block, over the 512-byte cap$"):
+        fold(*_distinct_terms(9, 5), np.max)
+    assert fold(*_distinct_terms(8, 6), np.max)[0].size == 64  # head array 8 * 2^3, grid 2^6
+    with pytest.raises(ValueError, match=r"n=8 rows at T=7 needs 1024 bytes for its head array"):
+        fold(*_distinct_terms(8, 7), np.max)
+    with pytest.raises(ValueError, match=r"n=1 rows at T=7 needs 1024 bytes for its grid"):
+        fold(*_distinct_terms(1, 7), np.max)
+    # one column group of T = 63 steps: a 64-cell grid for 2^63 sequences
+    assert fold(np.zeros((1, 63)), np.ones((1, 63)), np.max)[0].shape == (64,)
+    with pytest.raises(ValueError, match=r"n=1 rows at T=64 needs 520 bytes for its block"):
+        fold(np.zeros((1, 64)), np.ones((1, 64)), np.max)
 
 
 def test_oversize_fold_fails_before_allocating():
-    # the tuned T = 16 M-SOA cover's size: 69,505 * 2^14 float64 is 8.5 GiB a block
-    n, T = 69_505, 16
-    a = np.zeros((n, T))
+    # 14 distinct columns: one block of 2^14 cells a row, 4,097 rows just over the cap
+    n, T = 4_097, 14
+    a0, a1 = _distinct_terms(n, T)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"n={n} rows at T={T} needs {8 * n * 2 ** 14} bytes"):
-            shtarkov.label_tree_fold(a, a, np.max)
+        with pytest.raises(ValueError, match=f"^count_fold of n={n} rows at T={T} needs "
+                           f"{8 * n * 2 ** 14} bytes for its block"):
+            shtarkov.count_fold(a0, a1, logsumexp)
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
+    keys = [(float(t),) for t in range(T)]
+    fam = FiniteStaticFamily(np.random.default_rng(0).uniform(size=(n, T)), feature_keys=keys)
+    features = np.arange(T, dtype=float)[:, None]
+    with pytest.raises(ValueError, match=f"^count_fold of n={n} rows at T={T}"):
+        mixture_losses(fam, features)
+    with pytest.raises(ValueError, match=f"^count_fold of n={n} rows at T={T}"):
+        worst_case_labels(lambda: MixturePredictor(fam), fam, features)
+
+
+def test_constant_column_family_is_scored_on_its_count_grid():
+    # the tuned T = 16 M-SOA cover's size, every column 1/2: 17 grid cells a
+    # member, where a per-step layout of 69,505 * 2^14 cells would be 8.5 GiB
+    n, T = 69_505, 16
     fam = FiniteStaticFamily(np.full((n, 1), 0.5))
     features = np.zeros((T, 1))
-    with pytest.raises(ValueError, match=f"n={n} rows at T={T}"):
-        mixture_losses(fam, features)
-    with pytest.raises(ValueError, match=f"n={n} rows at T={T}"):
-        worst_case_labels(lambda: MixturePredictor(fam), fam, features)
+    np.testing.assert_allclose(mixture_losses(fam, features), T * math.log(2), rtol=0, atol=1e-12)
+    labels, regret = worst_case_labels(lambda: MixturePredictor(fam), fam, features)
+    assert len(labels) == T and abs(regret) <= 1e-12
+
+
+def test_leaf_check_boundary(monkeypatch):
+    # 2^T leaves against a 64-element cap: T = 6 is read, T = 7 is refused
+    # before anything of size 2^T is built, the logistic solves included
+    monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 64)
+    fam = FiniteStaticFamily([[0.25], [0.75]])
+    logistic = FiniteMaxOracle(glm_family(d=1, R=1.0), np.full((7, 1), 0.5))
+    calls = [lambda T: mixture_losses(fam, np.zeros((T, 1))),
+             lambda T: leaf_log_sups(FiniteMaxOracle(fam, np.zeros((T, 1))), T),
+             lambda T: leaf_log_sups(ConstantBernoulliMLE(), T),
+             lambda T: minimax_value(ConstantBernoulliMLE(), T).levels[-1],
+             lambda T: leaf_log_sups(logistic, T)]
+    for call in calls:
+        assert call(6).shape == (64,)
+    monkeypatch.setattr(shtarkov, "best_in_hindsight", None)  # a solve would raise TypeError
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^2\^7 leaves need 1024 bytes, over the 512-byte cap$"):
+            call(7)
+
+
+@pytest.mark.parametrize("n, T, groups", [(200, 16, 16), (69_505, 16, 1)])
+def test_logsumexp_fold_peak_is_within_8x_its_largest_checked_array(n, T, groups):
+    # the largest checked array: 16 distinct columns give (n, 2^14) blocks,
+    # one group of 16 steps an (n, 17) block
+    largest = n * (2 ** 14 if groups == T else T + 1)
+    P = np.random.default_rng(n).uniform(0.05, 0.95, (n, groups))[:, np.arange(T) % groups]
+    a0, a1 = np.log1p(-P), np.log(P)
+    tracemalloc.start()
+    try:
+        shtarkov.count_fold(a0, a1, logsumexp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * largest
 
 
 def test_finite_comparators_bit_identical():
@@ -700,16 +760,22 @@ def test_hard_class_certificate_at_d2():
 
 
 def test_negative_horizon_and_empty_block_design_are_rejected():
-    for oracle in (ConstantBernoulliMLE(), FiniteMaxOracle(FiniteStaticFamily([[0.3]]),
-                                                           np.zeros((2, 1)))):
-        with pytest.raises(ValueError, match="T must be a nonnegative integer, got -1"):
-            shtarkov_sum(oracle, -1)
+    # one horizon rule for every entry point of the label tree, on a finite
+    # and on an exchangeable oracle
+    finite = FiniteMaxOracle(FiniteStaticFamily([[0.3], [0.6]]), np.zeros((3, 1)))
+    for oracle in (ConstantBernoulliMLE(), finite):
+        for call in (shtarkov_sum, minimax_value, leaf_log_sups, nml_predict):
+            for T in (-1, 2.5, math.nan):
+                with pytest.raises(ValueError, match=f"^T must be a nonnegative integer, got {T}$"):
+                    call(oracle, T)
+        table = minimax_value(oracle, 3)
+        for T in (3.0, np.int64(3)):  # the table of T = 3, level for level
+            for same in (minimax_value(oracle, T), nml_predict(oracle, T).table):
+                assert same.horizon == 3 and type(same.horizon) is int
+                assert all(np.array_equal(a, b) for a, b in zip(same.levels, table.levels, strict=True))
+            assert np.array_equal(leaf_log_sups(oracle, T), table.levels[-1])
     with pytest.raises(ValueError, match="T must be a nonnegative integer, got -1"):
         ds_lower_bound(-1, 1.0)
-    for T in (2.5, math.nan):
-        with pytest.raises(ValueError, match=f"^T must be a nonnegative integer, got {T}$"):
-            shtarkov_sum(ConstantBernoulliMLE(), T)
-    finite = FiniteMaxOracle(FiniteStaticFamily([[0.3], [0.6]]), np.zeros((3, 1)))
     for T in (10, np.int64(10), 10.0):  # an integral T of any type keeps its value
         assert shtarkov_sum(ConstantBernoulliMLE(), T) == 1.5390617303283205
         assert shtarkov_sum(finite, T // 5) == shtarkov_sum(finite, 2)
