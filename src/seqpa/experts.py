@@ -272,10 +272,26 @@ def log_likelihoods(P):
 
 def column_groups(a0, a1):
     """Each step's group: steps whose (a0, a1) columns are equal bit for bit
-    share one, numbered in order of first appearance."""
-    ids = {}
-    return np.array([ids.setdefault((c0.tobytes(), c1.tobytes()), len(ids))
-                     for c0, c1 in zip(a0.T, a1.T)], dtype=np.intp)
+    share one, numbered in order of first appearance.
+
+    A column is hashed from a transient copy of its bytes and then compared
+    bit for bit with the first step of each group of the same hash, so what
+    is kept per group is that step, not a copy of its column: memory stays
+    O(n + T) however many columns are distinct."""
+    group, n_groups = [], 0
+    firsts = {}  # hash -> the first step of each group with that hash
+    for t, (c0, c1) in enumerate(zip(a0.T, a1.T)):
+        key = c0.tobytes(), c1.tobytes()
+        bucket = firsts.setdefault(hash(key), [])
+        for s in bucket:
+            if (a0[:, s].tobytes(), a1[:, s].tobytes()) == key:
+                group.append(group[s])
+                break
+        else:
+            bucket.append(t)
+            group.append(n_groups)
+            n_groups += 1
+    return np.array(group, dtype=np.intp)
 
 
 def count_log_likelihoods(a0, a1, group):

@@ -19,8 +19,12 @@ def as_prob(value):
 
 
 def as_label(value):
-    """Validate a binary label."""
-    v = int(value)
+    """Validate a binary label: 0 or 1 as an int, or ValueError naming any
+    other value, NaN, an infinity and non-numeric input included."""
+    try:
+        v = int(value)
+    except (TypeError, ValueError, OverflowError):
+        v = None
     if v not in (0, 1) or v != value:
         raise ValueError(f"label must be 0 or 1, got {value!r}")
     return v

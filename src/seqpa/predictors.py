@@ -259,7 +259,9 @@ class NmlPredictor:
 
     Built from the exact backward-induction value table; the step-t
     prediction is the conditional Q(y_t = 1 | y^{t-1}).  Prefixes with zero
-    mass predict 1/2 (the equalizer argument never reaches them).
+    mass predict 1/2 (the equalizer argument never reaches them).  A run
+    walks the table's count grids once (`GameValueTable.conditionals`):
+    O(1) work per step and O(T) state, whatever the number of prefixes.
     """
 
     def __init__(self, table):
@@ -267,20 +269,9 @@ class NmlPredictor:
         self.regret = table.root  # ln S_T, constant over positive-mass sequences
 
     def run(self, labels):
-        """Predictions along one label sequence, walking the table once."""
-        labels = [as_label(y) for y in labels]
-        if len(labels) > self.table.horizon:
-            raise ValueError("prediction past the horizon")
-        preds, idx = [], 0
-        for t, y in enumerate(labels):
-            v = float(self.table.levels[t][idx])
-            v1 = float(self.table.levels[t + 1][2 * idx + 1])
-            if v == -math.inf:
-                preds.append(0.5)
-            else:
-                preds.append(float(math.exp(v1 - v)) if v1 > -math.inf else 0.0)
-            idx = 2 * idx + y
-        return preds
+        """Predictions along one label sequence; ValueError for a label other
+        than 0 or 1 or more labels than the horizon."""
+        return self.table.conditionals(labels)
 
 
 def nml_predict(oracle, T):

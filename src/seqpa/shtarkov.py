@@ -9,15 +9,17 @@ All 2^T label sequences are handled on a count grid (the method of
 types): a finite family's steps are grouped by distinct prediction column,
 and a sequence's likelihood depends only on its count of ones in each
 group.  `count_fold` folds the family over that grid, `minimax_value`
-runs backward induction on it, and `prefix_cells` reads each label
-prefix's value at its counts.  An exchangeable oracle is the one-group
-case; when every column is distinct the grid is the leaf array itself.
+runs backward induction on it and keeps the grids, and `prefix_cells`
+lays a grid out over the 2^t label prefixes, each at its counts.  An
+exchangeable oracle is the one-group case; when every column is distinct
+the grid is the leaf array itself.
 
 `count_fold` refuses a block, head array or grid over `FOLD_ELEMENT_CAP`
 float64 values, and 2^T leaves over it are refused before anything of size
 2^T is built.  Every entry point reads T through `_horizon`.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -149,33 +151,85 @@ def shtarkov_sum(oracle, T):
 
 @dataclass
 class GameValueTable:
-    """Backward-induction values over all label prefixes.
+    """Backward-induction values over all label prefixes, on the count grid.
 
-    `levels[t]` holds one value per prefix of length t, indexed by the
-    prefix read as a binary number (first label most significant).  Every
-    internal value is `np.logaddexp` of its two children; leaves are the
-    family's log sup probabilities; the root equals ln S_T.  `minimax_value`
-    computes each distinct value once, on the count grid, and gathers it
-    into every prefix that shares its counts.
+    `grids[t]` holds one value per count vector a length-t prefix can
+    reach: one axis per column group, axis a of length 1 plus the number
+    of steps s < t with group[s] = a, so a prefix's value sits at its
+    counts.  Every value is `np.logaddexp` of its two children in
+    grids[t + 1]; grids[horizon] holds the leaves (the family's log sup
+    probabilities) and the root equals ln S_T.
+
+    One offset rule reads the grids, for `value` and `conditionals`
+    alike: step t grows axis g = group[t] from L to L + 1 cells, with
+    stride R (the cells of the later axes), so the cell at C-order offset
+    hi L R + rem of grids[t] has its label-y child at hi (L + 1) R + rem +
+    y R, that is `off + (off // (L R) + y) * R`, in grids[t + 1].
+
+    `levels[t]` lays level t out over the 2^t prefixes, indexed by the
+    prefix read as a binary number (first label most significant).  It is
+    built from the grid (`prefix_cells`) when first read; no library path
+    reads it.
     """
 
-    levels: list
+    grids: list
+    group: np.ndarray
     horizon: int
 
     @property
     def root(self):
-        return float(self.levels[0][0])
+        return self.grids[0].item(0)
+
+    @functools.cached_property
+    def levels(self):
+        return [prefix_cells(grid, self.group[:t]) for t, grid in enumerate(self.grids)]
+
+    @functools.cached_property
+    def _cells(self):
+        """The grids as flat memoryviews: each read is a Python float."""
+        return [memoryview(grid.reshape(-1)) for grid in self.grids]
+
+    @functools.cached_property
+    def _steps(self):
+        """(R, L R) of each step t's axis in grids[t], for the offset rule."""
+        steps = []
+        for grid, g in zip(self.grids, self.group.tolist()):
+            stride = math.prod(grid.shape[g + 1:])
+            steps.append((stride, grid.shape[g] * stride))
+        return steps
+
+    def _labels(self, labels):
+        """`labels` as a list of ints; ValueError for a label other than 0 or 1
+        or for more labels than the horizon."""
+        labels = [as_label(y) for y in labels]
+        if len(labels) > self.horizon:
+            raise ValueError(f"prefix of {len(labels)} labels is past the horizon {self.horizon}")
+        return labels
 
     def value(self, label_prefix):
         """One prefix's value (the label_tree benchmark's leaf check); ValueError
         for a label other than 0 or 1 or a prefix past the horizon."""
-        t = len(label_prefix)
-        if t > self.horizon:
-            raise ValueError(f"prefix of {t} labels is past the horizon {self.horizon}")
-        idx = 0
-        for y in label_prefix:
-            idx = idx * 2 + as_label(y)
-        return float(self.levels[t][idx])
+        labels = self._labels(label_prefix)
+        off = 0
+        for (stride, span), y in zip(self._steps, labels):
+            off += (off // span + y) * stride
+        return self._cells[len(labels)][off]
+
+    def conditionals(self, labels):
+        """The NML probability of label 1 at each step along `labels`,
+        exp(V_{t+1}(y^{t-1} 1) - V_t(y^{t-1})), in one walk: 1/2 after a
+        prefix of zero mass, 0 where the label-1 child has none.  ValueError
+        as for `value`."""
+        labels = self._labels(labels)
+        cells, exp, inf = self._cells, math.exp, math.inf
+        preds, off = [], 0
+        for (stride, span), here, below, y in zip(self._steps, cells, cells[1:], labels):
+            v = here[off]
+            off += off // span * stride
+            v1 = below[off + stride]
+            preds.append(0.5 if v == -inf else exp(v1 - v) if v1 > -inf else 0.0)
+            off += y * stride
+        return preds
 
 
 def count_fold(a0, a1, reduce):
@@ -292,23 +346,24 @@ def minimax_value(oracle, T):
     Backward induction runs on the count grid: the level-t grid holds one
     value per count vector a length-t prefix can reach, and
     V_t(k) = logaddexp(V_{t+1}(k), V_{t+1}(k + e_{group[t]})) builds it
-    from the level-(t + 1) grid, one shorter along step t's group.  Each
-    level is read into its 2^t layout as soon as it is built
-    (`prefix_cells`), so every value is `np.logaddexp` of its two
-    children's doubles.  When every column is distinct, each grid is its
-    level and the values are those of pairwise logaddexp over the leaves.
+    from the level-(t + 1) grid, one shorter along step t's group.  The
+    table keeps the grids themselves, O(cells) time and memory where the
+    2^t prefix layouts would cost O(2^T); every value is `np.logaddexp` of
+    its two children's doubles.  When every column is distinct, each grid
+    is its level and the values are those of pairwise logaddexp over the
+    leaves.
     """
     T = _horizon(T)
     if T > ENUMERATION_CAP:
         raise ValueError(f"T={T} exceeds the enumeration cap {ENUMERATION_CAP}")
     grid, group = _count_grid(oracle, T)
-    levels = [prefix_cells(grid, group)]
+    grids = [grid]
     for t in range(T - 1, -1, -1):
         axis = (slice(None),) * group[t]
         grid = np.logaddexp(grid[axis + (slice(-1),)], grid[axis + (slice(1, None),)])
-        levels.append(prefix_cells(grid, group[:t]))
-    levels.reverse()
-    return GameValueTable(levels, T)
+        grids.append(grid)
+    grids.reverse()
+    return GameValueTable(grids, group, T)
 
 
 # ---------------------------------------------------------------------------

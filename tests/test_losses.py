@@ -41,6 +41,15 @@ def test_as_label_rejects_non_binary():
         as_label(0.5)
 
 
+def test_as_label_names_nan_inf_and_non_numeric_input():
+    for good, want in ((0, 0), (1, 1), (True, 1), (0.0, 0), (np.int64(1), 1), (np.float64(0.0), 0)):
+        assert as_label(good) == want and type(as_label(good)) is int
+    for bad, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+                       ("a", "'a'"), ("1", "'1'"), (None, "None"), ([1], r"\[1\]")):
+        with pytest.raises(ValueError, match=f"^label must be 0 or 1, got {shown}$"):
+            as_label(bad)
+
+
 @given(st.floats(min_value=1e-12, max_value=1 - 1e-12),
        st.integers(min_value=0, max_value=1))
 def test_log_loss_nonnegative(p, y):

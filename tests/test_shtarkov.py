@@ -102,6 +102,38 @@ def test_game_value_rejects_bad_labels_and_prefixes_past_the_horizon():
         table.value([0, 1, 0, 1])
 
 
+def test_game_value_and_nml_run_name_a_nan_or_infinite_label():
+    table = minimax_value(ConstantBernoulliMLE(), 3)
+    nml = nml_predict(ConstantBernoulliMLE(), 3)
+    for bad in (math.nan, math.inf, -math.inf, "x"):
+        for call in (table.value, nml.run):
+            with pytest.raises(ValueError, match=f"^label must be 0 or 1, got {bad!r}$"):
+                call([0, bad])
+
+
+def test_game_values_on_four_columns_at_the_cap_stay_under_1_mib():
+    # a 4-column design at T = 22: the grids hold a few thousand cells, where
+    # 2^t prefix layouts of every level would take 64 MiB
+    T = shtarkov.ENUMERATION_CAP
+    rng = np.random.default_rng(29)
+    fam = FiniteStaticFamily(rng.uniform(0.02, 0.98, (8, 4)),
+                             feature_keys=[(float(j),) for j in range(4)])
+    oracle = FiniteMaxOracle(fam, (np.arange(T) % 4)[:, None].astype(float))
+    labels = rng.integers(0, 2, T).tolist()
+    tracemalloc.start()
+    try:
+        table = minimax_value(oracle, T)
+        nml = nml_predict(oracle, T)
+        preds = nml.run(labels)
+        leaf = table.value(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    sup = oracle.log_sup(labels)
+    assert leaf == sup and abs(cumulative_loss(preds, labels) + sup - nml.regret) <= 1e-9
+
+
 def test_game_table_recursion_invariant():
     fam = FiniteStaticFamily(np.array([[0.3], [0.6]]))
     T = 4
@@ -229,6 +261,38 @@ def test_oversize_fold_fails_before_allocating():
         mixture_losses(fam, features)
     with pytest.raises(ValueError, match=f"^count_fold of n={n} rows at T={T}"):
         worst_case_labels(lambda: MixturePredictor(fam), fam, features)
+
+
+def test_refused_fold_keeps_no_copy_of_its_columns():
+    # 4,097 rows of 14 distinct columns, 0.88 MiB of input: grouping keeps
+    # transient copies of one column pair at a time, not of every column
+    n, T = 4_097, 14
+    P = np.random.default_rng(0).uniform(0.05, 0.95, (n, T))
+    a0, a1 = np.log1p(-P), np.log(P)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^count_fold of n={n} rows at T={T} needs "):
+            shtarkov.count_fold(a0, a1, logsumexp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 * 8 * n
+
+
+def test_column_groups_verify_bit_for_bit_behind_the_hash(monkeypatch):
+    # groups in order of first appearance; -0.0 and 0.0 differ, NaN equals
+    # itself bit for bit; then again with every hash colliding
+    col = {"a": [0.0, -1.0], "b": [-0.0, -1.0], "c": [math.nan, -2.0], "d": [0.0, -3.0]}
+    steps = "baccadbd"
+    a0 = np.array([col[k] for k in steps]).T
+    a1 = a0[::-1].copy()
+    want = [0, 1, 2, 2, 1, 3, 0, 3]
+    moved = a1.copy()
+    moved[0, -1] = 5.0  # the last step's a0 column is group 3's, its a1 column is new
+    for _ in range(2):
+        assert experts.column_groups(a0, a1).tolist() == want
+        assert experts.column_groups(a0, moved).tolist() == want[:-1] + [4]
+        monkeypatch.setattr(experts, "hash", lambda key: 0, raising=False)
 
 
 def test_constant_column_family_is_scored_on_its_count_grid():
