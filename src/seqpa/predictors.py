@@ -260,8 +260,10 @@ class NmlPredictor:
     Built from the exact backward-induction value table; the step-t
     prediction is the conditional Q(y_t = 1 | y^{t-1}).  Prefixes with zero
     mass predict 1/2 (the equalizer argument never reaches them).  A run
-    walks the table's count grids once (`GameValueTable.conditionals`):
-    O(1) work per step and O(T) state, whatever the number of prefixes.
+    walks the table's count grids once (`GameValueTable.conditionals`) with
+    O(T) state, whatever the number of prefixes; the table memoizes each
+    visited cell's prediction, so runs through the same cells share the
+    work and the memo stays within one entry per grid cell.
     """
 
     def __init__(self, table):

@@ -166,6 +166,13 @@ class GameValueTable:
     hi L R + rem of grids[t] has its label-y child at hi (L + 1) R + rem +
     y R, that is `off + (off // (L R) + y) * R`, in grids[t + 1].
 
+    `conditionals` memoizes the NML strategy per cell as it walks: one dict
+    per step, keyed by the cell's offset, holding (prediction, offset of
+    the label-0 child), filled on the cell's first visit.  A run keeps O(T)
+    state of its own and adds at most T entries; the memo never holds more
+    than one entry per cell of grids[:horizon].  A table pickles and copies
+    as its grids, group and horizon.
+
     `levels[t]` lays level t out over the 2^t prefixes, indexed by the
     prefix read as a binary number (first label most significant).  It is
     built from the grid (`prefix_cells`) when first read; no library path
@@ -175,6 +182,7 @@ class GameValueTable:
     grids: list
     group: np.ndarray
     horizon: int
+    _BINARY = frozenset((0, 1))  # the one-pass label check (not a field)
 
     @property
     def root(self):
@@ -185,23 +193,33 @@ class GameValueTable:
         return [prefix_cells(grid, self.group[:t]) for t, grid in enumerate(self.grids)]
 
     @functools.cached_property
-    def _cells(self):
-        """The grids as flat memoryviews: each read is a Python float."""
-        return [memoryview(grid.reshape(-1)) for grid in self.grids]
-
-    @functools.cached_property
-    def _steps(self):
-        """(R, L R) of each step t's axis in grids[t], for the offset rule."""
-        steps = []
-        for grid, g in zip(self.grids, self.group.tolist()):
+    def _walk(self):
+        """Per step t: (memo, R, L R, grids[t], grids[t + 1]), the grids as flat
+        memoryviews (each read is a Python float) and (R, L R) the stride and
+        span of the offset rule.  memo maps a cell's offset in grids[t] to
+        (NML prediction, offset of its label-0 child), filled on first visit."""
+        cells = [memoryview(grid.reshape(-1)) for grid in self.grids]
+        walk = []
+        for grid, g, here, below in zip(self.grids, self.group.tolist(), cells, cells[1:]):
             stride = math.prod(grid.shape[g + 1:])
-            steps.append((stride, grid.shape[g] * stride))
-        return steps
+            walk.append(({}, stride, grid.shape[g] * stride, here, below))
+        return walk
+
+    def __getstate__(self):
+        # the walk's memoryviews do not pickle; a copy rebuilds them on first read
+        return {"grids": self.grids, "group": self.group, "horizon": self.horizon}
 
     def _labels(self, labels):
-        """`labels` as a list of ints; ValueError for a label other than 0 or 1
-        or for more labels than the horizon."""
-        labels = [as_label(y) for y in labels]
+        """`labels` as a list, each equal to 0 or 1, checked in one pass;
+        ValueError (`as_label`'s) for a label other than 0 or 1 or for more
+        labels than the horizon."""
+        labels = list(labels)
+        try:
+            valid = self._BINARY.issuperset(labels)
+        except TypeError:  # an unhashable label, such as a 0-d array
+            valid = False
+        if not valid:
+            labels = [as_label(y) for y in labels]
         if len(labels) > self.horizon:
             raise ValueError(f"prefix of {len(labels)} labels is past the horizon {self.horizon}")
         return labels
@@ -211,24 +229,32 @@ class GameValueTable:
         for a label other than 0 or 1 or a prefix past the horizon."""
         labels = self._labels(label_prefix)
         off = 0
-        for (stride, span), y in zip(self._steps, labels):
-            off += (off // span + y) * stride
-        return self._cells[len(labels)][off]
+        for (_, stride, span, _, _), y in zip(self._walk, labels):
+            off += off // span * stride
+            if y:
+                off += stride
+        return self.grids[len(labels)].item(off)
 
     def conditionals(self, labels):
         """The NML probability of label 1 at each step along `labels`,
         exp(V_{t+1}(y^{t-1} 1) - V_t(y^{t-1})), in one walk: 1/2 after a
-        prefix of zero mass, 0 where the label-1 child has none.  ValueError
-        as for `value`."""
+        prefix of zero mass, 0 where the label-1 child has none.  Each cell's
+        prediction is computed on its first visit and memoized, so a later
+        run through it costs one lookup.  ValueError as for `value`."""
         labels = self._labels(labels)
-        cells, exp, inf = self._cells, math.exp, math.inf
         preds, off = [], 0
-        for (stride, span), here, below, y in zip(self._steps, cells, cells[1:], labels):
-            v = here[off]
-            off += off // span * stride
-            v1 = below[off + stride]
-            preds.append(0.5 if v == -inf else exp(v1 - v) if v1 > -inf else 0.0)
-            off += y * stride
+        for (memo, stride, span, here, below), y in zip(self._walk, labels):
+            hit = memo.get(off)
+            if hit is None:
+                v = here[off]
+                base = off + off // span * stride
+                v1 = below[base + stride]
+                hit = memo[off] = (0.5 if v == -math.inf else math.exp(v1 - v)
+                                   if v1 > -math.inf else 0.0, base)
+            p, off = hit
+            preds.append(p)
+            if y:
+                off += stride
         return preds
 
 

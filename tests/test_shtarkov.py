@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +23,7 @@ from seqpa.experts import (CodeBook, FiniteStaticFamily, HardLipschitzFamily, Pa
                            ds_project, glm_family, prediction_matrix)
 from seqpa.harness import _ball_features, worst_case_labels
 from seqpa.losses import cumulative_loss
-from seqpa.predictors import MixturePredictor, mixture_losses, nml_predict
+from seqpa.predictors import MixturePredictor, NmlPredictor, mixture_losses, nml_predict
 from seqpa.shtarkov import (
     LEAF_BLOCK_BITS,
     ConstantBernoulliMLE,
@@ -103,12 +105,16 @@ def test_game_value_rejects_bad_labels_and_prefixes_past_the_horizon():
 
 
 def test_game_value_and_nml_run_name_a_nan_or_infinite_label():
+    # and a rejected call memoizes nothing
     table = minimax_value(ConstantBernoulliMLE(), 3)
     nml = nml_predict(ConstantBernoulliMLE(), 3)
-    for bad in (math.nan, math.inf, -math.inf, "x"):
+    for bad in (math.nan, math.inf, -math.inf, "x", "1", None, 2, 0.5):
         for call in (table.value, nml.run):
             with pytest.raises(ValueError, match=f"^label must be 0 or 1, got {bad!r}$"):
                 call([0, bad])
+    with pytest.raises(ValueError, match="^prefix of 4 labels is past the horizon 3$"):
+        nml.run([0, 1, 0, 1])
+    assert _memo_entries(table) == _memo_entries(nml.table) == 0
 
 
 def test_game_values_on_four_columns_at_the_cap_stay_under_1_mib():
@@ -132,6 +138,98 @@ def test_game_values_on_four_columns_at_the_cap_stay_under_1_mib():
     assert peak < 2 ** 20
     sup = oracle.log_sup(labels)
     assert leaf == sup and abs(cumulative_loss(preds, labels) + sup - nml.regret) <= 1e-9
+
+
+def _memo_entries(table):
+    """How many cells `conditionals` has memoized on `table`."""
+    return sum(len(memo) for memo, *_ in table._walk)
+
+
+def _zero_one_oracle(T):
+    # three experts over three feature columns, most predictions 0 or 1: many
+    # prefixes have zero mass and many label-1 children have none
+    fam = FiniteStaticFamily([[0.0, 1.0, 0.4], [1.0, 1.0, 0.0], [0.7, 0.0, 1.0]],
+                             feature_keys=[(float(j),) for j in range(3)])
+    return FiniteMaxOracle(fam, (np.arange(T) % 3)[:, None].astype(float))
+
+
+def _all_sequences(T):
+    return [[(j >> (T - 1 - t)) & 1 for t in range(T)] for j in range(2 ** T)]
+
+
+def test_nml_memo_runs_equal_fresh_table_runs():
+    T = 8
+    oracle = _zero_one_oracle(T)
+    sequences = _all_sequences(T)
+    fresh = [nml_predict(oracle, T).run(y) for y in sequences]
+    assert any(0.0 in preds for preds in fresh) and any(0.5 in preds for preds in fresh)
+    warm = nml_predict(oracle, T)
+    table = warm.table
+    cells = sum(grid.size for grid in table.grids[:-1])
+    for j in np.random.default_rng(30).permutation(2 ** T):
+        assert warm.run(sequences[j]) == fresh[j]
+        assert _memo_entries(table) <= cells
+    # every cell of grids[:T] is visited once all sequences have run
+    assert _memo_entries(table) == cells
+    for j in range(16):  # repeating a run adds no entry
+        assert warm.run(sequences[j]) == fresh[j] and _memo_entries(table) == cells
+    # tables built from one oracle share no memo
+    other = minimax_value(oracle, T)
+    assert _memo_entries(other) == 0 and _memo_entries(table) == cells
+    assert other.conditionals(sequences[5]) == fresh[5]
+    assert _memo_entries(other) == T and _memo_entries(table) == cells
+
+
+def test_game_value_table_label_forms():
+    T = 6
+    oracle = _zero_one_oracle(T)
+    table = minimax_value(oracle, T)
+    plain = [1, 0, 1, 1, 0, 0]
+    expected = minimax_value(oracle, T).conditionals(plain)
+    value = table.value(plain)
+    forms = ([True, False, True, True, False, False],
+             [np.int64(1), 0, 1, 1, 0, np.int64(0)],
+             [1.0, np.float64(0.0), 1, 1, 0, 0],
+             [np.array(1), np.array(0.0), 1, 1, 0, 0],
+             np.array(plain), np.array(plain, dtype=bool), np.array(plain, dtype=float))
+    for labels in forms:
+        assert table.conditionals(labels) == expected and table.value(labels) == value
+    assert table.conditionals(iter(plain)) == expected and table.value(iter(plain)) == value
+
+
+def test_game_value_table_pickles_and_copies_after_runs():
+    T = 8
+    oracle = _zero_one_oracle(T)
+    nml = nml_predict(oracle, T)
+    sequences = _all_sequences(T)[::7]
+    runs = [nml.run(y) for y in sequences]
+    values = [nml.table.value(y[:t]) for y in sequences for t in range(T + 1)]
+    for copied in (pickle.loads(pickle.dumps(nml)), copy.deepcopy(nml),
+                   NmlPredictor(pickle.loads(pickle.dumps(nml.table)))):
+        assert _memo_entries(copied.table) == 0
+        assert [copied.run(y) for y in sequences] == runs
+        assert [copied.table.value(y[:t]) for y in sequences for t in range(T + 1)] == values
+        assert copied.regret == nml.regret == copied.table.root
+
+
+def test_one_nml_run_on_an_all_distinct_table_stays_under_64_kib():
+    # T = 18 distinct columns: a 2^18-leaf grid, of which one run reads T + 1 cells
+    T = 18
+    rng = np.random.default_rng(18)
+    fam = FiniteStaticFamily(rng.uniform(0.02, 0.98, (4, T)),
+                             feature_keys=[(float(j),) for j in range(T)])
+    oracle = FiniteMaxOracle(fam, np.arange(T)[:, None].astype(float))
+    nml = nml_predict(oracle, T)
+    labels = rng.integers(0, 2, T).tolist()
+    tracemalloc.start()
+    try:
+        preds = nml.run(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
+    assert _memo_entries(nml.table) == T
+    assert abs(cumulative_loss(preds, labels) + oracle.log_sup(labels) - nml.regret) <= 1e-9
 
 
 def test_game_table_recursion_invariant():
