@@ -355,20 +355,29 @@ def best_in_hindsight(family, features, labels):
         params = np.argmax(total, axis=1)
         best = -total[np.arange(len(params)), params]
         return (int(params[0]), float(best[0])) if labels.ndim == 1 else (params, best)
+    R = _logistic_radius(family)
+    X = features[:Y.shape[1]]
+    N = np.ones(len(X))
+    blocks = [_best_logistic(X, N, Y[i:i + ROW_BLOCK].astype(float), R)
+              for i in range(0, len(Y), ROW_BLOCK)]
+    W, best = (np.concatenate(part) for part in zip(*blocks))
+    return (W[0], float(best[0])) if labels.ndim == 1 else (W, best)
+
+
+def _logistic_radius(family):
+    """The radius of the logistic family's l2 parameter ball, the one
+    parametric family the hindsight solver takes; TypeError for another
+    family and ValueError for another ball."""
     if not isinstance(family, ParametricFamily):
         raise TypeError("the hindsight solver needs a finite family or the logistic "
                         f"ParametricFamily of glm_family, got {type(family).__name__}")
     if family.ball.norm_order != 2:
         raise ValueError("the hindsight solver needs an l2 parameter ball, got "
                          f"norm order {family.ball.norm_order}")
-    X = features[:Y.shape[1]]
-    blocks = [_best_logistic(X, Y[i:i + ROW_BLOCK].astype(float), family.ball.radius)
-              for i in range(0, len(Y), ROW_BLOCK)]
-    W, best = (np.concatenate(part) for part in zip(*blocks))
-    return (W[0], float(best[0])) if labels.ndim == 1 else (W, best)
+    return family.ball.radius
 
 
-# Label sequences solved together (bounds the solver's memory), Newton
+# Label rows or count tuples solved together (bounds the solver's memory), Newton
 # iterations before the certificate is checked, the gap below which a solve
 # stops early, and the gap above which it fails.
 ROW_BLOCK = 2 ** 14
@@ -377,9 +386,15 @@ NEWTON_STOP_GAP = 1e-12
 CERTIFIED_GAP = 1e-9
 
 
-def _logistic_loss(X, Y, W):
-    """Row-wise sum_t -ln P_w(y_t | x_t) = sum_t softplus(-(2 y_t - 1) <w, x_t>)."""
-    return np.logaddexp(0.0, (1.0 - 2.0 * Y) * (W @ X.T)).sum(axis=1)
+def _logistic_loss(X, N, K, W):
+    """Row-wise sum_j K_j softplus(-z_j) + (N_j - K_j) softplus(z_j), z_j = <w, x_j>:
+    -ln P_w of a label sequence with K_j ones among the N_j steps of row j.
+    At N = 1 each term is softplus(-(2 y - 1) z) bit for bit, one product by
+    1 and one by 0 (of a finite softplus) being exact."""
+    z = W @ X.T
+    loss = np.logaddexp(0.0, -z) * K
+    loss += np.logaddexp(0.0, z, out=z) * (N - K)
+    return loss.sum(axis=1)
 
 
 def _ball_newton_point(w, g, H, R):
@@ -408,8 +423,14 @@ def _ball_newton_point(w, g, H, R):
     return v * np.minimum(1.0, R / np.linalg.norm(v, axis=1))[:, None]
 
 
-def _best_logistic(X, Y, R):
+def _best_logistic(X, N, K, R):
     """Projected Newton for the logistic log loss f over {||w||_2 <= R}, row-wise.
+
+    X (m, d) holds distinct feature rows, N (m,) the steps at each and row s
+    of K (S, m) the ones among them, so f is `_logistic_loss`, its gradient
+    (N P - K) X and its Hessian X' diag(N P (1 - P)) X, P the logistic link
+    of X w.  `best_in_hindsight` passes N = 1 and K = the label rows;
+    `leaf_log_sups` one K row per count tuple of a design's distinct rows.
 
     Each step moves toward the minimizer of f's quadratic model over the
     ball (`_ball_newton_point`), halving the step until the Armijo rule
@@ -420,22 +441,22 @@ def _best_logistic(X, Y, R):
     f(w) - gap(w) is returned.  Raises RuntimeError if a gap stays above
     CERTIFIED_GAP.
     """
-    S = Y.shape[0]
+    S = K.shape[0]
     W = np.zeros((S, X.shape[1]))
-    f = _logistic_loss(X, Y, W)
+    f = _logistic_loss(X, N, K, W)
     gap = np.empty(S)
     done = np.zeros(S, dtype=bool)
     active = np.arange(S)
     for it in range(NEWTON_ITERS + 1):
-        w, y = W[active], Y[active]
+        w, k = W[active], K[active]
         P = LOGISTIC(w @ X.T)
-        g = (P - y) @ X
+        g = (N * P - k) @ X
         gap[active] = np.maximum((g * w).sum(axis=1) + R * np.linalg.norm(g, axis=1), 0.0)
         keep = (gap[active] > NEWTON_STOP_GAP) & ~done[active]
-        active, w, y, g, P = active[keep], w[keep], y[keep], g[keep], P[keep]
+        active, w, k, g, P = active[keep], w[keep], k[keep], g[keep], P[keep]
         if not len(active) or it == NEWTON_ITERS:
             break
-        H = np.einsum("st,ti,tj->sij", P * (1.0 - P), X, X)
+        H = np.einsum("st,ti,tj->sij", N * P * (1.0 - P), X, X)
         step = _ball_newton_point(w, g, H, R) - w
         slope = (g * step).sum(axis=1)
         f0 = f[active]
@@ -444,7 +465,7 @@ def _best_logistic(X, Y, R):
         moved = np.zeros(len(active), dtype=bool)
         for _ in range(40):
             trial = w + t[:, None] * step
-            ft = _logistic_loss(X, y, trial)
+            ft = _logistic_loss(X, N, k, trial)
             ok = ~moved & (final | ((ft < f0) & (ft <= f0 + 1e-4 * t * slope)))
             W[active[ok]], f[active[ok]] = trial[ok], ft[ok]
             moved |= ok

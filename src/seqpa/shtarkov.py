@@ -7,12 +7,13 @@ power-constrained lower-bound constructions.
 
 All 2^T label sequences are handled on a count grid (the method of
 types): a finite family's steps are grouped by distinct prediction column,
-and a sequence's likelihood depends only on its count of ones in each
-group.  `count_fold` folds the family over that grid, `minimax_value`
-runs backward induction on it and keeps the grids, and `prefix_cells`
-lays a grid out over the 2^t label prefixes, each at its counts.  An
-exchangeable oracle is the one-group case; when every column is distinct
-the grid is the leaf array itself.
+the logistic family's by distinct feature row, and a sequence's likelihood
+depends only on its count of ones in each group.  `count_fold` folds a
+finite family over that grid, `minimax_value` runs backward induction on
+it and keeps the grids, and `prefix_cells` lays a grid out over the 2^t
+label prefixes, each at its counts.  An exchangeable oracle is the
+one-group case; when every column is distinct the grid is the leaf array
+itself.
 
 `count_fold` refuses a block, head array or grid over `FOLD_ELEMENT_CAP`
 float64 values, and 2^T leaves over it are refused before anything of size
@@ -28,9 +29,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
-from .experts import (ROW_BLOCK, _zero_positive_counts, best_in_hindsight, column_groups,
-                      count_log_likelihoods, ds_project, lattice_blocks, log_likelihoods,
-                      prediction_matrix)
+from .experts import (ROW_BLOCK, _best_logistic, _logistic_radius, _zero_positive_counts,
+                      best_in_hindsight, column_groups, count_log_likelihoods, ds_project,
+                      lattice_blocks, log_likelihoods, prediction_matrix)
 from .losses import _as_labels, as_label, log_sum_exp
 
 ENUMERATION_CAP = 22
@@ -149,7 +150,7 @@ def shtarkov_sum(oracle, T):
 # Game values by backward induction
 
 
-@dataclass
+@dataclass(eq=False)
 class GameValueTable:
     """Backward-induction values over all label prefixes, on the count grid.
 
@@ -158,7 +159,8 @@ class GameValueTable:
     of steps s < t with group[s] = a, so a prefix's value sits at its
     counts.  Every value is `np.logaddexp` of its two children in
     grids[t + 1]; grids[horizon] holds the leaves (the family's log sup
-    probabilities) and the root equals ln S_T.
+    probabilities) and the root equals ln S_T.  Tables compare and hash by
+    identity.
 
     One offset rule reads the grids, for `value` and `conditionals`
     alike: step t grows axis g = group[t] from L to L + 1 cells, with
@@ -329,9 +331,13 @@ def prefix_cells(grid, group):
 def _count_grid(oracle, T):
     """The `leaf_log_sups` leaves as (grid, group): a count grid over column
     groups and each step's group, as `count_fold` returns them.  A finite
-    family's grid is its max-fold; an exchangeable oracle is one group of T
-    steps; the logistic family keeps one solve per sequence, so its grid
-    has one group per step and is the leaf array."""
+    family's grid is its max-fold over its distinct prediction columns.  The
+    logistic family's steps are grouped by distinct feature row, by the same
+    rule (`column_groups`), and its grid holds one certified solve per count
+    tuple, `ROW_BLOCK` tuples at a time in C order: group a of N_a steps
+    gives an axis of N_a + 1 counts, and all-distinct rows give (2,) * T,
+    one solve per label sequence.  An exchangeable oracle is one group of T
+    steps."""
     _check_leaves(T)
     if isinstance(oracle, FiniteMaxOracle):
         features = oracle.features[:T]
@@ -340,14 +346,19 @@ def _count_grid(oracle, T):
         if hasattr(oracle.family, "n_experts"):
             P = prediction_matrix(oracle.family, features)
             return count_fold(*log_likelihoods(P), np.max)
-        # one solve per ROW_BLOCK label rows, the solver's own blocks; label
-        # row j is the binary expansion of j, y_1 most significant
-        bits = np.arange(T - 1, -1, -1)
-        leaves = np.concatenate([-best_in_hindsight(
-            oracle.family, features,
-            (np.arange(i, min(i + ROW_BLOCK, 2 ** T))[:, None] >> bits & 1).astype(np.uint8))[1]
-            for i in range(0, 2 ** T, ROW_BLOCK)])
-        return leaves.reshape((2,) * T), np.arange(T)
+        R = _logistic_radius(oracle.family)
+        group = column_groups(features.T, features.T)
+        N = np.bincount(group)
+        X = features[np.unique(group, return_index=True)[1]]
+        radices = (N + 1).tolist()
+        leaves = np.empty(math.prod(radices))
+        for i in range(0, len(leaves), ROW_BLOCK):
+            tuples = np.arange(i, min(i + ROW_BLOCK, len(leaves)))
+            K = np.zeros((len(tuples), len(N)))
+            if len(N):  # T = 0 has one empty tuple
+                K.T[:] = np.unravel_index(tuples, radices)
+            leaves[i:i + len(K)] = -_best_logistic(X, N, K, R)[1]
+        return leaves.reshape(radices), group
     if not isinstance(oracle, ExchangeableOracle):
         raise TypeError(f"no label-tree leaves for oracle {oracle!r}")
     grid = np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)
@@ -358,10 +369,11 @@ def leaf_log_sups(oracle, T):
     """ln sup probability of every label sequence, indexed like `GameValueTable`
     leaves: for a `FiniteMaxOracle`, a max-fold of a finite family's log
     likelihoods over its count grid (`count_fold`; bit-identical to
-    `log_sup`) or logistic `best_in_hindsight` solves of `ROW_BLOCK` label
-    rows each (certified, within `CERTIFIED_GAP`); for an exchangeable
-    oracle, `log_sup_by_count` at each leaf's count of ones.  2^T leaves
-    over FOLD_ELEMENT_CAP raise ValueError."""
+    `log_sup`) or, for the logistic family, one count-weighted hindsight
+    solve per count tuple of its distinct feature rows (certified, within
+    `CERTIFIED_GAP`; on distinct rows bit-identical to `best_in_hindsight`);
+    for an exchangeable oracle, `log_sup_by_count` at each leaf's count of
+    ones.  2^T leaves over FOLD_ELEMENT_CAP raise ValueError."""
     return prefix_cells(*_count_grid(oracle, _horizon(T)))
 
 

@@ -1,5 +1,7 @@
 """The count-grid engine: leaves and game values of all 2^T label sequences,
-folded over a design's distinct prediction columns."""
+folded over a design's distinct prediction columns (a finite family) or
+solved once per count tuple of its distinct feature rows (the logistic
+family)."""
 
 import math
 
@@ -8,13 +10,14 @@ import pytest
 from scipy.special import logsumexp
 
 from seqpa import shtarkov
-from seqpa.experts import (DsFamily, FiniteParamFamily, FiniteStaticFamily, best_in_hindsight,
-                           count_log_likelihoods, glm_family, log_likelihoods,
-                           prediction_matrix)
+from seqpa.experts import (CERTIFIED_GAP, DsFamily, FiniteParamFamily, FiniteStaticFamily,
+                           _best_logistic, best_in_hindsight, count_log_likelihoods, glm_family,
+                           log_likelihoods, prediction_matrix)
 from seqpa.harness import _ball_features
 from seqpa.predictors import mixture_losses
 from seqpa.shtarkov import (LEAF_BLOCK_BITS, ConstantBernoulliMLE, DsClosedForm, FiniteMaxOracle,
-                            IntervalBernoulli, leaf_log_sups, minimax_value)
+                            IntervalBernoulli, block_design_features, leaf_log_sups,
+                            minimax_value, shtarkov_sum)
 
 
 def _labels(T):
@@ -187,3 +190,62 @@ def test_brute_force_comparison_catches_a_broken_engine(name, mutant, monkeypatc
     assert _engine_error(oracle, 9) <= 1e-12
     monkeypatch.setattr(shtarkov, name, mutant)
     assert _engine_error(oracle, 9) > 1e-6
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + math.exp(-z))
+
+
+@pytest.mark.parametrize("T", [16, 22])
+def test_logistic_block_design_d1_is_the_interval_bernoulli_grid(T):
+    # x_t = 1: sigma(w) over |w| <= 1 is every p in [sigma(-1), sigma(1)],
+    # so the grid is one group of T steps, a leaf per count of ones
+    oracle = FiniteMaxOracle(glm_family(d=1, R=1.0), np.ones((T, 1)))
+    grid, group = shtarkov._count_grid(oracle, T)
+    assert grid.shape == (T + 1,) and np.array_equal(group, np.zeros(T))
+    interval = IntervalBernoulli(_sigmoid(-1.0), _sigmoid(1.0))
+    want = interval.log_sup_by_count(np.arange(T + 1), T)
+    assert np.abs(grid - want).max() <= CERTIFIED_GAP
+    if T == 16:
+        root = minimax_value(oracle, T).root
+        assert abs(root - shtarkov_sum(interval, T)) <= CERTIFIED_GAP
+        assert abs(root - 0.9330496) <= 1e-7
+
+
+def _solve_rows(monkeypatch, solver=_best_logistic):
+    """Patch the grid's solver with `solver`, counting the rows it solves."""
+    rows = []
+
+    def spy(X, N, K, R):
+        rows.append(len(K))
+        return solver(X, N, K, R)
+
+    monkeypatch.setattr(shtarkov, "_best_logistic", spy)
+    return rows
+
+
+def _block_d2_leaf_error(T):
+    """Largest |leaf - (-best_in_hindsight)| over the 2^T sequences of the
+    d = 2 block design: one count-weighted solve per count tuple against
+    one per-step solve per sequence."""
+    oracle = FiniteMaxOracle(glm_family(d=2, R=1.0), block_design_features(2, T))
+    want = -best_in_hindsight(oracle.family, oracle.features, _labels(T))[1]
+    return float(np.abs(leaf_log_sups(oracle, T) - want).max())
+
+
+@pytest.mark.parametrize("T", [2, 8, 16])
+def test_logistic_block_design_d2_solves_one_row_per_count_tuple(T, monkeypatch):
+    rows = _solve_rows(monkeypatch)
+    assert _block_d2_leaf_error(T) <= 2 * CERTIFIED_GAP
+    assert sum(rows) == (T // 2 + 1) ** 2
+
+
+def test_logistic_block_design_d2_game_value_at_T20_solves_121_tuples(monkeypatch):
+    rows = _solve_rows(monkeypatch)
+    table = minimax_value(FiniteMaxOracle(glm_family(d=2, R=1.0), block_design_features(2, 20)), 20)
+    assert rows == [121] and [grid.shape for grid in table.grids[-2:]] == [(11, 10), (11, 11)]
+
+
+def test_block_design_check_catches_a_solver_that_ignores_multiplicities(monkeypatch):
+    _solve_rows(monkeypatch, lambda X, N, K, R: _best_logistic(X, np.ones_like(N), K, R))
+    assert _block_d2_leaf_error(8) > 2 * CERTIFIED_GAP

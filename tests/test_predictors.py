@@ -69,6 +69,58 @@ def test_mixture_loss_bounded_by_mixture_mass():
     assert total - best <= math.log(2) + 1e-10
 
 
+def _chain_rule_residual(predictor, T):
+    """|cumulative loss + ln mixture mass| of one run on 50 constant experts
+    drawn from U[0.001, 0.999], labels Bernoulli(0.3), and the fold count."""
+    rng = np.random.default_rng(0)
+    fam = FiniteStaticFamily(rng.uniform(0.001, 0.999, (50, 1)))
+    pred = predictor(fam)
+    folds = 0
+    fold = pred._fold
+
+    def counted_fold():
+        nonlocal folds
+        folds += 1
+        fold()
+
+    pred._fold = counted_fold
+    total = 0.0
+    for y in (rng.uniform(size=T) < 0.3).astype(int):
+        total += log_loss(pred.step(0.0), y)
+        pred.update(y)
+    return abs(total + pred.log_mixture_mass()), total, folds
+
+
+# Largest relative residual seen at seeds 0-3 of this design: 1.7e-15 (an
+# absolute 2.0e-12 at a loss of 1234, T = 2000); the bound allows 6x that.
+CHAIN_RULE_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("truncation", [None, 0.01])
+@pytest.mark.parametrize("T", [50, 2000])
+def test_mixture_loss_equals_minus_log_mixture_mass(truncation, T):
+    # chain rule: the mixture's per-step probabilities multiply to its mass,
+    # so the cumulative loss is -ln mass, across folds (none at T = 50)
+    residual, total, folds = _chain_rule_residual(
+        lambda fam: MixturePredictor(fam, truncation=truncation), T)
+    assert residual <= CHAIN_RULE_RTOL * total
+    assert (folds == 0) if T == 50 else (folds >= 10)
+
+
+class _UntruncatedMass(MixturePredictor):
+    """Log weights missing the -k ln(1 + 2 alpha) normalization."""
+
+    @property
+    def log_weights(self):
+        with np.errstate(divide="ignore"):
+            return np.log(self._r) + self._lw
+
+
+def test_chain_rule_check_catches_a_missing_truncation_normalization():
+    residual, total, _ = _chain_rule_residual(lambda fam: _UntruncatedMass(fam, 0.01), 50)
+    assert residual > CHAIN_RULE_RTOL * total
+
+
 def test_mixture_truncation_keeps_weights_finite():
     fam = FiniteStaticFamily(np.array([[0.0], [1.0]]))
     pred, total = _run_mixture(fam, [1, 0, 1], truncation=0.1)

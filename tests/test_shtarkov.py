@@ -212,6 +212,16 @@ def test_game_value_table_pickles_and_copies_after_runs():
         assert copied.regret == nml.regret == copied.table.root
 
 
+def test_game_value_tables_compare_and_hash_by_identity():
+    # a generated field-wise __eq__ compared the grids lists element-wise and
+    # raised numpy's "truth value ... is ambiguous"; tables are not hashable then
+    oracle = ConstantBernoulliMLE()
+    a, b = minimax_value(oracle, 4), minimax_value(oracle, 4)
+    assert (a == b) is False and a != b
+    assert a == a and len({a, a, b}) == 2
+    assert hash(a) == hash(a)
+
+
 def test_one_nml_run_on_an_all_distinct_table_stays_under_64_kib():
     # T = 18 distinct columns: a 2^18-leaf grid, of which one run reads T + 1 cells
     T = 18
@@ -417,7 +427,7 @@ def test_leaf_check_boundary(monkeypatch):
              lambda T: leaf_log_sups(logistic, T)]
     for call in calls:
         assert call(6).shape == (64,)
-    monkeypatch.setattr(shtarkov, "best_in_hindsight", None)  # a solve would raise TypeError
+    monkeypatch.setattr(shtarkov, "_best_logistic", None)  # a solve would raise TypeError
     for call in calls:
         with pytest.raises(ValueError, match=r"^2\^7 leaves need 1024 bytes, over the 512-byte cap$"):
             call(7)
