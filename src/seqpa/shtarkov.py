@@ -1,23 +1,19 @@
-"""Exact minimax lower-bound machinery.
-
-Shtarkov sums by full enumeration (small horizons) or binomial grouping
-(exchangeable families, large horizons), game values by backward
-induction, the source-identification bound, and the block-design and
+"""Exact minimax lower-bound machinery: Shtarkov sums and game values on
+the count grid, the source-identification bound, and the block-design and
 power-constrained lower-bound constructions.
 
-All 2^T label sequences are handled on a count grid (the method of
-types): a finite family's steps are grouped by distinct prediction column,
-the logistic family's by distinct feature row, and a sequence's likelihood
-depends only on its count of ones in each group.  `count_fold` folds a
+A sequence's likelihood depends only on its count of ones in each group of
+steps (the method of types): a finite family's steps are grouped by
+distinct prediction column, the logistic family's by distinct feature row,
+and an exchangeable oracle is one group of T steps.  `count_fold` folds a
 finite family over that grid, `minimax_value` runs backward induction on
 it and keeps the grids, and `prefix_cells` lays a grid out over the 2^t
-label prefixes, each at its counts.  An exchangeable oracle is the
-one-group case; when every column is distinct the grid is the leaf array
-itself.
+label prefixes, each at its counts; when every column is distinct the grid
+is the leaf array itself.
 
-`count_fold` refuses a block, head array or grid over `FOLD_ELEMENT_CAP`
-float64 values, and 2^T leaves over it are refused before anything of size
-2^T is built.  Every entry point reads T through `_horizon`.
+One size rule, not a limit on T: `_check_size` refuses an array of over
+`FOLD_ELEMENT_CAP` float64 values before it is allocated.  Every entry
+point reads T through `_horizon`.
 """
 
 import functools
@@ -34,7 +30,6 @@ from .experts import (ROW_BLOCK, _best_logistic, _logistic_radius, _zero_positiv
                       lattice_blocks, log_likelihoods, prediction_matrix)
 from .losses import _as_labels, as_label, log_sum_exp
 
-ENUMERATION_CAP = 22
 LEAF_BLOCK_BITS = 14  # count_fold reduces blocks of at most 2^14 grid cells per row
 # Largest label-tree array, in float64 elements: 2^26 is 512 MiB.  Under tracemalloc
 # a count_fold peaked at 1.0-3.0x its largest bounded array with np.max and 1.1-7.2x
@@ -126,9 +121,9 @@ def _horizon(T):
     return int(T)
 
 
-def _check_leaves(T):
-    if 2 ** T > FOLD_ELEMENT_CAP:
-        raise ValueError(f"2^{T} leaves need {8 * 2 ** T} bytes, over the "
+def _check_size(elements, needs, purpose=""):
+    if elements > FOLD_ELEMENT_CAP:
+        raise ValueError(f"{needs} {8 * elements} bytes{purpose}, over the "
                          f"{8 * FOLD_ELEMENT_CAP}-byte cap")
 
 
@@ -136,7 +131,7 @@ def shtarkov_sum(oracle, T):
     """ln S_T = ln sum over label sequences of the family's sup probability.
 
     Exchangeable oracles are grouped by the number of ones and run to very
-    large T; generic oracles enumerate all 2^T sequences (T <= 22).
+    large T; any other oracle is the root of `minimax_value`.
     Raises ValueError for a T that is negative or not integral.
     """
     T = _horizon(T)
@@ -177,8 +172,8 @@ class GameValueTable:
 
     `levels[t]` lays level t out over the 2^t prefixes, indexed by the
     prefix read as a binary number (first label most significant).  It is
-    built from the grid (`prefix_cells`) when first read; no library path
-    reads it.
+    built from the grid (`prefix_cells`) when first read, 2^horizon leaves
+    checked first; no library path reads it.
     """
 
     grids: list
@@ -192,6 +187,7 @@ class GameValueTable:
 
     @functools.cached_property
     def levels(self):
+        _check_size(2 ** self.horizon, f"2^{self.horizon} leaves need")
         return [prefix_cells(grid, self.group[:t]) for t, grid in enumerate(self.grids)]
 
     @functools.cached_property
@@ -295,9 +291,7 @@ def count_fold(a0, a1, reduce):
         split -= 1
         tail *= radices[split]
     for name, elements in ("block", n * tail), ("head array", n * size // tail), ("grid", size):
-        if elements > FOLD_ELEMENT_CAP:
-            raise ValueError(f"count_fold of n={n} rows at T={T} needs {8 * elements} bytes "
-                             f"for its {name}, over the {8 * FOLD_ELEMENT_CAP}-byte cap")
+        _check_size(elements, f"count_fold of n={n} rows at T={T} needs", f" for its {name}")
     terms = count_log_likelihoods(a0, a1, group)
 
     def extend(acc, terms):
@@ -322,7 +316,7 @@ def prefix_cells(grid, group):
     of the grid with one axis of length 2 per step, read in C order (the grid
     itself, not a copy, when the groups are distinct and in order).  2^T
     cells over FOLD_ELEMENT_CAP raise ValueError."""
-    _check_leaves(len(group))
+    _check_size(2 ** len(group), f"2^{len(group)} leaves need")
     view = np.lib.stride_tricks.as_strided(grid, shape=(2,) * len(group),
                                            strides=[grid.strides[a] for a in group])
     return view.reshape(-1)
@@ -337,8 +331,7 @@ def _count_grid(oracle, T):
     tuple, `ROW_BLOCK` tuples at a time in C order: group a of N_a steps
     gives an axis of N_a + 1 counts, and all-distinct rows give (2,) * T,
     one solve per label sequence.  An exchangeable oracle is one group of T
-    steps."""
-    _check_leaves(T)
+    steps.  A grid over FOLD_ELEMENT_CAP is refused before any solve."""
     if isinstance(oracle, FiniteMaxOracle):
         features = oracle.features[:T]
         if len(features) < T:
@@ -351,6 +344,7 @@ def _count_grid(oracle, T):
         N = np.bincount(group)
         X = features[np.unique(group, return_index=True)[1]]
         radices = (N + 1).tolist()
+        _check_size(math.prod(radices), f"a count grid at T={T} needs")
         leaves = np.empty(math.prod(radices))
         for i in range(0, len(leaves), ROW_BLOCK):
             tuples = np.arange(i, min(i + ROW_BLOCK, len(leaves)))
@@ -361,6 +355,7 @@ def _count_grid(oracle, T):
         return leaves.reshape(radices), group
     if not isinstance(oracle, ExchangeableOracle):
         raise TypeError(f"no label-tree leaves for oracle {oracle!r}")
+    _check_size(T + 1, f"a count grid at T={T} needs")
     grid = np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)
     return grid, np.zeros(T, dtype=np.intp)
 
@@ -373,8 +368,10 @@ def leaf_log_sups(oracle, T):
     solve per count tuple of its distinct feature rows (certified, within
     `CERTIFIED_GAP`; on distinct rows bit-identical to `best_in_hindsight`);
     for an exchangeable oracle, `log_sup_by_count` at each leaf's count of
-    ones.  2^T leaves over FOLD_ELEMENT_CAP raise ValueError."""
-    return prefix_cells(*_count_grid(oracle, _horizon(T)))
+    ones.  2^T leaves over FOLD_ELEMENT_CAP are refused before any solve."""
+    T = _horizon(T)
+    _check_size(2 ** T, f"2^{T} leaves need")
+    return prefix_cells(*_count_grid(oracle, T))
 
 
 def minimax_value(oracle, T):
@@ -385,16 +382,19 @@ def minimax_value(oracle, T):
     value per count vector a length-t prefix can reach, and
     V_t(k) = logaddexp(V_{t+1}(k), V_{t+1}(k + e_{group[t]})) builds it
     from the level-(t + 1) grid, one shorter along step t's group.  The
-    table keeps the grids themselves, O(cells) time and memory where the
-    2^t prefix layouts would cost O(2^T); every value is `np.logaddexp` of
-    its two children's doubles.  When every column is distinct, each grid
-    is its level and the values are those of pairwise logaddexp over the
-    leaves.
+    table keeps the grids themselves, O(cells) time and memory; every value
+    is `np.logaddexp` of its two children's doubles.  When every column is
+    distinct, each grid is its level and the values are those of pairwise
+    logaddexp over the leaves.  The levels' cells, not T, are refused over
+    FOLD_ELEMENT_CAP, after the leaves and before backward induction.
     """
     T = _horizon(T)
-    if T > ENUMERATION_CAP:
-        raise ValueError(f"T={T} exceeds the enumeration cap {ENUMERATION_CAP}")
     grid, group = _count_grid(oracle, T)
+    shape, cells = list(grid.shape), grid.size
+    for g in group[::-1].tolist():  # the level shapes backward induction builds
+        shape[g] -= 1
+        cells += math.prod(shape)
+    _check_size(cells, f"minimax_value at T={T} needs", " for its levels")
     grids = [grid]
     for t in range(T - 1, -1, -1):
         axis = (slice(None),) * group[t]

@@ -4,20 +4,22 @@ solved once per count tuple of its distinct feature rows (the logistic
 family)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from seqpa import shtarkov
-from seqpa.experts import (CERTIFIED_GAP, DsFamily, FiniteParamFamily, FiniteStaticFamily,
-                           _best_logistic, best_in_hindsight, count_log_likelihoods, glm_family,
-                           log_likelihoods, prediction_matrix)
+from seqpa.experts import (CERTIFIED_GAP, LOGISTIC, DsFamily, FiniteParamFamily,
+                           FiniteStaticFamily, _best_logistic, best_in_hindsight,
+                           count_log_likelihoods, glm_family, log_likelihoods, prediction_matrix)
 from seqpa.harness import _ball_features
-from seqpa.predictors import mixture_losses
+from seqpa.losses import cumulative_loss
+from seqpa.predictors import mixture_losses, nml_predict
 from seqpa.shtarkov import (LEAF_BLOCK_BITS, ConstantBernoulliMLE, DsClosedForm, FiniteMaxOracle,
-                            IntervalBernoulli, block_design_features, leaf_log_sups,
-                            minimax_value, shtarkov_sum)
+                            GameValueTable, IntervalBernoulli, block_design_features,
+                            block_shtarkov_lower, leaf_log_sups, minimax_value, shtarkov_sum)
 
 
 def _labels(T):
@@ -196,20 +198,27 @@ def _sigmoid(z):
     return 1.0 / (1.0 + math.exp(-z))
 
 
-@pytest.mark.parametrize("T", [16, 22])
+# The measured gaps of large-T roots to their closed forms: 8.0e-15, 3.8e-13
+# and 2.9e-12 on the d = 1 block logistic design at T = 64, 1024 and 4096,
+# and 3.8e-12 for ConstantBernoulliMLE at T = 4096; the rounding of 8.4M
+# logaddexp cells grows with T.
+LARGE_T_ROOT_TOL = 1e-11
+
+
+@pytest.mark.parametrize("T", [16, 22, 64, 1024, 4096])
 def test_logistic_block_design_d1_is_the_interval_bernoulli_grid(T):
     # x_t = 1: sigma(w) over |w| <= 1 is every p in [sigma(-1), sigma(1)],
-    # so the grid is one group of T steps, a leaf per count of ones
+    # so the grid is one group of T steps, a leaf per count of ones; the
+    # table has (T + 1)(T + 2) / 2 cells, 8.4M at T = 4096
     oracle = FiniteMaxOracle(glm_family(d=1, R=1.0), np.ones((T, 1)))
     grid, group = shtarkov._count_grid(oracle, T)
     assert grid.shape == (T + 1,) and np.array_equal(group, np.zeros(T))
     interval = IntervalBernoulli(_sigmoid(-1.0), _sigmoid(1.0))
     want = interval.log_sup_by_count(np.arange(T + 1), T)
     assert np.abs(grid - want).max() <= CERTIFIED_GAP
-    if T == 16:
-        root = minimax_value(oracle, T).root
-        assert abs(root - shtarkov_sum(interval, T)) <= CERTIFIED_GAP
-        assert abs(root - 0.9330496) <= 1e-7
+    root = minimax_value(oracle, T).root
+    assert abs(root - shtarkov_sum(interval, T)) <= LARGE_T_ROOT_TOL
+    assert T != 16 or abs(root - 0.9330496) <= 1e-7
 
 
 def _solve_rows(monkeypatch, solver=_best_logistic):
@@ -249,3 +258,112 @@ def test_logistic_block_design_d2_game_value_at_T20_solves_121_tuples(monkeypatc
 def test_block_design_check_catches_a_solver_that_ignores_multiplicities(monkeypatch):
     _solve_rows(monkeypatch, lambda X, N, K, R: _best_logistic(X, np.ones_like(N), K, R))
     assert _block_d2_leaf_error(8) > 2 * CERTIFIED_GAP
+
+
+# ---------------------------------------------------------------------------
+# Game values at large T: refused by the cells of their levels, not by T
+
+
+def _block_oracle(d, T):
+    return FiniteMaxOracle(glm_family(d=d, R=1.0), block_design_features(d, T))
+
+
+@pytest.mark.parametrize("T", [64, 1024, 4096])
+def test_bernoulli_game_value_at_large_T_matches_the_closed_form(T):
+    oracle = ConstantBernoulliMLE()
+    table = minimax_value(oracle, T)
+    assert sum(grid.size for grid in table.grids) == (T + 1) * (T + 2) // 2
+    assert abs(table.root - shtarkov_sum(oracle, T)) <= LARGE_T_ROOT_TOL
+
+
+@pytest.mark.parametrize("T, root", [(64, 2.1055), (256, 3.1330), (512, 3.7099)])
+def test_d2_block_game_value_lies_above_block_shtarkov_lower(T, root):
+    # T = 512: 8,553,217 level cells, admitted under the 2^26 cap
+    table = minimax_value(_block_oracle(2, T), T)
+    assert table.grids[-1].shape == (T // 2 + 1,) * 2
+    assert abs(table.root - root) <= 1e-4
+    assert table.root >= block_shtarkov_lower(2, T, LOGISTIC, 2.0)
+
+
+def test_d2_block_game_value_is_refused_by_its_cells_at_T1024(monkeypatch):
+    # 67,765,761 level cells (542 MB) against the 2^26 cap, refused once the
+    # 513^2 leaves exist and before backward induction; the leaves' values do
+    # not enter the rule, so a stub solver stands in for the 263,169 solves
+    rows = _solve_rows(monkeypatch, lambda X, N, K, R: (None, np.zeros(len(K))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^minimax_value at T=1024 needs 542126088 bytes "
+                           r"for its levels, over the 536870912-byte cap$"):
+            minimax_value(_block_oracle(2, 1024), 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(rows) == 513 ** 2 and peak < 2 ** 24
+
+
+def test_count_grids_are_refused_before_any_solve(monkeypatch):
+    # T = 2^40 is refused before its 2^40 + 1 leaves exist
+    with pytest.raises(ValueError, match=f"^a count grid at T={2 ** 40} needs "):
+        minimax_value(ConstantBernoulliMLE(), 2 ** 40)
+    # a 64-element cap: the d = 2 block design at T = 14 has 8^2 leaves, at
+    # T = 16 it has 9^2; an exchangeable grid of T + 1 leaves likewise
+    monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 64)
+    assert shtarkov._count_grid(_block_oracle(2, 14), 14)[0].shape == (8, 8)
+    monkeypatch.setattr(shtarkov, "_best_logistic", None)  # a solve would raise TypeError
+    with pytest.raises(ValueError, match=r"^a count grid at T=16 needs 648 bytes, over the "
+                       r"512-byte cap$"):
+        shtarkov._count_grid(_block_oracle(2, 16), 16)
+    assert shtarkov._count_grid(ConstantBernoulliMLE(), 63)[0].shape == (64,)
+    with pytest.raises(ValueError, match=r"^a count grid at T=64 needs 520 bytes"):
+        shtarkov._count_grid(ConstantBernoulliMLE(), 64)
+
+
+def test_game_value_cell_rule_boundary(monkeypatch):
+    # one group of T steps has (T + 1)(T + 2) / 2 level cells: T = 9 is 55,
+    # T = 10 is 66 against a 64-element cap; 2^T is no limit
+    monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 64)
+    root = minimax_value(ConstantBernoulliMLE(), 9).root
+    assert abs(root - shtarkov_sum(ConstantBernoulliMLE(), 9)) <= 1e-12
+    with pytest.raises(ValueError, match=r"^minimax_value at T=10 needs 528 bytes for its "
+                       r"levels, over the 512-byte cap$"):
+        minimax_value(ConstantBernoulliMLE(), 10)
+
+
+def _nml_equalizer_error(nml, ks):
+    """Largest |NML regret - ln S_T| over the count classes y = 1^k 0^(T - k),
+    k in `ks`, each run adding at most T memo entries to the table."""
+    T, worst = nml.table.horizon, 0.0
+    for k in ks:
+        y = [1] * k + [0] * (T - k)
+        before = _memo_entries(nml.table)
+        regret = cumulative_loss(nml.run(y), y) + nml.table.value(y)
+        assert _memo_entries(nml.table) - before <= T
+        worst = max(worst, abs(regret - nml.regret))
+    return worst
+
+
+def _memo_entries(table):
+    """How many cells `conditionals` has memoized on `table`."""
+    return sum(len(memo) for memo, *_ in table._walk)
+
+
+# 17 evenly spaced count classes at T = 4096: max error 1.35e-10 measured
+NML_EQUALIZER_TOL = 1e-9
+NML_KS = range(0, 4097, 256)
+
+
+def test_nml_equalizes_at_T4096_within_a_memo_budget():
+    # the 1^k 0^(T - k) runs share the all-ones path: 4096 cells, plus
+    # 4096 - k cells off it per run, less the 16 branch cells on it
+    T = 4096
+    nml = nml_predict(_block_oracle(1, T), T)
+    assert _nml_equalizer_error(nml, NML_KS) <= NML_EQUALIZER_TOL
+    assert _memo_entries(nml.table) == 38_896 <= len(NML_KS) * T
+
+
+def test_nml_equalizer_gate_catches_a_conditional_that_reads_the_label_0_child(monkeypatch):
+    conditionals = GameValueTable.conditionals
+    monkeypatch.setattr(GameValueTable, "conditionals",
+                        lambda self, labels: [1.0 - p for p in conditionals(self, labels)])
+    nml = nml_predict(_block_oracle(1, 4096), 4096)
+    assert _nml_equalizer_error(nml, NML_KS) > 1.0

@@ -42,7 +42,7 @@ from seqpa.shtarkov import (
     shtarkov_sum,
 )
 from seqpa.experts import LOGISTIC
-from test_count_grid import per_step_fold
+from test_count_grid import _memo_entries, per_step_fold
 
 
 def brute_force_log_shtarkov(oracle, T, features=None):
@@ -120,7 +120,7 @@ def test_game_value_and_nml_run_name_a_nan_or_infinite_label():
 def test_game_values_on_four_columns_at_the_cap_stay_under_1_mib():
     # a 4-column design at T = 22: the grids hold a few thousand cells, where
     # 2^t prefix layouts of every level would take 64 MiB
-    T = shtarkov.ENUMERATION_CAP
+    T = 22
     rng = np.random.default_rng(29)
     fam = FiniteStaticFamily(rng.uniform(0.02, 0.98, (8, 4)),
                              feature_keys=[(float(j),) for j in range(4)])
@@ -138,11 +138,6 @@ def test_game_values_on_four_columns_at_the_cap_stay_under_1_mib():
     assert peak < 2 ** 20
     sup = oracle.log_sup(labels)
     assert leaf == sup and abs(cumulative_loss(preds, labels) + sup - nml.regret) <= 1e-9
-
-
-def _memo_entries(table):
-    """How many cells `conditionals` has memoized on `table`."""
-    return sum(len(memo) for memo, *_ in table._walk)
 
 
 def _zero_one_oracle(T):
@@ -431,6 +426,23 @@ def test_leaf_check_boundary(monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match=r"^2\^7 leaves need 1024 bytes, over the 512-byte cap$"):
             call(7)
+
+
+def test_refused_levels_read_allocates_under_the_cap(monkeypatch):
+    # a one-group T = 40 table has 861 level cells; its 2^40 prefix layout
+    # is refused before any level is laid out: levels 0..16 alone would take
+    # twice a 2^16-element cap
+    monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 2 ** 16)
+    table = minimax_value(ConstantBernoulliMLE(), 40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^2\^40 leaves need 8796093022208 bytes, over "
+                           r"the 524288-byte cap$"):
+            table.levels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 16
 
 
 @pytest.mark.parametrize("n, T, groups", [(200, 16, 16), (69_505, 16, 1)])
