@@ -71,7 +71,9 @@ class ParamBall:
     norm_order: float = 2.0
 
     def __post_init__(self):
-        if self.dimension < 1 or self.radius <= 0 or self.norm_order < 1:
+        if not (isinstance(self.dimension, (int, np.integer)) and self.dimension >= 1):
+            raise ValueError(f"ball dimension must be a positive integer, got {self.dimension!r}")
+        if self.radius <= 0 or self.norm_order < 1:
             raise ValueError(f"invalid ball {self!r}")
 
     def norm(self, w):
@@ -264,53 +266,52 @@ def prediction_matrix(family, features):
 
 
 def log_likelihoods(P):
-    """(ln(1 - P), ln P) of a prediction matrix P: each expert's log
-    probability of label 0 and of label 1 at each step (-inf where zero)."""
+    """(ln(1 - P), ln P) of predictions P, such as a design's distinct columns:
+    each expert's log probability of label 0 and of label 1 (-inf where zero)."""
     with np.errstate(divide="ignore"):
         return np.log1p(-P), np.log(P)
 
 
-def column_groups(a0, a1):
-    """Each step's group: steps whose (a0, a1) columns are equal bit for bit
-    share one, numbered in order of first appearance.
+def distinct_columns(vectors, n):
+    """The distinct vectors of a sequence as (n, m) columns, in order of first
+    appearance, and each step's group: (columns, group).
 
-    A column is hashed from a transient copy of its bytes and then compared
-    bit for bit with the first step of each group of the same hash, so what
-    is kept per group is that step, not a copy of its column: memory stays
-    O(n + T) however many columns are distinct."""
-    group, n_groups = [], 0
-    firsts = {}  # hash -> the first step of each group with that hash
-    for t, (c0, c1) in enumerate(zip(a0.T, a1.T)):
-        key = c0.tobytes(), c1.tobytes()
+    `vectors` yields each step's length-n vector once, in order: a finite
+    family's `all_predictions(t, x)` from t = 0, or the logistic family's
+    feature rows.  Equality is bit for bit: a vector's bytes are hashed, then
+    compared with each kept column of that hash.  A new column is a copy, so a
+    reused buffer never aliases it; memory is O(n m + T) whatever T is."""
+    columns, group, firsts = [], [], {}  # firsts: hash -> the columns with that hash
+    for v in vectors:
+        v = np.asarray(v, dtype=float)
+        key = v.tobytes()
         bucket = firsts.setdefault(hash(key), [])
-        for s in bucket:
-            if (a0[:, s].tobytes(), a1[:, s].tobytes()) == key:
-                group.append(group[s])
-                break
-        else:
-            bucket.append(t)
-            group.append(n_groups)
-            n_groups += 1
-    return np.array(group, dtype=np.intp)
+        a = next((a for a in bucket if columns[a].tobytes() == key), len(columns))
+        if a == len(columns):
+            bucket.append(a)
+            columns.append(v.copy())
+        group.append(a)
+    return (np.stack(columns, axis=1) if columns else np.empty((n, 0)),
+            np.array(group, dtype=np.intp))
 
 
-def count_log_likelihoods(a0, a1, group):
-    """The log likelihoods (a0, a1) = `log_likelihoods(P)` of a prediction
-    matrix, summed per column group (`column_groups`, group[t] being step
-    t's): terms.
+def count_log_likelihoods(a0, a1, N):
+    """The log likelihoods (a0, a1) = `log_likelihoods(columns)` of a
+    design's distinct prediction columns (`distinct_columns`), column a
+    predicting at N[a] steps, summed per column: terms.
 
-    For a group of N steps that predict p, terms[a] is the (n, N + 1) table
+    For a column of N steps that predict p, terms[a] is the (n, N + 1) table
     of every row's log probability of k ones among them,
     k ln p + (N - k) ln(1 - p).  At k = 0 and k = N the log whose count is 0
     is zeroed before its product, so 0 * (-inf) never arises and those
     entries are N ln(1 - p) and N ln p; at N = 1 the table is
     (ln(1 - p), ln p) itself.
     """
-    # every group's table side by side: entry j holds k[j] ones among the
+    # every column's table side by side: entry j holds k[j] ones among the
     # N[j] steps of column col[j]
-    sizes = np.bincount(group)
+    sizes = np.asarray(N, dtype=np.intp)
     ends = np.cumsum(sizes + 1)
-    col = np.repeat(np.unique(group, return_index=True)[1], sizes + 1)
+    col = np.repeat(np.arange(len(sizes)), sizes + 1)
     N = np.repeat(sizes, sizes + 1)
     k = np.arange(len(col)) - np.repeat(ends - sizes - 1, sizes + 1)
     table = (k * np.where(k == 0, 0.0, a1[:, col])
@@ -340,15 +341,14 @@ def best_in_hindsight(family, features, labels):
     if Y.shape[1] > len(features):
         raise ValueError(f"{Y.shape[1]} labels but only {len(features)} feature rows")
     if hasattr(family, "n_experts"):
-        # counts[a, s]: sequence s's ones in column group a; total[s, i]:
+        # counts[a, s]: sequence s's ones at distinct column a; total[s, i]:
         # expert i's log probability of sequence s, summed over the groups in
         # order, as `count_fold` sums it
-        a0, a1 = log_likelihoods(prediction_matrix(family, features[:Y.shape[1]]))
-        group = column_groups(a0, a1)
-        terms = count_log_likelihoods(a0, a1, group)
+        columns, group = distinct_columns((family.all_predictions(t, x) for t, x in
+                                           enumerate(features[:Y.shape[1]])), family.n_experts)
+        terms = count_log_likelihoods(*log_likelihoods(columns), np.bincount(group))
         counts = np.zeros((len(terms), Y.shape[0]), dtype=np.intp)
-        for a, y in zip(group, Y.astype(np.intp).T):
-            counts[a] += y
+        np.add.at(counts, group, Y.T.astype(np.intp))
         total = np.zeros((Y.shape[0], family.n_experts))
         for term, k in zip(terms, counts):
             total += term.T[k]

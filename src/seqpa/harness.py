@@ -2,9 +2,9 @@
 
 The online protocol is strictly sequential: the learner predicts from the
 feature prefix, then the adversary (label source) reveals the label.  The
-feature sequence is always fixed up front; adversarial search is over
-labels only, using either the exhaustive game tree (small horizons) or
-the greedy per-step heuristic.  A block-design cell needs d | T.
+feature sequence is always fixed up front.  A cell's labels come from
+`greedy`, `iid:p` or `file:path`; `worst_case_labels` scores a mixture on
+every label sequence at once, on the count grid.  A block cell needs d | T.
 """
 
 import configparser
@@ -79,7 +79,9 @@ def worst_case_labels(predictor_factory, family, features, cap=WORST_CASE_CAP):
     logistic family alike; the logistic leaves are certified upper bounds
     on ln sup, so the returned regret is an upper bound on the true one.
     Ties go to the first sequence in binary order.  Raises ValueError when
-    T is over `cap`.  Returns (labels, regret).
+    T is over `cap`.  Returns (labels, regret).  `cap` and `WORST_CASE_CAP`
+    stay only because perfbench's `_count_worst_case` reads `cap`; a
+    benchmark-only change retires both.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     T = features.shape[0]

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import shtarkov
-from .experts import (FiniteParamFamily, ParametricFamily, ball_lattice, log_likelihoods,
-                      prediction_matrix)
+from .experts import (FiniteParamFamily, ParametricFamily, ball_lattice, distinct_columns,
+                      log_likelihoods)
 from .losses import as_label, log_loss, log_sum_exp
 
 
@@ -213,13 +213,15 @@ def mixture_losses(family, features, truncation=None):
     """Loss of a fresh `MixturePredictor(family, truncation)` on every label
     sequence, indexed like `GameValueTable` leaves.  By the chain rule it is
     ln n - ln sum_i prod_t q_it, q_it the (truncated) probability expert i
-    gave y_t, so one logsumexp `count_fold`, read at each sequence's counts
-    by `prefix_cells` as the Shtarkov leaves are, scores every sequence."""
-    P = prediction_matrix(family, features)
+    gave y_t, so one logsumexp `count_fold` over the distinct truncated
+    columns, read at each sequence's counts by `prefix_cells` as the Shtarkov
+    leaves are, scores every sequence (columns are truncated, then grouped)."""
+    vectors = (family.all_predictions(t, x) for t, x in enumerate(features))
     if truncation is not None:
-        P = smooth_truncate(P, truncation)
-    log_mass = shtarkov.prefix_cells(*shtarkov.count_fold(*log_likelihoods(P), logsumexp))
-    return math.log(P.shape[0]) - log_mass
+        vectors = (smooth_truncate(p, truncation) for p in vectors)
+    columns, group = distinct_columns(vectors, family.n_experts)
+    grid = shtarkov.count_fold(*log_likelihoods(columns), np.bincount(group), logsumexp)
+    return math.log(family.n_experts) - shtarkov.prefix_cells(grid, group)
 
 
 def continuous_bayes(family, T, hessian_bound):

@@ -3,13 +3,14 @@ the count grid, the source-identification bound, and the block-design and
 power-constrained lower-bound constructions.
 
 A sequence's likelihood depends only on its count of ones in each group of
-steps (the method of types): a finite family's steps are grouped by
-distinct prediction column, the logistic family's by distinct feature row,
-and an exchangeable oracle is one group of T steps.  `count_fold` folds a
-finite family over that grid, `minimax_value` runs backward induction on
-it and keeps the grids, and `prefix_cells` lays a grid out over the 2^t
-label prefixes, each at its counts; when every column is distinct the grid
-is the leaf array itself.
+steps (the method of types): `distinct_columns` reads a finite family's
+prediction columns, or the logistic family's feature rows, once in order and
+groups equal ones; an exchangeable oracle is one group of T steps.  The
+groups size every grid before it is filled; no (n, T) matrix is built.
+`count_fold` folds a finite family's distinct columns over that grid,
+`minimax_value` runs backward induction on it and keeps the grids, and
+`prefix_cells` lays a grid out over the 2^t label prefixes, each at its
+counts; when every column is distinct the grid is the leaf array itself.
 
 One size rule, not a limit on T: `_check_size` refuses an array of over
 `FOLD_ELEMENT_CAP` float64 values before it is allocated.  Every entry
@@ -26,8 +27,8 @@ from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
 from .experts import (ROW_BLOCK, _best_logistic, _logistic_radius, _zero_positive_counts,
-                      best_in_hindsight, column_groups, count_log_likelihoods, ds_project,
-                      lattice_blocks, log_likelihoods, prediction_matrix)
+                      best_in_hindsight, count_log_likelihoods, distinct_columns, ds_project,
+                      lattice_blocks, log_likelihoods)
 from .losses import _as_labels, as_label, log_sum_exp
 
 LEAF_BLOCK_BITS = 14  # count_fold reduces blocks of at most 2^14 grid cells per row
@@ -256,17 +257,17 @@ class GameValueTable:
         return preds
 
 
-def count_fold(a0, a1, reduce):
+def count_fold(a0, a1, N, reduce):
     """Fold a finite family's log likelihoods over all count vectors of its
-    column groups: (grid, group).
+    distinct columns: the grid.
 
-    `a0`, `a1` are (n, T): row i's log probability of y_t = 0 or 1 at step
-    t, as `log_likelihoods` gives them.  The steps are grouped by distinct
-    column (`column_groups`), group[t] being step t's; group a has
-    N_a steps.  grid[k] is reduce(row sums, axis=0) over the rows' log
-    likelihoods of any label sequence with k_a ones in group a, summed over
-    the groups in order, so grid has shape (N_1 + 1, ..., N_m + 1).  When
-    every column is distinct, grid is the leaf array of all 2^T sequences
+    `a0`, `a1` are (n, m): row i's log probability of y = 0 or 1 under
+    distinct prediction column a (`distinct_columns`), as `log_likelihoods`
+    gives them, and column a predicts at N[a] steps, T = sum N in all.
+    grid[k] is reduce(row sums, axis=0) over the rows' log likelihoods of
+    any label sequence with k_a ones among column a's steps, summed over the
+    columns in order, so grid has shape (N_1 + 1, ..., N_m + 1).  When every
+    column is distinct (N = 1), grid is the leaf array of all 2^T sequences
     (y_1 most significant) with the terms summed left to right in t.
 
     Blocks of at most 2^LEAF_BLOCK_BITS cells (the trailing groups' radices
@@ -281,10 +282,8 @@ def count_fold(a0, a1, reduce):
     trailing axis of length 2 makes numpy run its inner loop once per two
     elements, several times slower for the same additions in the same order.
     """
-    a0, a1 = np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
-    n, T = a0.shape
-    group = column_groups(a0, a1)
-    radices = (np.bincount(group) + 1).tolist()
+    n, T = len(a0), int(np.sum(N))
+    radices = (np.asarray(N) + 1).tolist()
     size = math.prod(radices)
     split, tail = len(radices), 1
     while split and (tail == 1 or tail * radices[split - 1] <= 2 ** LEAF_BLOCK_BITS):
@@ -292,7 +291,7 @@ def count_fold(a0, a1, reduce):
         tail *= radices[split]
     for name, elements in ("block", n * tail), ("head array", n * size // tail), ("grid", size):
         _check_size(elements, f"count_fold of n={n} rows at T={T} needs", f" for its {name}")
-    terms = count_log_likelihoods(a0, a1, group)
+    terms = count_log_likelihoods(a0, a1, N)
 
     def extend(acc, terms):
         for term in terms:
@@ -306,11 +305,11 @@ def count_fold(a0, a1, reduce):
     out = np.empty((heads.shape[1], tail))
     for p, head in enumerate(heads.T):
         out[p] = reduce(extend(head[:, None], terms[split:]), axis=0)
-    return out.reshape(radices), group
+    return out.reshape(radices)
 
 
 def prefix_cells(grid, group):
-    """The cell of `count_fold`'s (grid, group) at every label prefix over the
+    """The cell of a count grid at every label prefix over the
     steps of `group`, in leaf order (y_1 most significant): prefix y's cell is
     at its counts, sum_s y_s stride[group[s]], so the cells are a strided view
     of the grid with one axis of length 2 per step, read in C order (the grid
@@ -323,41 +322,45 @@ def prefix_cells(grid, group):
 
 
 def _count_grid(oracle, T):
-    """The `leaf_log_sups` leaves as (grid, group): a count grid over column
-    groups and each step's group, as `count_fold` returns them.  A finite
-    family's grid is its max-fold over its distinct prediction columns.  The
-    logistic family's steps are grouped by distinct feature row, by the same
-    rule (`column_groups`), and its grid holds one certified solve per count
-    tuple, `ROW_BLOCK` tuples at a time in C order: group a of N_a steps
-    gives an axis of N_a + 1 counts, and all-distinct rows give (2,) * T,
-    one solve per label sequence.  An exchangeable oracle is one group of T
-    steps.  A grid over FOLD_ELEMENT_CAP is refused before any solve."""
+    """The `leaf_log_sups` leaves as (group, fill): each step's group and a
+    function that fills the count grid, one axis of N_a + 1 counts per group
+    of N_a steps.  A finite family's steps are grouped by distinct prediction
+    column and filled by their max-fold (`count_fold`); the logistic
+    family's by distinct feature row (`distinct_columns` too), filled with
+    one certified solve per count tuple, `ROW_BLOCK` tuples at a time in C
+    order (all-distinct rows give (2,) * T, one solve per label sequence).
+    An exchangeable oracle is one group of T steps.  A logistic grid over
+    FOLD_ELEMENT_CAP is refused before any solve, an exchangeable one before
+    its T-long group array."""
     if isinstance(oracle, FiniteMaxOracle):
         features = oracle.features[:T]
         if len(features) < T:
             raise ValueError(f"T={T} labels but only {len(features)} feature rows")
         if hasattr(oracle.family, "n_experts"):
-            P = prediction_matrix(oracle.family, features)
-            return count_fold(*log_likelihoods(P), np.max)
+            columns, group = distinct_columns((oracle.family.all_predictions(t, x) for t, x in
+                                               enumerate(features)), oracle.family.n_experts)
+            return group, lambda: count_fold(*log_likelihoods(columns), np.bincount(group), np.max)
         R = _logistic_radius(oracle.family)
-        group = column_groups(features.T, features.T)
-        N = np.bincount(group)
-        X = features[np.unique(group, return_index=True)[1]]
+        X, group = distinct_columns(features, features.shape[1])
+        X, N = np.ascontiguousarray(X.T), np.bincount(group)
         radices = (N + 1).tolist()
         _check_size(math.prod(radices), f"a count grid at T={T} needs")
-        leaves = np.empty(math.prod(radices))
-        for i in range(0, len(leaves), ROW_BLOCK):
-            tuples = np.arange(i, min(i + ROW_BLOCK, len(leaves)))
-            K = np.zeros((len(tuples), len(N)))
-            if len(N):  # T = 0 has one empty tuple
-                K.T[:] = np.unravel_index(tuples, radices)
-            leaves[i:i + len(K)] = -_best_logistic(X, N, K, R)[1]
-        return leaves.reshape(radices), group
+
+        def fill():
+            leaves = np.empty(math.prod(radices))
+            for i in range(0, len(leaves), ROW_BLOCK):
+                tuples = np.arange(i, min(i + ROW_BLOCK, len(leaves)))
+                K = np.zeros((len(tuples), len(N)))
+                if len(N):  # T = 0 has one empty tuple
+                    K.T[:] = np.unravel_index(tuples, radices)
+                leaves[i:i + len(K)] = -_best_logistic(X, N, K, R)[1]
+            return leaves.reshape(radices)
+        return group, fill
     if not isinstance(oracle, ExchangeableOracle):
         raise TypeError(f"no label-tree leaves for oracle {oracle!r}")
     _check_size(T + 1, f"a count grid at T={T} needs")
-    grid = np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)
-    return grid, np.zeros(T, dtype=np.intp)
+    return np.zeros(T, dtype=np.intp), lambda: np.asarray(
+        oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)
 
 
 def leaf_log_sups(oracle, T):
@@ -371,7 +374,8 @@ def leaf_log_sups(oracle, T):
     ones.  2^T leaves over FOLD_ELEMENT_CAP are refused before any solve."""
     T = _horizon(T)
     _check_size(2 ** T, f"2^{T} leaves need")
-    return prefix_cells(*_count_grid(oracle, T))
+    group, fill = _count_grid(oracle, T)
+    return prefix_cells(fill(), group)
 
 
 def minimax_value(oracle, T):
@@ -386,20 +390,19 @@ def minimax_value(oracle, T):
     is `np.logaddexp` of its two children's doubles.  When every column is
     distinct, each grid is its level and the values are those of pairwise
     logaddexp over the leaves.  The levels' cells, not T, are refused over
-    FOLD_ELEMENT_CAP, after the leaves and before backward induction.
+    FOLD_ELEMENT_CAP, sized from the step groups before any leaf is filled.
     """
     T = _horizon(T)
-    grid, group = _count_grid(oracle, T)
-    shape, cells = list(grid.shape), grid.size
+    group, fill = _count_grid(oracle, T)
+    shape, cells = (np.bincount(group) + 1).tolist(), 1  # the root's one cell
     for g in group[::-1].tolist():  # the level shapes backward induction builds
-        shape[g] -= 1
         cells += math.prod(shape)
+        shape[g] -= 1
     _check_size(cells, f"minimax_value at T={T} needs", " for its levels")
-    grids = [grid]
+    grids = [fill()]
     for t in range(T - 1, -1, -1):
-        axis = (slice(None),) * group[t]
-        grid = np.logaddexp(grid[axis + (slice(-1),)], grid[axis + (slice(1, None),)])
-        grids.append(grid)
+        axis, grid = (slice(None),) * group[t], grids[-1]
+        grids.append(np.logaddexp(grid[axis + (slice(-1),)], grid[axis + (slice(1, None),)]))
     grids.reverse()
     return GameValueTable(grids, group, T)
 

@@ -107,9 +107,8 @@ def test_repeated_columns_match_brute_force(T):
 def test_time_indexed_family_matches_brute_force_and_its_hindsight():
     T = 12
     oracle = _ds_oracle(np.random.default_rng(4), 4, T)
-    grid, group = shtarkov.count_fold(*log_likelihoods(
-        prediction_matrix(oracle.family, oracle.features)), np.max)
-    assert grid.ndim < T and len(group) == T
+    group, fill = shtarkov._count_grid(oracle, T)
+    assert fill().ndim < T and len(group) == T
     assert _engine_error(oracle, T) <= 1e-12
     # one likelihood: the leaves are the hindsight comparator to the bit
     leaves = leaf_log_sups(oracle, T)
@@ -133,7 +132,7 @@ def test_all_distinct_designs_are_bit_identical_to_the_per_step_fold(T):
     features = np.arange(T, dtype=float)[:, None]
     oracle = FiniteMaxOracle(fam, features)
     a0, a1 = log_likelihoods(prediction_matrix(fam, features))
-    assert shtarkov.count_fold(a0, a1, np.max)[0].shape == (2,) * T
+    assert shtarkov._count_grid(oracle, T)[1]().shape == (2,) * T
     leaves = per_step_fold(a0, a1, np.max)
     assert np.array_equal(leaf_log_sups(oracle, T), leaves)
     assert _levels_equal(minimax_value(oracle, T).levels, _pairwise_levels(leaves, T))
@@ -179,9 +178,9 @@ def _fortran_strides(grid, group):
     return view.reshape(-1)
 
 
-def _ones_term_everywhere(a0, a1, group):
+def _ones_term_everywhere(a0, a1, N):
     """Mutant: N ln p at every count k, the all-ones term."""
-    terms = count_log_likelihoods(a0, a1, group)
+    terms = count_log_likelihoods(a0, a1, N)
     return [np.repeat(term[:, -1:], term.shape[1], axis=1) for term in terms]
 
 
@@ -211,7 +210,8 @@ def test_logistic_block_design_d1_is_the_interval_bernoulli_grid(T):
     # so the grid is one group of T steps, a leaf per count of ones; the
     # table has (T + 1)(T + 2) / 2 cells, 8.4M at T = 4096
     oracle = FiniteMaxOracle(glm_family(d=1, R=1.0), np.ones((T, 1)))
-    grid, group = shtarkov._count_grid(oracle, T)
+    group, fill = shtarkov._count_grid(oracle, T)
+    grid = fill()
     assert grid.shape == (T + 1,) and np.array_equal(group, np.zeros(T))
     interval = IntervalBernoulli(_sigmoid(-1.0), _sigmoid(1.0))
     want = interval.log_sup_by_count(np.arange(T + 1), T)
@@ -286,9 +286,9 @@ def test_d2_block_game_value_lies_above_block_shtarkov_lower(T, root):
 
 
 def test_d2_block_game_value_is_refused_by_its_cells_at_T1024(monkeypatch):
-    # 67,765,761 level cells (542 MB) against the 2^26 cap, refused once the
-    # 513^2 leaves exist and before backward induction; the leaves' values do
-    # not enter the rule, so a stub solver stands in for the 263,169 solves
+    # 67,765,761 level cells (542 MB) against the 2^26 cap, refused from the
+    # step groups alone, before any of the 513^2 leaves is solved; a stub
+    # solver stands in for the 263,169 solves should the rule come too late
     rows = _solve_rows(monkeypatch, lambda X, N, K, R: (None, np.zeros(len(K))))
     tracemalloc.start()
     try:
@@ -298,7 +298,26 @@ def test_d2_block_game_value_is_refused_by_its_cells_at_T1024(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(rows) == 513 ** 2 and peak < 2 ** 24
+    assert rows == [] and peak < 2 ** 24
+
+
+def test_all_distinct_game_value_is_refused_by_its_levels_before_any_fold(monkeypatch):
+    # one expert's 6 distinct columns against a 64-element cap: its 2^6
+    # leaves fit (as one fold block), its 2^7 - 1 level cells do not, and the
+    # step groups say so before any fold
+    T = 6
+    table = np.random.default_rng(9).uniform(0.05, 0.95, (1, T))
+    fam = FiniteStaticFamily(table, feature_keys=[(float(j),) for j in range(T)])
+    oracle = FiniteMaxOracle(fam, np.arange(T, dtype=float)[:, None])
+    monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 64)
+    calls, fold = [], shtarkov.count_fold  # a spy on the fold
+    monkeypatch.setattr(shtarkov, "count_fold", lambda *args: calls.append(args) or fold(*args))
+    assert leaf_log_sups(oracle, T).shape == (2 ** T,) and len(calls) == 1
+    for refused in (minimax_value, nml_predict):
+        with pytest.raises(ValueError, match=r"^minimax_value at T=6 needs 1016 bytes for its "
+                           r"levels, over the 512-byte cap$"):
+            refused(oracle, T)
+    assert len(calls) == 1
 
 
 def test_count_grids_are_refused_before_any_solve(monkeypatch):
@@ -308,12 +327,12 @@ def test_count_grids_are_refused_before_any_solve(monkeypatch):
     # a 64-element cap: the d = 2 block design at T = 14 has 8^2 leaves, at
     # T = 16 it has 9^2; an exchangeable grid of T + 1 leaves likewise
     monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 64)
-    assert shtarkov._count_grid(_block_oracle(2, 14), 14)[0].shape == (8, 8)
+    assert shtarkov._count_grid(_block_oracle(2, 14), 14)[1]().shape == (8, 8)
     monkeypatch.setattr(shtarkov, "_best_logistic", None)  # a solve would raise TypeError
     with pytest.raises(ValueError, match=r"^a count grid at T=16 needs 648 bytes, over the "
                        r"512-byte cap$"):
         shtarkov._count_grid(_block_oracle(2, 16), 16)
-    assert shtarkov._count_grid(ConstantBernoulliMLE(), 63)[0].shape == (64,)
+    assert shtarkov._count_grid(ConstantBernoulliMLE(), 63)[1]().shape == (64,)
     with pytest.raises(ValueError, match=r"^a count grid at T=64 needs 520 bytes"):
         shtarkov._count_grid(ConstantBernoulliMLE(), 64)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import types
 import warnings
 
@@ -32,6 +33,16 @@ def test_param_ball_membership_slack():
     assert ball.contains([1.0, 0.0])
     assert ball.contains([1.0 + 5e-13, 0.0])  # within the 1e-12 slack
     assert not ball.contains([1.0 + 1e-6, 0.0])
+
+
+@pytest.mark.parametrize("d", [1.5, 2.0, "2", 0, -1, np.float64(1.0)])
+def test_param_ball_rejects_a_dimension_that_is_not_a_positive_integer(d):
+    # a float dimension used to reach lattice_blocks and die there with
+    # "'float' object cannot be interpreted as an integer"
+    with pytest.raises(ValueError, match="^ball dimension must be a positive integer, got "
+                       + re.escape(repr(d)) + "$"):
+        grid_cover(glm_family(d=d), 0.1)
+    assert ParamBall(np.int64(2), 1.0).dimension == 2
 
 
 def test_logistic_link_values():

@@ -529,11 +529,12 @@ def test_continuous_bayes_grid_error_against_a_4x_finer_lattice():
         per_axis = math.ceil(10.0 * math.sqrt(C * T / 2) * R_star)
         assert np.array_equal(W, ball_lattice(np.linspace(-R_star, R_star, per_axis), 2, 2.0, R_star))
         finer = ball_lattice(np.linspace(-R_star, R_star, 4 * (per_axis - 1) + 1), 2, 2.0, R_star)
-        lo, hi = math.inf, -math.inf
+        lo, hi, eye = math.inf, -math.inf, np.eye(2)
         for n1 in range(T + 1):
-            X = np.repeat(np.eye(2), [n1, T - n1], axis=0)
-            mass = [count_fold(*log_likelihoods(prediction_matrix(FiniteParamFamily(M), X)),
-                               _log_sum_exp_rows)[0] - math.log(len(M)) for M in (W, finer)]
+            # e1 at n1 steps and e2 at the other T - n1: two distinct columns
+            mass = [count_fold(*log_likelihoods(prediction_matrix(FiniteParamFamily(M), eye)),
+                               [n1, T - n1], _log_sum_exp_rows) - math.log(len(M))
+                    for M in (W, finer)]
             lo, hi = min(lo, (mass[0] - mass[1]).min()), max(hi, (mass[0] - mass[1]).max())
         measured[T] = (len(W), len(finer), lo, hi)
     assert measured[16] == pytest.approx((441, 7213, -0.050511802948, 0.017480128792), abs=1e-9)

@@ -20,7 +20,7 @@ from seqpa.bounds import lipschitz_lower
 from seqpa import experts
 from seqpa.experts import (CodeBook, FiniteStaticFamily, HardLipschitzFamily, ParamBall,
                            ball_lattice, best_in_hindsight, build_hard_lipschitz_class,
-                           ds_project, glm_family, prediction_matrix)
+                           ds_project, glm_family, log_likelihoods, prediction_matrix)
 from seqpa.harness import _ball_features, worst_case_labels
 from seqpa.losses import cumulative_loss
 from seqpa.predictors import MixturePredictor, NmlPredictor, mixture_losses, nml_predict
@@ -282,29 +282,33 @@ def test_blocked_leaves_equal_single_block(which, monkeypatch):
     np.testing.assert_array_equal(minimax_value(oracle, T).levels[-1], whole)
 
 
-def _fold_terms(n, T, seed):
-    # exact 0 and 1 probabilities, so both logs hold -inf entries
+def _fold_predictions(n, T, seed):
+    # exact 0 and 1 probabilities, so both logs hold -inf entries (and one
+    # row's columns repeat)
     rng = np.random.default_rng(seed)
     P = rng.uniform(size=(n, T))
     P[rng.uniform(size=(n, T)) < 0.2] = 0.0
     P[rng.uniform(size=(n, T)) < 0.2] = 1.0
     P.flat[::5], P.flat[2::5] = 0.0, 1.0
-    with np.errstate(divide="ignore"):
-        return np.log1p(-P), np.log(P)
+    return P
 
 
-def _leaves(a0, a1, reduce):
-    """Every sequence's fold: `count_fold` read by the public leaf reader."""
-    return shtarkov.prefix_cells(*shtarkov.count_fold(a0, a1, reduce))
+def _leaves(P, reduce):
+    """Every sequence's fold as the library reads it: P's distinct columns
+    (`distinct_columns`) folded over their counts by `count_fold` and read by
+    the public leaf reader."""
+    columns, group = experts.distinct_columns(P.T, len(P))
+    grid = shtarkov.count_fold(*log_likelihoods(columns), np.bincount(group), reduce)
+    return shtarkov.prefix_cells(grid, group)
 
 
 @pytest.mark.parametrize("reduce", [np.max, logsumexp])
 @pytest.mark.parametrize("T", [0, 1, 5, LEAF_BLOCK_BITS + 2])
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_fold_bit_identical_to_broadcast_reference(n, T, reduce):
-    a0, a1 = _fold_terms(n, T, seed=n * 100 + T)
+    P = _fold_predictions(n, T, seed=n * 100 + T)
     with np.errstate(invalid="ignore"):
-        got, want = _leaves(a0, a1, reduce), per_step_fold(a0, a1, reduce)
+        got, want = _leaves(P, reduce), per_step_fold(*log_likelihoods(P), reduce)
     assert got.shape == (2 ** T,)
     assert np.array_equal(got, want)
 
@@ -314,14 +318,16 @@ def test_fold_bit_identical_over_prefix_blocks(reduce, monkeypatch):
     # T = 7 with 2-bit blocks: 32 prefix blocks, all but the first with head > 0
     monkeypatch.setattr(shtarkov, "LEAF_BLOCK_BITS", 2)
     for n in (1, 3, 8):
-        a0, a1 = _fold_terms(n, 7, seed=n)
+        P = _fold_predictions(n, 7, seed=n)
         with np.errstate(invalid="ignore"):
-            assert np.array_equal(_leaves(a0, a1, reduce), per_step_fold(a0, a1, reduce))
+            assert np.array_equal(_leaves(P, reduce), per_step_fold(*log_likelihoods(P), reduce))
 
 
 def _distinct_terms(n, T):
-    """(a0, a1) whose T columns are all distinct: the count grid is the 2^T leaves."""
-    return np.zeros((n, T)), np.tile(-np.arange(T, dtype=float), (n, 1))
+    """(a0, a1, N) of T distinct columns, one step each: the count grid is the
+    2^T leaves."""
+    return (np.zeros((n, T)), np.tile(-np.arange(T, dtype=float), (n, 1)),
+            np.ones(T, dtype=np.intp))
 
 
 def test_fold_size_check_boundary(monkeypatch):
@@ -330,30 +336,30 @@ def test_fold_size_check_boundary(monkeypatch):
     monkeypatch.setattr(shtarkov, "LEAF_BLOCK_BITS", 3)
     monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 64)
     fold = shtarkov.count_fold
-    assert fold(*_distinct_terms(8, 5), np.max)[0].shape == (2,) * 5  # block 8 * 2^3
+    assert fold(*_distinct_terms(8, 5), np.max).shape == (2,) * 5  # block 8 * 2^3
     with pytest.raises(ValueError, match=r"^count_fold of n=9 rows at T=5 needs 576 bytes "
                        r"for its block, over the 512-byte cap$"):
         fold(*_distinct_terms(9, 5), np.max)
-    assert fold(*_distinct_terms(8, 6), np.max)[0].size == 64  # head array 8 * 2^3, grid 2^6
+    assert fold(*_distinct_terms(8, 6), np.max).size == 64  # head array 8 * 2^3, grid 2^6
     with pytest.raises(ValueError, match=r"n=8 rows at T=7 needs 1024 bytes for its head array"):
         fold(*_distinct_terms(8, 7), np.max)
     with pytest.raises(ValueError, match=r"n=1 rows at T=7 needs 1024 bytes for its grid"):
         fold(*_distinct_terms(1, 7), np.max)
-    # one column group of T = 63 steps: a 64-cell grid for 2^63 sequences
-    assert fold(np.zeros((1, 63)), np.ones((1, 63)), np.max)[0].shape == (64,)
+    # one column predicting at T = 63 steps: a 64-cell grid for 2^63 sequences
+    assert fold(np.zeros((1, 1)), np.ones((1, 1)), [63], np.max).shape == (64,)
     with pytest.raises(ValueError, match=r"n=1 rows at T=64 needs 520 bytes for its block"):
-        fold(np.zeros((1, 64)), np.ones((1, 64)), np.max)
+        fold(np.zeros((1, 1)), np.ones((1, 1)), [64], np.max)
 
 
 def test_oversize_fold_fails_before_allocating():
     # 14 distinct columns: one block of 2^14 cells a row, 4,097 rows just over the cap
     n, T = 4_097, 14
-    a0, a1 = _distinct_terms(n, T)
+    terms = _distinct_terms(n, T)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"^count_fold of n={n} rows at T={T} needs "
                            f"{8 * n * 2 ** 14} bytes for its block"):
-            shtarkov.count_fold(a0, a1, logsumexp)
+            shtarkov.count_fold(*terms, logsumexp)
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
@@ -366,36 +372,46 @@ def test_oversize_fold_fails_before_allocating():
         worst_case_labels(lambda: MixturePredictor(fam), fam, features)
 
 
-def test_refused_fold_keeps_no_copy_of_its_columns():
-    # 4,097 rows of 14 distinct columns, 0.88 MiB of input: grouping keeps
-    # transient copies of one column pair at a time, not of every column
-    n, T = 4_097, 14
-    P = np.random.default_rng(0).uniform(0.05, 0.95, (n, T))
-    a0, a1 = np.log1p(-P), np.log(P)
+def test_refused_fold_holds_only_its_distinct_columns():
+    # 4,097 experts over 14 feature keys, each read 64 times: an (n, T)
+    # prediction matrix would take 29 MiB, the 14 distinct columns take 0.44
+    # MiB, and a refused mixture_losses holds a few copies of those alone
+    n, K, T = 4_097, 14, 14 * 64
+    table = np.random.default_rng(0).uniform(0.05, 0.95, (n, K))
+    fam = FiniteStaticFamily(table, feature_keys=[(float(j),) for j in range(K)])
+    features = (np.arange(T) % K).astype(float)[:, None]
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"^count_fold of n={n} rows at T={T} needs "):
-            shtarkov.count_fold(a0, a1, logsumexp)
+            mixture_losses(fam, features)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2 * 8 * n
+    assert peak <= 4 * 8 * n * K
 
 
-def test_column_groups_verify_bit_for_bit_behind_the_hash(monkeypatch):
+def test_distinct_columns_verify_bit_for_bit_behind_the_hash(monkeypatch):
     # groups in order of first appearance; -0.0 and 0.0 differ, NaN equals
-    # itself bit for bit; then again with every hash colliding
-    col = {"a": [0.0, -1.0], "b": [-0.0, -1.0], "c": [math.nan, -2.0], "d": [0.0, -3.0]}
-    steps = "baccadbd"
-    a0 = np.array([col[k] for k in steps]).T
-    a1 = a0[::-1].copy()
+    # itself bit for bit; every step is read from one reused buffer, so a
+    # kept column must be a copy; then again with every hash colliding
+    col = {"a": [0.0, -1.0], "b": [-0.0, -1.0], "c": [math.nan, -2.0], "d": [0.0, -3.0],
+           "e": [0.0, 5.0]}
+
+    def read(steps):
+        buf = np.empty(2)
+        for k in steps:
+            buf[:] = col[k]
+            yield buf
+
     want = [0, 1, 2, 2, 1, 3, 0, 3]
-    moved = a1.copy()
-    moved[0, -1] = 5.0  # the last step's a0 column is group 3's, its a1 column is new
     for _ in range(2):
-        assert experts.column_groups(a0, a1).tolist() == want
-        assert experts.column_groups(a0, moved).tolist() == want[:-1] + [4]
+        columns, group = experts.distinct_columns(read("baccadbd"), 2)
+        assert group.tolist() == want
+        assert columns.tobytes() == np.array([col[k] for k in "bacd"]).T.tobytes()
+        assert experts.distinct_columns(read("baccadbe"), 2)[1].tolist() == want[:-1] + [4]
         monkeypatch.setattr(experts, "hash", lambda key: 0, raising=False)
+    columns, group = experts.distinct_columns(read(""), 3)
+    assert columns.shape == (3, 0) and group.shape == (0,)
 
 
 def test_constant_column_family_is_scored_on_its_count_grid():
@@ -450,11 +466,11 @@ def test_logsumexp_fold_peak_is_within_8x_its_largest_checked_array(n, T, groups
     # the largest checked array: 16 distinct columns give (n, 2^14) blocks,
     # one group of 16 steps an (n, 17) block
     largest = n * (2 ** 14 if groups == T else T + 1)
-    P = np.random.default_rng(n).uniform(0.05, 0.95, (n, groups))[:, np.arange(T) % groups]
+    P = np.random.default_rng(n).uniform(0.05, 0.95, (n, groups))
     a0, a1 = np.log1p(-P), np.log(P)
     tracemalloc.start()
     try:
-        shtarkov.count_fold(a0, a1, logsumexp)
+        shtarkov.count_fold(a0, a1, np.full(groups, T // groups), logsumexp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
