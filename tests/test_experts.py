@@ -68,51 +68,227 @@ def test_logistic_link_values():
 
 
 
-def test_finite_param_family_predictions_stay_in_link_range():
-    # the link's [0, 1] contract stands in for the clip all_predictions used to make
-    cover = grid_cover(glm_family(d=1, R=800.0), 0.5).family
-    params = cover.params.tobytes()
-    assert cover.params.min() == -800.0 and cover.params.max() == 800.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for x in (1.0, -1.0, 0.3, 1e-3):
-            z = cover.params[:, 0] * x
-            p = cover.all_predictions(0, np.array([x]))
-            assert np.all((p >= 0.0) & (p <= 1.0))
-            assert p.tobytes() == np.clip(LOGISTIC(z), 0.0, 1.0).tobytes()
-            below = z < -709.79  # exp(-z) overflows: exactly 0, as the clip left it
-            assert np.all(p[below] == 0.0) and below.any() == (abs(x) == 1.0)
-    assert cover.params.tobytes() == params
-
-
 def _ulp_distance(a, b):
     """Units in the last place between arrays of non-negative doubles."""
     return np.abs(a.view(np.int64) - b.view(np.int64))
 
 
+# A mirrored row against LOGISTIC(-z): over 7e7 uniform z in [-700, 700]
+# e * sigma was 3 ulp or closer at all but 124 values, and 4 at those
+MIRROR_ULPS = 4
+
+
+def _assert_mirror_rows(p, z):
+    """Rows n - 1 - k of a symmetric table's predictions p, k < n // 2, given
+    z_k = params[k] @ x: e * sigma bit for bit, e = exp(-z_k) and
+    sigma = 1 / (1 + e), within MIRROR_ULPS of LOGISTIC(-z_k)."""
+    m = len(p) // 2
+    e = np.exp(-z[:m])
+    mirror = p[::-1][:m]
+    assert mirror.tobytes() == (e * (1.0 / (1.0 + e))).tobytes()
+    assert _ulp_distance(mirror, LOGISTIC(-z[:m])).max(initial=0) <= MIRROR_ULPS
+
+
+def _predict(family, x):
+    """family.all_predictions(0, x) and whether it ran the full n-row link."""
+    calls = []
+    full = experts._logistic_of_negated
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experts, "_logistic_of_negated", lambda e: calls.append(len(e)) or full(e))
+        p = family.all_predictions(0, x)
+    return p, calls == [family.n_experts]
+
+
+def test_finite_param_family_predictions_stay_in_link_range():
+    # the link's [0, 1] contract stands in for the clip all_predictions used to
+    # make; at |x| = 1 (max |z| = 800) the gate sends the R = 800 cover to the
+    # full path, byte for byte; at 0.3 and 1e-3 the mirrored rows keep the ulp rule
+    cover = grid_cover(glm_family(d=1, R=800.0), 0.5).family
+    params = cover.params.tobytes()
+    assert cover.params.min() == -800.0 and cover.params.max() == 800.0
+    h = (cover.n_experts + 1) // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1.0, -1.0, 0.3, 1e-3):
+            z = cover.params[:, 0] * x
+            p, full = _predict(cover, np.array([x]))
+            assert np.all((p >= 0.0) & (p <= 1.0)) and full == (abs(x) == 1.0)
+            want = np.clip(LOGISTIC(z), 0.0, 1.0)
+            if full:
+                assert p.tobytes() == want.tobytes()
+            else:
+                assert p[:h].tobytes() == want[:h].tobytes()
+                _assert_mirror_rows(p, z)
+            below = z < -709.79  # exp(-z) overflows: exactly 0, as the clip left it
+            assert np.all(p[below] == 0.0) and below.any() == (abs(x) == 1.0)
+    assert cover.params.tobytes() == params
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_cover_link_layout(d):
     # column-major params: at d = 1 the product is the row-major one bit for
-    # bit, at d >= 2 z may move an ulp; the link runs on W @ -x = -(W @ x)
+    # bit, at d >= 2 z may move an ulp; the link runs on W @ -x = -(W @ x).
+    # The cover is symmetric, so those pins hold on its first ceil(n/2) rows
+    # and the mirrored rows keep the ulp rule
     cover = grid_cover(glm_family(d=d, R=1.0), 2.0 / 128).family
     values, raw = cover.params.copy(), cover.params.tobytes()
     assert cover.params.flags.f_contiguous and cover.params.shape == (cover.n_experts, d)
+    h = (cover.n_experts + 1) // 2
     row_major = np.ascontiguousarray(cover.params)
     features = np.random.default_rng(8).normal(size=(24, d))
     features /= np.maximum(np.linalg.norm(features, axis=1, keepdims=True), 1.0)
     P = prediction_matrix(cover, features)
     for t, x in enumerate(features):
         got = cover.all_predictions(t, x)
-        assert got.tobytes() == LOGISTIC(cover.params @ x).tobytes()
+        z = cover.params @ x
+        assert got[:h].tobytes() == LOGISTIC(z)[:h].tobytes()
+        _assert_mirror_rows(got, z)
         want = LOGISTIC(row_major @ x)
         if d == 1:
-            assert got.tobytes() == want.tobytes()
+            assert got[:h].tobytes() == want[:h].tobytes()
         else:
-            assert _ulp_distance(got, want).max() <= 2
+            assert _ulp_distance(got[:h], want[:h]).max() <= 2
         again = cover.all_predictions(t, x)
         assert not np.shares_memory(got, again) and again.tobytes() == got.tobytes()
         assert P[:, t].tobytes() == got.tobytes()
     assert np.array_equal(cover.params, values) and cover.params.tobytes() == raw
+
+
+def _assert_half_path(family, x):
+    """The symmetric-table contract of family.all_predictions(0, x), given
+    z = params[:n // 2] @ x, the product the family takes: the half path ran,
+    rows k < n // 2 are LOGISTIC(z) byte for byte, an odd table's middle row
+    reads 0.5, the mirrored rows keep the ulp rule, every value is in [0, 1],
+    each call returns a new array and params are not written."""
+    W = family.params
+    raw = W.tobytes()
+    n, m = len(W), len(W) // 2
+    z = W[:m] @ x
+    p, full = _predict(family, x)
+    assert not full and p.shape == (n,)
+    assert p[:m].tobytes() == LOGISTIC(z).tobytes()
+    assert p[m:n - m].tolist() == [0.5] * (n - 2 * m)
+    _assert_mirror_rows(p, z)
+    assert np.all((p >= 0.0) & (p <= 1.0))  # and so no NaN
+    again = family.all_predictions(0, x)
+    assert not np.shares_memory(p, again) and again.tobytes() == p.tobytes()
+    assert W.tobytes() == raw
+    return p
+
+
+def _assert_full_path(family, x):
+    """family.all_predictions(0, x) ran the full link: LOGISTIC(params @ x)
+    byte for byte (NaN where it is NaN)."""
+    with np.errstate(invalid="ignore"):
+        want = LOGISTIC(family.params @ x)
+        p, full = _predict(family, x)
+    assert full and np.array_equal(p, want, equal_nan=True)
+    if not np.isnan(want).any():
+        assert p.tobytes() == want.tobytes()
+
+
+def _gate_features(rng, d, max_norm):
+    """Six features whose max_norm * ||x|| runs from 1e-3 up to 699.9."""
+    X = rng.normal(size=(6, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return X * np.array([1e-3, 0.5, 3.0, 40.0, 300.0, 699.9])[:, None] / max_norm
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 1 / 512), (2, 2 / 128), (3, 0.1)])
+def test_symmetric_cover_is_evaluated_on_half_its_rows(d, alpha):
+    cover = grid_cover(glm_family(d=d), alpha).family
+    n = cover.n_experts
+    assert n % 2 == 1 and len(cover._head) == n // 2
+    assert not cover._head.flags.owndata and np.shares_memory(cover._head, cover.params)
+    assert cover._max_norm == pytest.approx(np.linalg.norm(cover.params, axis=1).max(), rel=1e-15)
+    for x in _gate_features(np.random.default_rng(d), d, cover._max_norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = _assert_half_path(cover, x)
+        # the lattice rows just before the origin lead with zeros, so the
+        # shorter product rounds as the full one: the first ceil(n/2) rows
+        # are the full link's bytes
+        assert p[:n // 2 + 1].tobytes() == LOGISTIC(cover.params @ x)[:n // 2 + 1].tobytes()
+        assert p[n // 2] == 0.5  # the origin row
+        # sigma(-699.9) is about 1e-304: 1 - sigma would read 0 there
+        assert (p > 0.0).all()
+
+
+def test_even_symmetric_table_is_evaluated_on_half_its_rows():
+    rng = np.random.default_rng(11)
+    A = rng.uniform(-30.0, 30.0, (7, 2))
+    A[2, 0] = 0.0
+    W = np.vstack([A, -A[::-1]])
+    W[-3, 0] = 0.0  # -(+0.0) is -0.0; symmetry is by value
+    family = FiniteParamFamily(W)
+    assert len(family._head) == 7
+    for x in _gate_features(rng, 2, family._max_norm):
+        _assert_half_path(family, x)
+
+
+@pytest.mark.parametrize("block_rows", [experts._MIRROR_BLOCK_ROWS, 64])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_nearly_symmetric_table_takes_the_full_path(where, block_rows, monkeypatch):
+    # one entry off in the first or the last block of the check; NaN matches nothing
+    monkeypatch.setattr(experts, "_MIRROR_BLOCK_ROWS", block_rows)
+    W = grid_cover(glm_family(d=2), 2 / 128).family.params
+    n = len(W)
+    row = 3 if where == "first" else n // 2 - 1
+    compared = []
+    equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda a, b, **kw: compared.append(len(a)) or equal(a, b, **kw))
+    for off in (np.nextafter(W[row, 1], np.inf), np.nan):
+        V = W.copy(order="F")
+        V[row, 1] = off
+        compared.clear()
+        family = FiniteParamFamily(V)
+        assert family._head is None and family._max_norm is None
+        # the check stops in the block that holds the mismatch
+        assert len(compared) == row // block_rows + 1
+        for x in _gate_features(np.random.default_rng(5), 2, 1.5):
+            _assert_full_path(family, x)
+    monkeypatch.setattr(np, "array_equal", equal)
+    middle = W.copy(order="F")
+    middle[n // 2, 0] = 1e-300  # an odd table's middle row must be the origin
+    assert FiniteParamFamily(middle)._head is None
+
+
+def test_features_past_the_gate_take_the_full_path():
+    cover = grid_cover(glm_family(d=1, R=800.0), 0.5).family
+    assert cover._max_norm == 800.0
+    # 800 * 0.875 is 700 exactly: half path; one ulp more: full path
+    _assert_half_path(cover, np.array([0.875]))
+    _assert_full_path(cover, np.array([np.nextafter(0.875, 1.0)]))
+    for x in (1.0, -1.0):  # exp(-z) overflows below z = -709.78: exact zeros
+        _assert_full_path(cover, np.array([x]))
+        assert (cover.all_predictions(0, np.array([x])) == 0.0).any()
+    square = grid_cover(glm_family(d=2), 2 / 128).family
+    for x in ([np.nan, 0.1], [0.1, np.inf], [-np.inf, 0.0], [np.inf, -np.inf]):
+        _assert_full_path(square, np.array(x))
+
+
+@st.composite
+def _symmetric_tables(draw):
+    """A centrally symmetric (n, d) table, odd or even n, and a feature."""
+    d = draw(st.integers(1, 3))
+    rows = st.lists(st.tuples(*[st.floats(-60.0, 60.0)] * d), max_size=12)
+    A = np.array(draw(rows), dtype=float).reshape(-1, d)
+    middle = np.zeros((draw(st.integers(0, 1)), d))
+    x = np.array(draw(st.tuples(*[st.floats(-12.0, 12.0)] * d)))
+    return np.vstack([A, middle, -A[::-1]]), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(_symmetric_tables())
+def test_symmetric_tables_keep_the_mirror_contract(table_and_x):
+    W, x = table_and_x
+    family = FiniteParamFamily(W)
+    assert family._head is not None and len(family._head) == len(W) // 2
+    if family._max_norm * np.linalg.norm(x) <= 0.999 * experts.MIRROR_REACH:
+        _assert_half_path(family, x)
+    elif family._max_norm * np.linalg.norm(x) > 1.001 * experts.MIRROR_REACH:
+        _assert_full_path(family, x)
 
 
 def _dense_ball_lattice(axis, d, s, bound):

@@ -107,6 +107,31 @@ def test_mixture_loss_equals_minus_log_mixture_mass(truncation, T):
     assert (folds == 0) if T == 50 else (folds >= 10)
 
 
+@pytest.mark.parametrize("truncation", [None, 2 / 128])
+def test_half_path_mixture_matches_the_full_link(truncation):
+    # 128 greedy steps on the 6,613-member symmetric cover, once as built and
+    # once on a family whose half path is switched off: the same labels (the
+    # first run's greedy choices) drive both
+    cover = grid_cover(glm_family(d=2), 2 / 128).family
+    full = FiniteParamFamily(cover.params)
+    full._head = None
+    assert cover._head is not None
+    half_run, full_run = (MixturePredictor(f, truncation=truncation) for f in (cover, full))
+    X = np.random.default_rng(12).normal(size=(128, 2))
+    X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
+    losses = np.zeros(2)
+    for x in X:
+        p_half, p_full = half_run.step(x), full_run.step(x)
+        assert abs(p_half - p_full) <= 1e-15
+        y = 0 if p_half > 0.5 else 1  # harness.greedy_label_fn
+        losses += log_loss(p_half, y), log_loss(p_full, y)
+        half_run.update(y)
+        full_run.update(y)
+    np.testing.assert_allclose(half_run.log_weights, full_run.log_weights, rtol=1e-12, atol=0.0)
+    for run, total in zip((half_run, full_run), losses):
+        assert abs(total + run.log_mixture_mass()) <= CHAIN_RULE_RTOL * total
+
+
 class _UntruncatedMass(MixturePredictor):
     """Log weights missing the -k ln(1 + 2 alpha) normalization."""
 
