@@ -15,15 +15,14 @@ import numpy as np
 
 from .bounds import cover_size_bound, lattice_cover_size  # noqa: F401  (re-exported)
 from .experts import (
+    DEFAULT_SIZE_CAP,
     FiniteParamFamily,
     ParametricFamily,
     _validate_table,
-    ball_lattice,
+    ball_grid,
     feature_column,
     feature_key,
 )
-
-DEFAULT_SIZE_CAP = 10 ** 7
 
 
 @dataclass
@@ -46,9 +45,10 @@ def grid_cover(pfam, alpha):
     """Lattice cover of the parameter ball at l_s radius alpha/L.
 
     The cover's family holds sigma(<w, .>) at the lattice points; a family
-    other than `ParametricFamily` raises TypeError.  A lattice of more than
-    DEFAULT_SIZE_CAP points raises ValueError before it is built; the member
-    count is checked against the standard (2RL/alpha + 1)^d covering bound.
+    other than `ParametricFamily` raises TypeError.  The lattice is
+    `experts.ball_grid`'s, refused over DEFAULT_SIZE_CAP before it is built;
+    the member count is checked against the standard (2RL/alpha + 1)^d
+    covering bound.
     """
     if not isinstance(pfam, ParametricFamily):
         raise TypeError(f"grid_cover needs a ParametricFamily, got {type(pfam).__name__}")
@@ -62,12 +62,7 @@ def grid_cover(pfam, alpha):
     dpow = 1.0 if math.isinf(s) else d ** (1.0 / s)
     delta = 2.0 * radius / dpow
     reach = R + radius  # lattice points this far out still cover boundary cells
-    kmax = math.floor(reach / delta)
-    axis = np.arange(-kmax, kmax + 1) * delta
-    if len(axis) ** d > DEFAULT_SIZE_CAP:
-        raise ValueError(f"lattice cover would have up to {len(axis) ** d} members, "
-                         f"over the cap {DEFAULT_SIZE_CAP}")
-    W = ball_lattice(axis, d, s, reach + 1e-12)
+    W = ball_grid(2 * math.floor(reach / delta) + 1, delta, d, s, reach)
     bound = lattice_cover_size(d, R, L, alpha)
     if len(W) > bound:
         raise ValueError(f"lattice cover has {len(W)} members, over the "

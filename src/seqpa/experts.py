@@ -18,6 +18,8 @@ import numpy as np
 from .losses import _as_labels
 
 MEMBERSHIP_SLACK = 1e-12
+# the most lattice points, axis^d, a parameter-ball grid or cover may span
+DEFAULT_SIZE_CAP = 10 ** 7
 # lattice_blocks walks axis^d in blocks of whole slowest-coordinate slices,
 # about 2^14 points (d * 128 KiB) each
 _LATTICE_BLOCK_POINTS = 2 ** 14
@@ -62,6 +64,19 @@ def ball_lattice(axis, d, s, bound):
     return W
 
 
+def ball_grid(n, step, d, s, radius):
+    """The lattice points of a parameter ball: every point of axis^d within l_s
+    norm radius + MEMBERSHIP_SLACK, as `ball_lattice` returns them, on the
+    centred axis (j - (n - 1) / 2) * step, j < n.  Point n - 1 - j of the axis
+    is exactly -point j, for an odd or an even n, so the grid is centrally
+    symmetric.  n^d over DEFAULT_SIZE_CAP raises ValueError before anything
+    is allocated."""
+    if n ** d > DEFAULT_SIZE_CAP:
+        raise ValueError(f"a lattice of {n}^{d} = {n ** d} points is over the cap "
+                         f"{DEFAULT_SIZE_CAP}")
+    return ball_lattice((np.arange(n) - (n - 1) / 2) * step, d, s, radius + MEMBERSHIP_SLACK)
+
+
 @dataclass(frozen=True)
 class ParamBall:
     """Ball of radius R under the l_s norm in R^d (s = inf allowed)."""
@@ -73,8 +88,10 @@ class ParamBall:
     def __post_init__(self):
         if not (isinstance(self.dimension, (int, np.integer)) and self.dimension >= 1):
             raise ValueError(f"ball dimension must be a positive integer, got {self.dimension!r}")
-        if self.radius <= 0 or self.norm_order < 1:
-            raise ValueError(f"invalid ball {self!r}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"ball radius must be a positive finite number, got {self.radius!r}")
+        if not self.norm_order >= 1:
+            raise ValueError(f"ball norm order must be at least 1, got {self.norm_order!r}")
 
     def norm(self, w):
         return float(_lp_norms(np.atleast_2d(np.asarray(w, dtype=float)), self.norm_order)[0])
@@ -187,6 +204,11 @@ class ParametricFamily:
     ball: ParamBall
     lipschitz: float
 
+    def __post_init__(self):
+        if not 0 < self.lipschitz < math.inf:
+            raise ValueError("Lipschitz constant must be a positive finite number, "
+                             f"got {self.lipschitz!r}")
+
 
 def glm_family(d=1, R=1.0, s=2.0, lipschitz=1.0):
     """Logistic family x -> sigma(<w, x>) over the l_s ball of radius R in R^d.
@@ -206,7 +228,8 @@ class FiniteParamFamily:
     is copied once, and the family keeps only the copy.
 
     A centrally symmetric table, row n - 1 - k equal to -row k for every k
-    (every `grid_cover` lattice), is evaluated on its first m = n // 2 rows.
+    (every `ball_grid` lattice, so every cover and grid the library builds),
+    is evaluated on its first m = n // 2 rows.
     With z = params[:m] @ x and e = exp(-z), by the full link's own
     operations row k < m gets sigma(z_k) = 1 / (1 + e_k), and row n - 1 - k
     gets sigma(-z_k) = e_k sigma(z_k), never 1 - sigma(z_k), so a value
@@ -218,8 +241,9 @@ class FiniteParamFamily:
     tables BLAS may round the last few rows of the shorter product by an
     ulp of z.  The gate is max ||w||_2 ||x||_2 <= `MIRROR_REACH` = 700, so
     exp(z) and exp(-z) stay finite and normal and the link's exact 0 below
-    z = -709.78 cannot arise.  Any other table, or a feature past the gate
-    (NaN and inf included), takes the full evaluation.  Symmetry is checked
+    z = -709.78 cannot arise.  A table from elsewhere that is not symmetric,
+    or a feature past the gate (NaN and inf included), takes the full
+    evaluation.  Symmetry is checked
     once, at construction, by value (-0.0 matches 0.0, NaN matches
     nothing), so `params` must not be written afterwards.
     """
@@ -614,8 +638,7 @@ class HardLipschitzFamily:
 
 def _lattice_packing(d, R, separation, count):
     """First `count` points of an integer lattice (spacing = separation) in B_2^d(R)."""
-    per_axis = np.arange(-math.floor(R / separation), math.floor(R / separation) + 1) * separation
-    W = np.ascontiguousarray(ball_lattice(per_axis, d, 2.0, R + MEMBERSHIP_SLACK))
+    W = np.ascontiguousarray(ball_grid(2 * math.floor(R / separation) + 1, separation, d, 2.0, R))
     # per-row dot products over contiguous rows round like np.linalg.norm of
     # each point, so equal-norm ties break on the coordinates exactly as a
     # (norm, tuple) key
@@ -635,12 +658,16 @@ def build_hard_lipschitz_class(d, T, R, L, alpha, seed):
     Draws M = floor((L*R/(2*alpha))^d) binary code vectors by rejection
     until all pairwise Hamming distances reach T/4, pairs them with a
     lattice packing of the parameter ball at separation alpha/L, and
-    assigns values 0/alpha along T designated features.
+    assigns values 0/alpha along T designated features.  The packing is
+    built first, so a lattice over DEFAULT_SIZE_CAP is refused before any
+    code vector is drawn.
     """
+    ball = ParamBall(d, R, 2.0)
     M = int((L * R / (2.0 * alpha)) ** d)
     if M < 2:
         raise ValueError(f"need at least 2 code vectors, got M={M} "
                          f"(increase R*L or decrease alpha)")
+    packing = _lattice_packing(d, R, alpha / L, M)
     rng = np.random.default_rng(seed)
     threshold = T / 4.0
     vectors = np.empty((M, T), dtype=np.uint8)
@@ -657,10 +684,9 @@ def build_hard_lipschitz_class(d, T, R, L, alpha, seed):
                                    f"after {HARD_CLASS_RETRIES} rejections")
     codebook = CodeBook(vectors)
 
-    packing = _lattice_packing(d, R, alpha / L, M)
     table = vectors.astype(float) * alpha
     # designated features: distinct points on the first axis
     features = np.zeros((T, d))
     features[:, 0] = (np.arange(T) + 1.0) / (T + 1.0)
-    family = HardLipschitzFamily(packing, table, features, L, ParamBall(d, R, 2.0))
+    family = HardLipschitzFamily(packing, table, features, L, ball)
     return family, codebook

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import shtarkov
-from .experts import (FiniteParamFamily, ParametricFamily, ball_lattice, distinct_columns,
+from .experts import (FiniteParamFamily, ParametricFamily, ball_grid, distinct_columns,
                       log_likelihoods)
 from .losses import as_label, log_loss, log_sum_exp
 
@@ -227,15 +227,18 @@ def mixture_losses(family, features, truncation=None):
 def continuous_bayes(family, T, hessian_bound):
     """Bayesian mixture over a uniform grid on the enlarged parameter ball.
 
-    The grid spacing is a tenth of the half-ball radius sqrt(d/CT).  Its
-    discretization error is measured, not certified: against a lattice 4x
-    finer per axis on the same ball, over every count table of the
-    {e1, e2} design at d = 2, C = 1/4, the grid's ln mass was at worst
+    The enlarged ball has radius R* = R + rho, rho = sqrt(d/CT), and the
+    grid is `experts.ball_grid`'s: n = ceil(10 R* / rho) points per axis at
+    spacing 2R*/(n - 1), about rho/5, refused over DEFAULT_SIZE_CAP lattice
+    points before it is built.  Its discretization error is measured, not
+    certified: against a lattice 4x finer per axis on the same ball, over
+    every count table of the {e1, e2} design at d = 2, C = 1/4, the grid's
+    ln mass was at worst
     0.051 nats (T = 16) and 0.142 nats (T = 32) below the finer lattice's,
     on tables that put every label of a symbol at one value, and at most
     0.017 above.  `hessian_bound` is taken as given: the caller checks
     it against the features (the harness does, as max ||x||^2 / 4).  The
-    grid is an l2 ball: any other ball, T < 1 or d > 4 raises ValueError.
+    grid is an l2 ball: any other ball or T < 1 raises ValueError.
     """
     if not isinstance(family, ParametricFamily):
         raise TypeError("continuous_bayes needs a parametric family")
@@ -244,15 +247,13 @@ def continuous_bayes(family, T, hessian_bound):
         raise ValueError(f"continuous_bayes needs an l2 ball, got norm order {s}")
     if T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
-    if d > 4:
-        raise ValueError("continuous-prior grids are limited to d <= 4")
     C = float(hessian_bound)
     if C <= 0:
         raise ValueError("Hessian bound must be positive")
     rho = math.sqrt(d / (C * T))
     R_star = R + rho
     per_axis = math.ceil(10.0 * math.sqrt(C * T / d) * R_star)
-    W = ball_lattice(np.linspace(-R_star, R_star, per_axis), d, 2.0, R_star)
+    W = ball_grid(per_axis, 2.0 * R_star / (per_axis - 1), d, 2.0, R_star)
     return MixturePredictor(FiniteParamFamily(W))
 
 

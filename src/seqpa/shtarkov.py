@@ -390,9 +390,13 @@ def minimax_value(oracle, T):
     is `np.logaddexp` of its two children's doubles.  When every column is
     distinct, each grid is its level and the values are those of pairwise
     logaddexp over the leaves.  The levels' cells, not T, are refused over
-    FOLD_ELEMENT_CAP, sized from the step groups before any leaf is filled.
+    FOLD_ELEMENT_CAP, sized from the step groups before any leaf is filled,
+    and first by their least count, (T + 1)(T + 2) / 2 (exact for one
+    group), before the groups are read.
     """
     T = _horizon(T)
+    # level t has prod_a (c_a + 1) >= 1 + t cells, counts c_a summing to t
+    _check_size((T + 1) * (T + 2) // 2, f"minimax_value at T={T} needs", " for its levels")
     group, fill = _count_grid(oracle, T)
     shape, cells = (np.bincount(group) + 1).tolist(), 1  # the root's one cell
     for g in group[::-1].tolist():  # the level shapes backward induction builds

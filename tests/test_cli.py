@@ -212,6 +212,20 @@ def test_single_valued_knobs_reject_other_values(argv, capsys):
      "seqpa bound: error: need T>=0, alpha in (0,1)"),
     (["predict", "--features", "block", "--T", "9", "--d", "2"],
      "seqpa predict: error: block design needs d | T (got T=9, d=2)"),
+    # a bad ball or Lipschitz constant used to crash with a traceback, or
+    # (s = nan) print a 2-member cover
+    (["cover", "--R", "inf", "--alpha", "0.1"],
+     "seqpa cover: error: ball radius must be a positive finite number, got inf"),
+    (["cover", "--R", "nan", "--alpha", "0.1"],
+     "seqpa cover: error: ball radius must be a positive finite number, got nan"),
+    (["cover", "--L", "inf", "--alpha", "0.1"],
+     "seqpa cover: error: Lipschitz constant must be a positive finite number, got inf"),
+    (["cover", "--L", "nan", "--alpha", "0.1"],
+     "seqpa cover: error: Lipschitz constant must be a positive finite number, got nan"),
+    (["cover", "--s", "nan", "--alpha", "0.1"],
+     "seqpa cover: error: ball norm order must be at least 1, got nan"),
+    (["cover", "--d", "3", "--alpha", "0.005"],
+     "seqpa cover: error: a lattice of 349^3 = 42508549 points is over the cap 10000000"),
 ])
 def test_bad_sizes_and_missing_interval_are_reported(argv, line, capsys):
     assert main(argv) == 2

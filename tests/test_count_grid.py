@@ -323,7 +323,7 @@ def test_all_distinct_game_value_is_refused_by_its_levels_before_any_fold(monkey
 def test_count_grids_are_refused_before_any_solve(monkeypatch):
     # T = 2^40 is refused before its 2^40 + 1 leaves exist
     with pytest.raises(ValueError, match=f"^a count grid at T={2 ** 40} needs "):
-        minimax_value(ConstantBernoulliMLE(), 2 ** 40)
+        shtarkov._count_grid(ConstantBernoulliMLE(), 2 ** 40)
     # a 64-element cap: the d = 2 block design at T = 14 has 8^2 leaves, at
     # T = 16 it has 9^2; an exchangeable grid of T + 1 leaves likewise
     monkeypatch.setattr(shtarkov, "FOLD_ELEMENT_CAP", 64)
@@ -346,6 +346,22 @@ def test_game_value_cell_rule_boundary(monkeypatch):
     with pytest.raises(ValueError, match=r"^minimax_value at T=10 needs 528 bytes for its "
                        r"levels, over the 512-byte cap$"):
         minimax_value(ConstantBernoulliMLE(), 10)
+
+
+@pytest.mark.parametrize("T", [2 ** 24, 2 ** 40])
+def test_game_value_is_refused_by_its_least_cells_before_the_groups(T):
+    # (T + 1)(T + 2) / 2 level cells, exact for one group of T steps, refused
+    # before the T-long group array (128 MiB at T = 2^24) exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^minimax_value at T={T} needs "
+                           f"{4 * (T + 1) * (T + 2)} bytes for its levels, over the "
+                           r"536870912-byte cap$"):
+            minimax_value(ConstantBernoulliMLE(), T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def _nml_equalizer_error(nml, ks):

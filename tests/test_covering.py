@@ -23,7 +23,7 @@ from seqpa.covering import (
     msoa_cover,
     msoa_run,
 )
-from seqpa.experts import (DsFamily, FiniteStaticFamily, best_in_hindsight,
+from seqpa.experts import (DsFamily, FiniteStaticFamily, ball_lattice, best_in_hindsight,
                            build_hard_lipschitz_class, glm_family, prediction_matrix)
 from seqpa.harness import greedy_label_fn, run_protocol, worst_case_labels
 from seqpa.predictors import MixturePredictor, continuous_bayes
@@ -111,6 +111,66 @@ def test_grid_cover_lattice_memory_is_the_cover():
     print(f"grid_cover d=2, alpha=2/512: peak {peak / 2 ** 20:.2f} MiB")
     assert len(cover) == 103_733
     assert peak < 5 * 2 ** 20
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_cover_is_the_arange_lattice_and_centrally_symmetric(d, s):
+    # bit for bit the lattice as first written: an arange axis and a 1e-12
+    # slack; row n - 1 - k is exactly -row k, so the family keeps a half head
+    for alpha in (0.5, 0.25, 0.1, d / 128):
+        if d == 3 and s == 1.0 and alpha == 0.5:
+            continue  # over the (2RL/alpha + 1)^d bound
+        fam = glm_family(d=d, s=s)
+        cover = grid_cover(fam, alpha).family
+        radius = alpha / fam.lipschitz
+        delta = 2.0 * radius / (1.0 if math.isinf(s) else d ** (1.0 / s))
+        reach = fam.ball.radius + radius
+        k = math.floor(reach / delta)
+        want = ball_lattice(np.arange(-k, k + 1) * delta, d, s, reach + 1e-12)
+        assert cover.params.tobytes() == want.tobytes(), alpha
+        assert np.array_equal(cover.params[::-1], -cover.params)
+        assert cover._head is not None and len(cover._head) == len(cover.params) // 2
+
+
+@pytest.mark.parametrize("d, Ts", [(1, (1, 8, 32, 512, 4096)), (2, (1, 8, 32, 512)),
+                                   (3, (1, 8, 32))])
+def test_continuous_bayes_grid_is_centrally_symmetric(d, Ts):
+    for T in Ts:
+        W = continuous_bayes(glm_family(d=d), T, 0.25).family
+        assert np.array_equal(W.params[::-1], -W.params), T
+        assert W._head is not None and len(W._head) == len(W.params) // 2
+
+
+def test_continuous_bayes_past_d4_builds_under_the_cap():
+    # d = 5, T = 2: 14^5 lattice points, the enlarged ball keeps 61,376
+    predictor = continuous_bayes(glm_family(d=5), 2, 0.25)
+    assert predictor.family.n_experts == 61_376
+    assert 0.0 < predictor.step(np.full(5, 0.4)) < 1.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: grid_cover(glm_family(d=3), 0.005),
+     "a lattice of 349^3 = 42508549 points is over the cap 10000000"),
+    # d = 4, C = 1/4: 90 points per axis at T = 1024
+    (lambda: continuous_bayes(glm_family(d=4), 1024, 0.25),
+     "a lattice of 90^4 = 65610000 points is over the cap 10000000"),
+    # the packing is refused before any of its 5,000,000 code vectors is drawn
+    (lambda: build_hard_lipschitz_class(d=1, T=64, R=1.0, L=1.0, alpha=1e-7, seed=0),
+     "a lattice of 20000001^1 = 20000001 points is over the cap 10000000"),
+    # 1 + 5T members at depth 1 and K = 5 levels
+    (lambda: msoa_cover([[0.1], [0.9]], 0.1, 2 ** 21, [(0.0,)]),
+     "cover enumeration would produce 10485761 members, over the cap 10000000"),
+])
+def test_lattices_and_covers_over_the_size_cap_are_refused_before_allocation(build, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_grid_cover_rejects_bad_alpha():

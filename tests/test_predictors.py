@@ -552,7 +552,9 @@ def test_continuous_bayes_grid_error_against_a_4x_finer_lattice():
         W = continuous_bayes(fam, T, C).family.params
         R_star = 1.0 + math.sqrt(2 / (C * T))
         per_axis = math.ceil(10.0 * math.sqrt(C * T / 2) * R_star)
-        assert np.array_equal(W, ball_lattice(np.linspace(-R_star, R_star, per_axis), 2, 2.0, R_star))
+        # the centred axis, point per_axis - 1 - j exactly -point j
+        axis = (np.arange(per_axis) - (per_axis - 1) / 2) * (2 * R_star / (per_axis - 1))
+        assert np.array_equal(W, ball_lattice(axis, 2, 2.0, R_star + 1e-12))
         finer = ball_lattice(np.linspace(-R_star, R_star, 4 * (per_axis - 1) + 1), 2, 2.0, R_star)
         lo, hi, eye = math.inf, -math.inf, np.eye(2)
         for n1 in range(T + 1):
