@@ -20,9 +20,11 @@ from .experts import (
     ParametricFamily,
     _validate_table,
     ball_grid,
+    check_lattice_size,
     feature_column,
     feature_key,
 )
+from .losses import _horizon
 
 
 @dataclass
@@ -46,9 +48,10 @@ def grid_cover(pfam, alpha):
 
     The cover's family holds sigma(<w, .>) at the lattice points; a family
     other than `ParametricFamily` raises TypeError.  The lattice is
-    `experts.ball_grid`'s, refused over DEFAULT_SIZE_CAP before it is built;
-    the member count is checked against the standard (2RL/alpha + 1)^d
-    covering bound.
+    `experts.ball_grid`'s, refused over DEFAULT_SIZE_CAP before it is built
+    (its half-axis too, judged as a float, so a subnormal alpha/L is refused,
+    not overflowed); the member count is checked against the standard
+    (2RL/alpha + 1)^d covering bound.
     """
     if not isinstance(pfam, ParametricFamily):
         raise TypeError(f"grid_cover needs a ParametricFamily, got {type(pfam).__name__}")
@@ -62,7 +65,9 @@ def grid_cover(pfam, alpha):
     dpow = 1.0 if math.isinf(s) else d ** (1.0 / s)
     delta = 2.0 * radius / dpow
     reach = R + radius  # lattice points this far out still cover boundary cells
-    W = ball_grid(2 * math.floor(reach / delta) + 1, delta, d, s, reach)
+    half = reach / delta if delta else math.inf  # alpha / L may underflow to 0
+    check_lattice_size(half, f"a lattice half-axis of {half:g} points")
+    W = ball_grid(2 * math.floor(half) + 1, delta, d, s, reach)
     bound = lattice_cover_size(d, R, L, alpha)
     if len(W) > bound:
         raise ValueError(f"lattice cover has {len(W)} members, over the "
@@ -352,10 +357,9 @@ def msoa_cover(values, alpha, T, feature_keys):
     it is discretized at scale alpha, and every (step set I, level
     assignment) with |I| up to the 1-shattering number defines one cover
     member.  Member count is sum_{t<=d} C(T,t) * K^t, at most
-    DEFAULT_SIZE_CAP.  A negative T raises ValueError.
+    DEFAULT_SIZE_CAP.  A T that is not a nonnegative integer raises ValueError.
     """
-    if T < 0:
-        raise ValueError(f"T must be a nonnegative integer, got {T}")
+    T = _horizon(T)
     dfam = discretize(values, alpha, feature_keys=[feature_key(k) for k in feature_keys])
     depth = min(max(dfam.shattering.value(dfam.full_class), 0), T)
     K = dfam.K

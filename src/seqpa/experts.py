@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import _as_labels
+from .losses import _as_labels, _horizon
 
 MEMBERSHIP_SLACK = 1e-12
 # the most lattice points, axis^d, a parameter-ball grid or cover may span
@@ -64,6 +64,14 @@ def ball_lattice(axis, d, s, bound):
     return W
 
 
+def check_lattice_size(size, what):
+    """ValueError "<what> is over the cap DEFAULT_SIZE_CAP" unless `size` is at
+    most the cap.  A float size is judged before any int() of it, so NaN and
+    the infinities are over the cap, not an OverflowError."""
+    if not size <= DEFAULT_SIZE_CAP:
+        raise ValueError(f"{what} is over the cap {DEFAULT_SIZE_CAP}")
+
+
 def ball_grid(n, step, d, s, radius):
     """The lattice points of a parameter ball: every point of axis^d within l_s
     norm radius + MEMBERSHIP_SLACK, as `ball_lattice` returns them, on the
@@ -71,9 +79,7 @@ def ball_grid(n, step, d, s, radius):
     is exactly -point j, for an odd or an even n, so the grid is centrally
     symmetric.  n^d over DEFAULT_SIZE_CAP raises ValueError before anything
     is allocated."""
-    if n ** d > DEFAULT_SIZE_CAP:
-        raise ValueError(f"a lattice of {n}^{d} = {n ** d} points is over the cap "
-                         f"{DEFAULT_SIZE_CAP}")
+    check_lattice_size(n ** d, f"a lattice of {n}^{d} = {n ** d} points")
     return ball_lattice((np.arange(n) - (n - 1) / 2) * step, d, s, radius + MEMBERSHIP_SLACK)
 
 
@@ -379,28 +385,27 @@ def distinct_columns(vectors, n):
             np.array(group, dtype=np.intp))
 
 
+def count_term(a0, a1, n, k):
+    """k ln p + (n - k) ln(1 - p): the log probability of k ones among n steps
+    that predict p, from (a0, a1) = (ln(1 - p), ln p) as `log_likelihoods`
+    gives them, broadcast over all four.  The log whose count is 0 is zeroed
+    before its product (0 ln 0 = 0), so 0 * (-inf) never arises: k = 0 gives
+    n ln(1 - p) and k = n gives n ln p.  Every count likelihood in the
+    library is this one expression."""
+    return k * np.where(k == 0, 0.0, a1) + (n - k) * np.where(k == n, 0.0, a0)
+
+
 def count_log_likelihoods(a0, a1, N):
     """The log likelihoods (a0, a1) = `log_likelihoods(columns)` of a
     design's distinct prediction columns (`distinct_columns`), column a
     predicting at N[a] steps, summed per column: terms.
 
-    For a column of N steps that predict p, terms[a] is the (n, N + 1) table
-    of every row's log probability of k ones among them,
-    k ln p + (N - k) ln(1 - p).  At k = 0 and k = N the log whose count is 0
-    is zeroed before its product, so 0 * (-inf) never arises and those
-    entries are N ln(1 - p) and N ln p; at N = 1 the table is
-    (ln(1 - p), ln p) itself.
+    terms[a] is the (n, N[a] + 1) table of `count_term` at k = 0..N[a] for
+    every row: its log probability of k ones among column a's steps.  At
+    N = 1 the table is (ln(1 - p), ln p) itself.
     """
-    # every column's table side by side: entry j holds k[j] ones among the
-    # N[j] steps of column col[j]
-    sizes = np.asarray(N, dtype=np.intp)
-    ends = np.cumsum(sizes + 1)
-    col = np.repeat(np.arange(len(sizes)), sizes + 1)
-    N = np.repeat(sizes, sizes + 1)
-    k = np.arange(len(col)) - np.repeat(ends - sizes - 1, sizes + 1)
-    table = (k * np.where(k == 0, 0.0, a1[:, col])
-             + (N - k) * np.where(k == N, 0.0, a0[:, col]))
-    return np.split(table, ends[:-1], axis=1)[:len(sizes)]
+    return [count_term(a0[:, a, None], a1[:, a, None], n, np.arange(n + 1))
+            for a, n in enumerate(N)]
 
 
 def best_in_hindsight(family, features, labels):
@@ -416,6 +421,11 @@ def best_in_hindsight(family, features, labels):
     array both come back with a leading axis of length S.  The first T
     feature rows are used; fewer than T raise ValueError, as does a label
     other than 0 or 1.
+
+    A finite family is read once (`distinct_columns`), and each expert's
+    loss is minus `count_term` at each sequence's counts of ones, one
+    distinct column at a time in column order: memory is the columns plus a
+    few (S, n) arrays, whatever T is.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     labels = _as_labels(labels)
@@ -426,16 +436,17 @@ def best_in_hindsight(family, features, labels):
         raise ValueError(f"{Y.shape[1]} labels but only {len(features)} feature rows")
     if hasattr(family, "n_experts"):
         # counts[a, s]: sequence s's ones at distinct column a; total[s, i]:
-        # expert i's log probability of sequence s, summed over the groups in
-        # order, as `count_fold` sums it
+        # expert i's log probability of sequence s, `count_term` at those
+        # counts summed over the columns in order, as `count_fold` sums it
         columns, group = distinct_columns((family.all_predictions(t, x) for t, x in
                                            enumerate(features[:Y.shape[1]])), family.n_experts)
-        terms = count_log_likelihoods(*log_likelihoods(columns), np.bincount(group))
-        counts = np.zeros((len(terms), Y.shape[0]), dtype=np.intp)
+        a0, a1 = log_likelihoods(columns)
+        N = np.bincount(group)
+        counts = np.zeros((len(N), Y.shape[0]), dtype=np.intp)
         np.add.at(counts, group, Y.T.astype(np.intp))
         total = np.zeros((Y.shape[0], family.n_experts))
-        for term, k in zip(terms, counts):
-            total += term.T[k]
+        for a, k in enumerate(counts):
+            total += count_term(a0[:, a], a1[:, a], N[a], k[:, None])
         params = np.argmax(total, axis=1)
         best = -total[np.arange(len(params)), params]
         return (int(params[0]), float(best[0])) if labels.ndim == 1 else (params, best)
@@ -660,10 +671,17 @@ def build_hard_lipschitz_class(d, T, R, L, alpha, seed):
     lattice packing of the parameter ball at separation alpha/L, and
     assigns values 0/alpha along T designated features.  The packing is
     built first, so a lattice over DEFAULT_SIZE_CAP is refused before any
-    code vector is drawn.
+    code vector is drawn, and M itself is judged against that cap before it
+    is made an int.  T must be a positive integer.
     """
+    T = _horizon(T, positive=True)
     ball = ParamBall(d, R, 2.0)
-    M = int((L * R / (2.0 * alpha)) ** d)
+    try:
+        M = (L * R / (2.0 * alpha)) ** d
+    except OverflowError:  # past the double range
+        M = math.inf
+    check_lattice_size(M, f"a code of M = {M:g} vectors")
+    M = int(M)
     if M < 2:
         raise ValueError(f"need at least 2 code vectors, got M={M} "
                          f"(increase R*L or decrease alpha)")

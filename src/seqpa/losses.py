@@ -40,6 +40,16 @@ def _as_labels(values):
     return labels
 
 
+def _horizon(T, positive=False):
+    """T as an int; ValueError unless it is a nonnegative integer (a positive
+    one with `positive`) of any type.  Every function that takes a horizon
+    reads it here."""
+    if not (T >= positive and float(T).is_integer()):
+        raise ValueError(f"T must be a {'positive' if positive else 'nonnegative'} "
+                         f"integer, got {T}")
+    return int(T)
+
+
 def log_loss(pred, label):
     """-y ln(p) - (1-y) ln(1-p), returning +inf on the zero-probability cases."""
     p = as_prob(pred)

@@ -22,9 +22,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import shtarkov
-from .experts import (FiniteParamFamily, ParametricFamily, ball_grid, distinct_columns,
-                      log_likelihoods)
-from .losses import as_label, log_loss, log_sum_exp
+from .experts import (FiniteParamFamily, ParametricFamily, ball_grid, check_lattice_size,
+                      distinct_columns, log_likelihoods)
+from .losses import _horizon, as_label, log_loss, log_sum_exp
 
 
 def smooth_truncate(g, alpha):
@@ -230,29 +230,32 @@ def continuous_bayes(family, T, hessian_bound):
     The enlarged ball has radius R* = R + rho, rho = sqrt(d/CT), and the
     grid is `experts.ball_grid`'s: n = ceil(10 R* / rho) points per axis at
     spacing 2R*/(n - 1), about rho/5, refused over DEFAULT_SIZE_CAP lattice
-    points before it is built.  Its discretization error is measured, not
-    certified: against a lattice 4x finer per axis on the same ball, over
-    every count table of the {e1, e2} design at d = 2, C = 1/4, the grid's
-    ln mass was at worst
+    points before it is built (n itself is judged as a float first).  Its
+    discretization error is measured, not certified: against a lattice 4x
+    finer per axis on the same ball, over every count table of the {e1, e2}
+    design at d = 2, C = 1/4, the grid's ln mass was at worst
     0.051 nats (T = 16) and 0.142 nats (T = 32) below the finer lattice's,
     on tables that put every label of a symbol at one value, and at most
     0.017 above.  `hessian_bound` is taken as given: the caller checks
     it against the features (the harness does, as max ||x||^2 / 4).  The
-    grid is an l2 ball: any other ball or T < 1 raises ValueError.
+    grid is an l2 ball: any other ball, a T that is not a positive integer
+    or a Hessian bound that is not a positive finite number raises
+    ValueError.
     """
     if not isinstance(family, ParametricFamily):
         raise TypeError("continuous_bayes needs a parametric family")
     d, R, s = family.ball.dimension, family.ball.radius, family.ball.norm_order
     if s != 2:
         raise ValueError(f"continuous_bayes needs an l2 ball, got norm order {s}")
-    if T < 1:
-        raise ValueError(f"T must be a positive integer, got {T}")
+    T = _horizon(T, positive=True)
     C = float(hessian_bound)
-    if C <= 0:
-        raise ValueError("Hessian bound must be positive")
+    if not 0 < C < math.inf:
+        raise ValueError(f"Hessian bound must be a positive finite number, got {hessian_bound!r}")
     rho = math.sqrt(d / (C * T))
     R_star = R + rho
-    per_axis = math.ceil(10.0 * math.sqrt(C * T / d) * R_star)
+    per_axis = 10.0 * math.sqrt(C * T / d) * R_star
+    check_lattice_size(per_axis, f"a grid axis of {per_axis:g} points")
+    per_axis = math.ceil(per_axis)
     W = ball_grid(per_axis, 2.0 * R_star / (per_axis - 1), d, 2.0, R_star)
     return MixturePredictor(FiniteParamFamily(W))
 

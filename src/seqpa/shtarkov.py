@@ -27,9 +27,9 @@ from scipy.special import gammaln
 
 from .bounds import lipschitz_lower, power_family_lower
 from .experts import (ROW_BLOCK, _best_logistic, _logistic_radius, _zero_positive_counts,
-                      best_in_hindsight, count_log_likelihoods, distinct_columns, ds_project,
-                      lattice_blocks, log_likelihoods)
-from .losses import _as_labels, as_label, log_sum_exp
+                      best_in_hindsight, count_log_likelihoods, count_term, distinct_columns,
+                      ds_project, lattice_blocks, log_likelihoods)
+from .losses import _as_labels, _horizon, as_label, log_sum_exp
 
 LEAF_BLOCK_BITS = 14  # count_fold reduces blocks of at most 2^14 grid cells per row
 # Largest label-tree array, in float64 elements: 2^26 is 512 MiB.  Under tracemalloc
@@ -73,7 +73,8 @@ class ExchangeableOracle:
 
 
 class IntervalBernoulli(ExchangeableOracle):
-    """Constant-probability experts restricted to [lo, hi]: clamped MLE."""
+    """Constant-probability experts restricted to [lo, hi]: the sup of
+    `count_term` over w in [lo, hi] is at the clamped MLE."""
 
     def __init__(self, lo, hi):
         if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
@@ -83,14 +84,11 @@ class IntervalBernoulli(ExchangeableOracle):
         self.lo, self.hi = float(lo), float(hi)
 
     def log_sup_by_count(self, k, n):
-        """k*ln(w) + (n-k)*ln(1-w) at the clamped MLE w, with the 0*ln(0) := 0
-        convention."""
+        """`count_term` k ln w + (n - k) ln(1 - w) at the clamped MLE
+        w = clip(k / n, lo, hi) (lo at n = 0, where every term is 0)."""
         k = np.asarray(k, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at n = 0
-            w = np.clip(k / n, self.lo, self.hi)
-            a = np.where(k == 0, 0.0, k * np.log(w))
-            b = np.where(k == n, 0.0, (n - k) * np.log1p(-w))
-        return a + b
+        w = np.clip(k / np.maximum(n, 1), self.lo, self.hi)
+        return count_term(*log_likelihoods(w), n, k)
 
 
 class ConstantBernoulliMLE(IntervalBernoulli):
@@ -113,13 +111,6 @@ class DsClosedForm(ExchangeableOracle):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(k <= 1, 0.0, -(k / self.s) * np.log(np.maximum(k, 1.0)))
         return out
-
-
-def _horizon(T):
-    """T as an int; ValueError unless it is a nonnegative integer of any type."""
-    if not (T >= 0 and float(T).is_integer()):
-        raise ValueError(f"T must be a nonnegative integer, got {T}")
-    return int(T)
 
 
 def _check_size(elements, needs, purpose=""):

@@ -177,6 +177,17 @@ def test_bench_subcommand_reports_the_first_bad_cell(capsys, tmp_path):
     assert _error_line(capsys) == "seqpa bench: error: unknown adversary 'bogus'"
 
 
+def test_bench_subcommand_reports_an_infinite_hessian_bound(capsys, tmp_path):
+    # C = inf passes the harness's check against the features; continuous_bayes
+    # refuses it with a ValueError, not an OverflowError traceback in a worker
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("[grid]\nfamily = logistic\nalgorithm = continuous_bayes\n"
+                   "T = 8\nd = 1\nC = inf\nadversary = greedy\nseed = 0\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert _error_line(capsys) == ("seqpa bench: error: Hessian bound must be a positive "
+                                   "finite number, got inf")
+
+
 def test_predict_subcommand_reports_bad_adversary(capsys):
     assert main(["predict", "--T", "8", "--adversary", "nope"]) == 2
     assert _error_line(capsys) == "seqpa predict: error: unknown adversary 'nope'"
@@ -226,6 +237,12 @@ def test_single_valued_knobs_reject_other_values(argv, capsys):
      "seqpa cover: error: ball norm order must be at least 1, got nan"),
     (["cover", "--d", "3", "--alpha", "0.005"],
      "seqpa cover: error: a lattice of 349^3 = 42508549 points is over the cap 10000000"),
+    # alpha / L is subnormal: the half-axis is judged as a float, not overflowed
+    (["cover", "--L", "1e308", "--alpha", "0.1"],
+     "seqpa cover: error: a lattice half-axis of inf points is over the cap 10000000"),
+    # alpha / L underflows to 0: an infinite half-axis, not a ZeroDivisionError
+    (["cover", "--L", "1e300", "--alpha", "1e-100"],
+     "seqpa cover: error: a lattice half-axis of inf points is over the cap 10000000"),
 ])
 def test_bad_sizes_and_missing_interval_are_reported(argv, line, capsys):
     assert main(argv) == 2

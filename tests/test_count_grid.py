@@ -13,7 +13,8 @@ from scipy.special import logsumexp
 from seqpa import shtarkov
 from seqpa.experts import (CERTIFIED_GAP, LOGISTIC, DsFamily, FiniteParamFamily,
                            FiniteStaticFamily, _best_logistic, best_in_hindsight,
-                           count_log_likelihoods, glm_family, log_likelihoods, prediction_matrix)
+                           count_log_likelihoods, count_term, glm_family, log_likelihoods,
+                           prediction_matrix)
 from seqpa.harness import _ball_features
 from seqpa.losses import cumulative_loss
 from seqpa.predictors import mixture_losses, nml_predict
@@ -167,6 +168,26 @@ def test_exchangeable_oracles_are_bit_identical_to_per_leaf_counts(oracle, T):
     leaves = np.asarray(oracle.log_sup_by_count(np.arange(T + 1), T), dtype=float)[counts]
     assert np.array_equal(leaf_log_sups(oracle, T), leaves)
     assert _levels_equal(minimax_value(oracle, T).levels, _pairwise_levels(leaves, T))
+
+
+def test_count_tables_are_the_count_term_at_every_count():
+    # exact 0 and 1 probabilities: 0 ln 0 = 0 at the one count that reads it,
+    # -inf at every other
+    P = np.array([[0.0, 1.0, 0.3, 0.0],
+                  [1.0, 0.0, 0.0, 0.9],
+                  [0.5, 1.0, 1.0, 1e-300]])
+    a0, a1 = log_likelihoods(P)
+    N = [3, 1, 5, 0]
+    terms = count_log_likelihoods(a0, a1, N)
+    assert [term.shape for term in terms] == [(3, n + 1) for n in N]
+    for a, (term, n) in enumerate(zip(terms, N)):
+        for k in range(n + 1):
+            assert np.array_equal(term[:, k], count_term(a0[:, a], a1[:, a], n, k))
+        zero, one = P[:, a] == 0.0, P[:, a] == 1.0
+        assert np.array_equal(term[zero, 0], np.zeros(zero.sum()))
+        assert np.array_equal(term[one, n], np.zeros(one.sum()))
+        if n:
+            assert np.all(term[zero, 1:] == -np.inf) and np.all(term[one, :-1] == -np.inf)
 
 
 def _fortran_strides(grid, group):

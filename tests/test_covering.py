@@ -69,6 +69,18 @@ def test_discretize_rejects_values_off_the_unit_interval():
     (continuous_bayes, (glm_family(d=2, s=math.inf), 64, 0.25),
      "continuous_bayes needs an l2 ball, got norm order inf"),
     (continuous_bayes, (glm_family(d=1), 0, 0.25), "T must be a positive integer, got 0"),
+    (msoa_cover, ([[0.1, 0.9]], 0.25, 2.5, [(0.0,), (1.0,)]),
+     "T must be a nonnegative integer, got 2.5"),
+    (continuous_bayes, (glm_family(d=1), 8.5, 0.25), "T must be a positive integer, got 8.5"),
+    (continuous_bayes, (glm_family(d=1), 8, math.inf),
+     "Hessian bound must be a positive finite number, got inf"),
+    (continuous_bayes, (glm_family(d=1), 8, math.nan),
+     "Hessian bound must be a positive finite number, got nan"),
+    (continuous_bayes, (glm_family(d=1), 8, 0.0),
+     "Hessian bound must be a positive finite number, got 0.0"),
+    # rho = sqrt(d / CT) overflows, so the grid axis is judged as a float
+    (continuous_bayes, (glm_family(d=1), 8, 1e-320),
+     "a grid axis of inf points is over the cap 10000000"),
 ])
 def test_bad_scale_or_dimension_raises_value_error(fn, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import types
 import warnings
 
@@ -522,6 +523,41 @@ def test_build_hard_lipschitz_class_small():
     preds = fam.all_predictions(2, fam.features[2])
     assert preds.shape == (fam.n_experts, )
     assert np.all((preds >= 0) & (preds <= 1))
+
+
+@pytest.mark.parametrize("T, L, message", [
+    (-1, 1.0, "T must be a positive integer, got -1"),
+    (2.5, 1.0, "T must be a positive integer, got 2.5"),
+    (0, 1.0, "T must be a positive integer, got 0"),
+    # L R / (2 alpha) overflows: M is judged as a float before int()
+    (512, 1e308, "a code of M = inf vectors is over the cap 10000000"),
+])
+def test_build_hard_lipschitz_class_rejects_a_bad_horizon_or_size(T, L, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_hard_lipschitz_class(d=1, T=T, R=1.0, L=L, alpha=0.1, seed=0)
+
+
+def test_finite_hindsight_memory_does_not_grow_with_the_horizon():
+    # one sequence against 2,000 constant experts at T = 4,096: a
+    # (2000, 4097) count table of every column, read at one count, peaked
+    # at 188 MiB; count_term at the sequence's count needs a few 2,000-vectors
+    fam = FiniteStaticFamily(np.linspace(0.0, 1.0, 2000)[:, None])
+    T = 4096
+    labels = np.random.default_rng(0).integers(0, 2, T)
+    tracemalloc.start()
+    try:
+        index, loss = best_in_hindsight(fam, np.zeros((T, 1)), labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"best_in_hindsight, 2,000 constant experts, T=4096: peak {peak / 2 ** 20:.2f} MiB")
+    assert peak < 2 ** 20
+    # 0 < k < T, so the experts at 0 and 1 have loss inf
+    k = int(labels.sum())
+    p = fam.table[1:-1, 0]
+    log_likelihood = k * np.log(p) + (T - k) * np.log1p(-p)
+    assert index == 1 + np.argmax(log_likelihood)
+    assert loss == pytest.approx(-log_likelihood.max(), rel=1e-12)
 
 
 def test_hard_class_extension_is_lipschitz():

@@ -605,6 +605,33 @@ def test_interval_bernoulli_clamps_mle():
         ConstantBernoulliMLE().log_sup_by_count(2, 4))
 
 
+def _masked_log_sup_by_count(oracle, k, n):
+    """The clamped-MLE sup as `IntervalBernoulli` first wrote it, its own
+    multiply-then-mask products: the reference `count_term` must match."""
+    k = np.asarray(k, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.clip(k / n, oracle.lo, oracle.hi)
+        a = np.where(k == 0, 0.0, k * np.log(w))
+        b = np.where(k == n, 0.0, (n - k) * np.log1p(-w))
+    return a + b
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 0.3), (0.6, 1.0), (0.2, 0.7),
+                                    (0.0, 0.0), (1.0, 1.0), (0.4, 0.4)])
+@pytest.mark.parametrize("n", [0, 1, 7, 4096])
+def test_interval_bernoulli_is_the_masked_formula_bit_for_bit(lo, hi, n):
+    # under the suite's warnings-as-errors: no log of 0 or 0 / 0 may warn
+    oracle = IntervalBernoulli(lo, hi)
+    k = np.arange(n + 1)
+    got = oracle.log_sup_by_count(k, n)
+    assert got.dtype == np.float64
+    assert got.tobytes() == _masked_log_sup_by_count(oracle, k, n).tobytes()
+    for j in {0, n // 2, n}:
+        one = oracle.log_sup_by_count(j, n)
+        assert type(one) is np.float64
+        assert one.tobytes() == _masked_log_sup_by_count(oracle, j, n).tobytes()
+
+
 def test_interval_bernoulli_names_the_fault():
     with pytest.raises(ValueError, match="interval lo=0.7 is above hi=0.2"):
         IntervalBernoulli(0.7, 0.2)
